@@ -89,9 +89,9 @@ std::size_t soundness_violations(const EpochQueryEngine& engine, std::span<const
   return bad;
 }
 
-void verdict_row(Table& t, const std::string& phase, std::size_t nodes,
-                 const EpochServeStats& s, std::size_t violations) {
-  t.add_row({phase, Table::fmt_int(static_cast<long long>(s.generation)),
+void verdict_row(Table& t, const std::string& phase, std::uint64_t generation,
+                 std::size_t nodes, const ServeStats& s, std::size_t violations) {
+  t.add_row({phase, Table::fmt_int(static_cast<long long>(generation)),
              Table::fmt_int(static_cast<long long>(nodes)),
              Table::fmt_int(static_cast<long long>(s.queries)),
              Table::fmt_int(static_cast<long long>(s.exact)),
@@ -252,10 +252,10 @@ int main(int argc, char** argv) {
     return engine.refresh();
   };
 
-  const EpochServeStats pre = serve_span();
+  const ServeStats pre = serve_span();
   std::size_t bad = soundness_violations(engine, queries, out, verdicts);
   total_violations += bad;
-  verdict_row(serve_t, "pre-churn", dyn.size(), pre, bad);
+  verdict_row(serve_t, "pre-churn", engine.generation(), dyn.size(), pre, bad);
 
   // Wave 1: a 30% crash wave, planned by the injector over the *slots* of
   // the dynamic structure and applied in descending slot order so every
@@ -285,10 +285,11 @@ int main(int argc, char** argv) {
     std::cerr << "error: epoch snapshot diverged from the maintainer after the crash wave\n";
     return 1;
   }
-  const EpochServeStats post = serve_span();
+  const ServeStats post = serve_span();
   bad = soundness_violations(engine, queries, out, verdicts);
   total_violations += bad;
-  verdict_row(serve_t, "post-crash (same pre-churn queries)", dyn.size(), post, bad);
+  verdict_row(serve_t, "post-crash (same pre-churn queries)", engine.generation(), dyn.size(), post,
+              bad);
 
   // Wave 2: a rejoin wave — 15% of the original population comes back as
   // fresh uniform nodes; re-query over the *current* id space.
@@ -315,10 +316,11 @@ int main(int argc, char** argv) {
     q.src = static_cast<std::uint32_t>(qdraw2.uniform_index(dyn.size()));
     q.dst = static_cast<std::uint32_t>(qdraw2.uniform_index(dyn.size()));
   }
-  const EpochServeStats rejoin = serve_span();
+  const ServeStats rejoin = serve_span();
   bad = soundness_violations(engine, queries, out, verdicts);
   total_violations += bad;
-  verdict_row(serve_t, "post-rejoin (fresh queries)", dyn.size(), rejoin, bad);
+  verdict_row(serve_t, "post-rejoin (fresh queries)", engine.generation(), dyn.size(), rejoin,
+              bad);
 
   step_timer.reset();
   const EpochQueryEngine rebuilt(dyn, eparams);

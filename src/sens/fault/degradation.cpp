@@ -68,10 +68,7 @@ DegradationReport audit_degradation(const GeoGraph& geo, const Box& window,
       const auto s = static_cast<std::uint32_t>(rng.uniform_index(n));
       auto t = static_cast<std::uint32_t>(rng.uniform_index(n));
       while (t == s) t = static_cast<std::uint32_t>(rng.uniform_index(n));
-      const LandmarkOracle::Bounds b = oracle.bounds(s, t);
-      if (b.lower == b.upper || (b.lower > 0.0 && b.upper <= params.max_stretch * b.lower)) {
-        ++acc.certified;
-      }
+      if (oracle.bounds(s, t).certifies(params.max_stretch)) ++acc.certified;
       const double exact = dijkstra_cost(geo.graph, s, t, weights, scratch);
       if (exact >= kInfCost) {
         ++acc.disconnected;

@@ -48,11 +48,6 @@ FlatAdjacency knn_selections_flat(std::span<const Vec2> points, std::size_t k) {
   return adj;
 }
 
-std::vector<std::vector<std::uint32_t>> knn_selections(std::span<const Vec2> points,
-                                                       std::size_t k) {
-  return knn_selections_flat(points, k).to_nested();
-}
-
 GeoGraph build_knn_graph(std::span<const Vec2> points, std::size_t k) {
   GeoGraph gg;
   gg.points.assign(points.begin(), points.end());

@@ -16,14 +16,9 @@ namespace sens {
 
 /// Directed out-neighbor lists (each vertex's min(k, n-1) nearest, sorted by
 /// (distance, index)) in flat CSR form. Built chunk-parallel with one
-/// kd-tree scratch buffer per chunk — allocation-free per query, and every
+/// GridKnn scratch buffer per chunk — allocation-free per query, and every
 /// vertex's slice is written independently, so the result is identical at
 /// any thread count.
 [[nodiscard]] FlatAdjacency knn_selections_flat(std::span<const Vec2> points, std::size_t k);
-
-/// Legacy nested-vector shape of `knn_selections_flat`, kept for tests and
-/// the occupancy-cap ablation.
-[[nodiscard]] std::vector<std::vector<std::uint32_t>> knn_selections(std::span<const Vec2> points,
-                                                                     std::size_t k);
 
 }  // namespace sens

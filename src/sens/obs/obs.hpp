@@ -58,9 +58,9 @@ enum class Counter : std::uint32_t {
   kGridKnnQueries,          ///< nearest_into calls
   kGridKnnCellsScanned,     ///< grid cells whose bucket was read
   kGridKnnCandidates,       ///< candidate points offered to a selector
-  kOracleCertified,         ///< QueryEngine answers certified by bounds
-  kOracleFallback,          ///< QueryEngine answers needing exact Dijkstra
-  kOracleDisconnected,      ///< QueryEngine answers that are +inf
+  kOracleCertified,         ///< serve_batch kCertified verdicts (both engines)
+  kOracleFallback,          ///< serve_batch exact-Dijkstra runs (both engines)
+  kOracleDisconnected,      ///< serve_batch kDisconnected verdicts (both engines)
   kEpochJournalReplays,     ///< overlay deltas replayed by EpochQueryEngine
   kEpochResyncs,            ///< full snapshot resyncs (journal truncated)
   kFaultNodesFailed,        ///< nodes killed by apply_faults

@@ -2,11 +2,8 @@
 
 #include <algorithm>
 
-#include "sens/graph/dijkstra.hpp"
 #include "sens/obs/obs.hpp"
 #include "sens/rng/rng.hpp"
-#include "sens/support/parallel.hpp"
-#include "sens/support/scratch_pool.hpp"
 
 namespace sens {
 
@@ -85,69 +82,6 @@ EpochRefreshStats EpochQueryEngine::refresh() {
   oracle_ = LandmarkOracle::build_with(graph_, weights_, landmarks_);
   stats.generation = generation_;
   return stats;
-}
-
-EpochServeStats EpochQueryEngine::serve(std::span<const Query> queries, std::span<double> out,
-                                        std::span<Verdict> verdicts) const {
-  const std::size_t n = graph_.num_vertices();
-  const ChunkLayout layout = chunk_layout(queries.size());
-  std::vector<EpochServeStats> partials(layout.count);
-  ScratchPool<DijkstraScratch> scratches;
-  parallel_for_chunks(queries.size(), [&](std::size_t begin, std::size_t end) {
-    const auto scratch = scratches.acquire();
-    EpochServeStats& stats = partials[layout.index_of(begin)];
-    for (std::size_t i = begin; i < end; ++i) {
-      const Query q = queries[i];
-      ++stats.queries;
-      if (q.src >= n || q.dst >= n) {
-        // Slot ids are generation-scoped (swap-remove recycles them); an
-        // out-of-range id is answered as stale, never resolved to some
-        // other node's distance.
-        out[i] = kInfCost;
-        verdicts[i] = Verdict::kStale;
-        ++stats.stale;
-        continue;
-      }
-      const LandmarkOracle::Bounds b = oracle_.bounds(q.src, q.dst);
-      if (b.lower == b.upper) {
-        // Exact bracket: s == t, or a landmark proves two components.
-        out[i] = b.upper;
-        if (b.upper >= kInfCost) {
-          verdicts[i] = Verdict::kDisconnected;
-          ++stats.disconnected;
-        } else {
-          verdicts[i] = Verdict::kExact;
-          ++stats.exact;
-        }
-        continue;
-      }
-      if (b.lower > 0.0 && b.upper <= params_.max_stretch * b.lower) {
-        out[i] = b.upper;
-        verdicts[i] = Verdict::kCertified;
-        ++stats.certified;
-        continue;
-      }
-      const double exact = dijkstra_cost(graph_, q.src, q.dst, weights_, *scratch);
-      out[i] = exact;
-      if (exact >= kInfCost) {
-        verdicts[i] = Verdict::kDisconnected;
-        ++stats.disconnected;
-      } else {
-        verdicts[i] = Verdict::kExact;
-        ++stats.exact;
-      }
-    }
-  });
-  EpochServeStats total;
-  total.generation = generation_;
-  for (const EpochServeStats& p : partials) {
-    total.queries += p.queries;
-    total.exact += p.exact;
-    total.certified += p.certified;
-    total.disconnected += p.disconnected;
-    total.stale += p.stale;
-  }
-  return total;
 }
 
 }  // namespace sens

@@ -23,13 +23,11 @@
 // certified answer always certifies against the *current* epoch — stale
 // labels cannot certify by construction.
 //
-// Every answer carries a `Verdict`:
-//   kExact        — exact distance (tight bracket or Dijkstra fallback);
-//   kCertified    — oracle upper bound, provably <= max_stretch * d;
-//   kDisconnected — no path in this epoch (reported, not guessed);
-//   kStale        — the query names a slot that does not exist in this
-//                   epoch (ids are generation-scoped under swap-remove;
-//                   callers re-resolve and retry against a newer epoch).
+// Serving is the shared certify-or-fallback kernel (`serve_batch`,
+// serve/query_engine.hpp) over the epoch snapshot, so every answer carries
+// a `Verdict` — kExact, kCertified, kDisconnected, or kStale when the query
+// names a slot that does not exist in this epoch (ids are generation-scoped
+// under swap-remove; callers re-resolve and retry against a newer epoch).
 // The zero-uncertified-wrong contract — every served distance is exact,
 // certified-within-stretch, or explicitly kDisconnected/kStale — is
 // asserted against exact Dijkstra on the E19 workload (bench_e19_faults)
@@ -47,24 +45,8 @@
 
 namespace sens {
 
-/// How one epoch answer was produced (header comment).
-enum class Verdict : std::uint8_t {
-  kExact = 0,
-  kCertified = 1,
-  kDisconnected = 2,
-  kStale = 3,
-};
-
-/// Per-batch verdict accounting; sums over queries, deterministic at any
-/// thread count.
-struct EpochServeStats {
-  std::uint64_t generation = 0;  ///< epoch that produced the answers
-  std::size_t queries = 0;
-  std::size_t exact = 0;
-  std::size_t certified = 0;
-  std::size_t disconnected = 0;
-  std::size_t stale = 0;
-};
+/// Former name of the shared stats struct, kept for existing callers.
+using EpochServeStats = ServeStats;
 
 struct EpochEngineParams {
   std::size_t num_landmarks = 16;
@@ -97,12 +79,13 @@ class EpochQueryEngine {
   /// labels. No-op (beyond the generation read) when already current.
   EpochRefreshStats refresh();
 
-  /// Answer a batch with explicit verdicts: distances into out[i],
-  /// verdict into verdicts[i] (both sized like queries). kDisconnected and
-  /// kStale answers report kInfCost. Chunk-parallel, const, safe to call
-  /// concurrently with other serve() calls on this engine.
-  EpochServeStats serve(std::span<const Query> queries, std::span<double> out,
-                        std::span<Verdict> verdicts) const;
+  /// Answer a batch with explicit verdicts: `serve_batch` over this epoch
+  /// (distances into out[i], verdicts into verdicts[i], both sized like
+  /// queries). Const, safe to call concurrently with other serve() calls.
+  ServeStats serve(std::span<const Query> queries, std::span<double> out,
+                   std::span<Verdict> verdicts) const {
+    return serve_batch(graph_, weights_, oracle_, params_.max_stretch, queries, out, verdicts);
+  }
 
   [[nodiscard]] std::uint64_t generation() const { return generation_; }
   [[nodiscard]] const CsrGraph& graph() const { return graph_; }

@@ -9,10 +9,11 @@
 //   lower = max_l |d(l, s) - d(l, t)|      upper = min_l d(l, s) + d(l, t)
 //
 // Both bounds cost O(L) flat array reads per query. When the bracket is
-// tight enough (upper / lower within the caller's stretch budget) the serve
-// layer answers `upper` — a real path length through the best landmark —
-// without touching the graph; otherwise it falls back to exact Dijkstra
-// (sens/serve/query_engine.hpp owns that policy).
+// tight enough (`Bounds::certifies`: upper / lower within the caller's
+// stretch budget) the serve layer answers `upper` — a real path length
+// through the best landmark — without touching the graph; otherwise it
+// falls back to exact Dijkstra (sens/serve/query_engine.hpp owns that
+// policy; the fault audit reuses the same rule).
 //
 // Determinism: landmarks are drawn from the seeded rng stream, the label
 // sweep is one batched `dijkstra_many` call (bit-identical at any thread
@@ -21,7 +22,7 @@
 //
 // Disconnected pairs are detected exactly whenever some landmark reaches one
 // endpoint but not the other (the pair then straddles two components):
-// `bounds` returns {inf, inf} and the serve layer certifies the answer
+// `bounds` returns {inf, inf} and the serve layer answers kDisconnected
 // without a fallback Dijkstra. Landmarks reaching neither endpoint carry no
 // information and are skipped.
 #pragma once
@@ -62,6 +63,16 @@ class LandmarkOracle {
   struct Bounds {
     double lower = 0.0;
     double upper = kInfCost;
+
+    /// The bracket pins d(s, t) exactly.
+    [[nodiscard]] bool exact() const { return lower == upper; }
+
+    /// The one certification rule: `upper` is within `max_stretch` of
+    /// d(s, t). An exact bracket certifies trivially; `lower > 0` guards
+    /// the ratio test against a zero lower bound.
+    [[nodiscard]] bool certifies(double max_stretch) const {
+      return exact() || (lower > 0.0 && upper <= max_stretch * lower);
+    }
   };
 
   LandmarkOracle() = default;

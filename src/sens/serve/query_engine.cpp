@@ -1,12 +1,89 @@
 #include "sens/serve/query_engine.hpp"
 
 #include <numeric>
+#include <stdexcept>
 
 #include "sens/obs/obs.hpp"
 #include "sens/support/parallel.hpp"
 #include "sens/support/scratch_pool.hpp"
 
 namespace sens {
+
+namespace {
+
+/// Working memory of one `routes` chunk.
+struct RouteScratch {
+  DijkstraScratch dijkstra;
+  std::vector<std::uint32_t> path;
+};
+
+/// The exact forms' input contract: an id >= n would index past every
+/// per-vertex array, so the whole batch is rejected before any dispatch.
+void check_ids(const CsrGraph& g, std::span<const Query> queries) {
+  const std::size_t n = g.num_vertices();
+  for (const Query& q : queries) {
+    if (q.src >= n || q.dst >= n) {
+      throw std::out_of_range("QueryEngine: query id >= vertex count");
+    }
+  }
+}
+
+}  // namespace
+
+ServeStats serve_batch(const CsrGraph& g, std::span<const double> weights,
+                       const LandmarkOracle& oracle, double max_stretch,
+                       std::span<const Query> queries, std::span<double> out,
+                       std::span<Verdict> verdicts) {
+  const std::size_t n = g.num_vertices();
+  const ChunkLayout layout = chunk_layout(queries.size());
+  std::vector<ServeStats> partials(layout.count);
+  ScratchPool<DijkstraScratch> scratches;
+  parallel_for_chunks(queries.size(), [&](std::size_t begin, std::size_t end) {
+    const auto scratch = scratches.acquire();
+    std::size_t tally[4] = {};  // indexed by Verdict
+    SENS_OBS(std::uint32_t fallbacks = 0;)
+    for (std::size_t i = begin; i < end; ++i) {
+      const Query q = queries[i];
+      // Ids are generation-scoped under churn (swap-remove recycles them):
+      // an out-of-range id is answered stale, never resolved to some other
+      // node's distance.
+      Verdict v = Verdict::kStale;
+      double answer = kInfCost;
+      if (q.src < n && q.dst < n) {
+        const LandmarkOracle::Bounds b = oracle.bounds(q.src, q.dst);
+        if (b.exact()) {
+          // Exact bracket: s == t, a pivot at an endpoint, or a landmark
+          // proving two components.
+          v = Verdict::kExact;
+          answer = b.upper;
+        } else if (b.certifies(max_stretch)) {
+          v = Verdict::kCertified;
+          answer = b.upper;
+        } else {
+          v = Verdict::kExact;
+          answer = dijkstra_cost(g, q.src, q.dst, weights, *scratch);
+          SENS_OBS(++fallbacks;)
+        }
+        if (answer >= kInfCost) v = Verdict::kDisconnected;
+      }
+      out[i] = answer;
+      if (!verdicts.empty()) verdicts[i] = v;
+      ++tally[static_cast<std::size_t>(v)];
+    }
+    ServeStats& stats = partials[layout.index_of(begin)];
+    stats.queries = end - begin;
+    stats.exact = tally[static_cast<std::size_t>(Verdict::kExact)];
+    stats.certified = tally[static_cast<std::size_t>(Verdict::kCertified)];
+    stats.disconnected = tally[static_cast<std::size_t>(Verdict::kDisconnected)];
+    stats.stale = tally[static_cast<std::size_t>(Verdict::kStale)];
+    SENS_OBS(obs::add(obs::Counter::kOracleCertified, stats.certified);
+             obs::add(obs::Counter::kOracleFallback, fallbacks);
+             obs::add(obs::Counter::kOracleDisconnected, stats.disconnected);)
+  });
+  ServeStats total;
+  for (const ServeStats& p : partials) total += p;  // chunk order (sums commute anyway)
+  return total;
+}
 
 QueryEngine::QueryEngine(const CsrGraph& g, std::vector<double> arc_weights,
                          const QueryEngineParams& params)
@@ -18,6 +95,7 @@ QueryEngine::QueryEngine(const CsrGraph& g, std::vector<double> arc_weights,
       max_stretch_(params.max_stretch) {}
 
 void QueryEngine::exact_distances(std::span<const Query> queries, std::span<double> out) const {
+  check_ids(*g_, queries);
   ScratchPool<DijkstraScratch> scratches;
   parallel_for_chunks(queries.size(), [&](std::size_t begin, std::size_t end) {
     const auto scratch = scratches.acquire();
@@ -27,48 +105,14 @@ void QueryEngine::exact_distances(std::span<const Query> queries, std::span<doub
   });
 }
 
-double QueryEngine::estimate_distance(Query q, RouteScratch& scratch, ServeStats& stats) const {
-  ++stats.queries;
-  const LandmarkOracle::Bounds b = oracle_.bounds(q.src, q.dst);
-  // The bracket certifies when it is exact (s == t, disconnected pairs:
-  // lower == upper, infinities included) or tight enough for the stretch
-  // budget. `lower > 0` guards the ratio test against a zero lower bound.
-  double answer;
-  if (b.lower == b.upper || (b.lower > 0.0 && b.upper <= max_stretch_ * b.lower)) {
-    ++stats.certified;
-    SENS_OBS(obs::add(obs::Counter::kOracleCertified, 1);)
-    answer = b.upper;
-  } else {
-    ++stats.exact;
-    SENS_OBS(obs::add(obs::Counter::kOracleFallback, 1);)
-    answer = dijkstra_cost(*g_, q.src, q.dst, weights_, scratch.dijkstra);
-  }
-  if (answer >= kInfCost) {
-    ++stats.disconnected;
-    SENS_OBS(obs::add(obs::Counter::kOracleDisconnected, 1);)
-  }
-  return answer;
-}
-
 ServeStats QueryEngine::estimate_distances(std::span<const Query> queries,
                                            std::span<double> out) const {
-  const ChunkLayout layout = chunk_layout(queries.size());
-  std::vector<ServeStats> partials(layout.count);
-  ScratchPool<RouteScratch> scratches;
-  parallel_for_chunks(queries.size(), [&](std::size_t begin, std::size_t end) {
-    const auto scratch = scratches.acquire();
-    ServeStats& stats = partials[layout.index_of(begin)];
-    for (std::size_t i = begin; i < end; ++i) {
-      out[i] = estimate_distance(queries[i], *scratch, stats);
-    }
-  });
-  ServeStats total;
-  for (const ServeStats& p : partials) total += p;  // chunk order (sums commute anyway)
-  return total;
+  return serve_batch(*g_, weights_, oracle_, max_stretch_, queries, out, {});
 }
 
 void QueryEngine::hop_distances(std::span<const Query> queries,
                                 std::span<std::uint32_t> out) const {
+  check_ids(*g_, queries);
   ScratchPool<BfsScratch> scratches;
   parallel_for_chunks(queries.size(), [&](std::size_t begin, std::size_t end) {
     const auto scratch = scratches.acquire();
@@ -80,6 +124,7 @@ void QueryEngine::hop_distances(std::span<const Query> queries,
 
 void QueryEngine::routes(std::span<const Query> queries, std::vector<std::uint32_t>& offsets,
                          std::vector<std::uint32_t>& nodes) const {
+  check_ids(*g_, queries);
   const std::size_t q = queries.size();
   // Per-chunk node buffers concatenated in chunk order equal one serial
   // left-to-right pass (§2.3): chunk c covers a contiguous query range, and

@@ -8,20 +8,19 @@
 // every method is const and allocates no shared mutable state — so one
 // engine instance serves any number of concurrent caller threads, each
 // submitting its own batches (the §2.6 serving contract). Working memory
-// comes from per-call `ScratchPool` leases (batch paths) or a caller-owned
-// `RouteScratch` (single-query paths); nothing survives the call.
+// comes from per-call `ScratchPool` leases; nothing survives the call.
 //
 // Two distance paths share one output contract:
 //   * `exact_distances` — one early-exit Dijkstra per query, chunk-parallel
 //     over the batch (the cold path, backed by the §2.4 batched engines);
-//   * `estimate_distances` — O(L) landmark bounds per query; answers the
-//     upper bound when the bracket certifies the stretch budget
-//     (upper <= max_stretch * lower, or the bracket is exact: s == t and
-//     disconnected pairs), and falls back to exact Dijkstra otherwise.
+//   * `estimate_distances` — the certify-or-fallback kernel `serve_batch`,
+//     shared with the epoch engine (serve/epoch_engine.hpp): O(L) landmark
+//     bounds per query, the upper bound when the bracket is exact or
+//     certifies the stretch budget (upper <= max_stretch * lower), exact
+//     Dijkstra otherwise.
 // Either way every answer is a pure function of (graph, weights, params,
-// query) — bit-identical regardless of `--threads`, of how many caller
-// threads share the engine, and of which path produced it being exact or
-// certified (a certified answer is reported as such in `ServeStats`).
+// query) — bit-identical regardless of `--threads` and of how many caller
+// threads share the engine; `ServeStats` says how each answer was produced.
 #pragma once
 
 #include <cstdint>
@@ -43,33 +42,46 @@ struct Query {
   std::uint32_t dst = 0;
 };
 
-/// Per-batch accounting: how many answers each path produced. Counts are
-/// sums over queries, so they are deterministic at any thread count.
+/// How one `serve_batch` answer was produced.
+enum class Verdict : std::uint8_t {
+  kExact = 0,         ///< exact distance (tight bracket or Dijkstra fallback)
+  kCertified = 1,     ///< oracle upper bound, provably <= max_stretch * d
+  kDisconnected = 2,  ///< no path: answered kInfCost, reported, not guessed
+  kStale = 3,         ///< an id >= the vertex count: answered kInfCost
+};
+
+/// Per-batch verdict accounting: every query lands in exactly one count, so
+/// exact + certified + disconnected + stale == queries. Counts are sums
+/// over queries, deterministic at any thread count.
 struct ServeStats {
   std::size_t queries = 0;
-  std::size_t certified = 0;     ///< answered from the oracle bracket alone
-  std::size_t exact = 0;         ///< answered by an exact Dijkstra run
-  std::size_t disconnected = 0;  ///< answers that came back kInfCost
-                                 ///  (overlaps certified/exact: a verdict on
-                                 ///  the answer, not a third path)
+  std::size_t exact = 0;
+  std::size_t certified = 0;
+  std::size_t disconnected = 0;
+  std::size_t stale = 0;
 
   ServeStats& operator+=(const ServeStats& o) {
     queries += o.queries;
-    certified += o.certified;
     exact += o.exact;
+    certified += o.certified;
     disconnected += o.disconnected;
+    stale += o.stale;
     return *this;
   }
 };
 
-/// Caller-owned working memory for the single-query forms. Contents are
-/// opaque and clobbered by every call; never share one scratch between
-/// threads (one scratch per caller thread, §2.6).
-struct RouteScratch {
-  DijkstraScratch dijkstra;
-  BfsScratch bfs;
-  std::vector<std::uint32_t> path;
-};
+/// The certify-or-fallback serving kernel of both query engines. Per query:
+/// an id >= g.num_vertices() is kStale; otherwise `oracle.bounds` answers
+/// an exact bracket (lower == upper) or a bracket within `max_stretch`, and
+/// anything else falls back to one exact Dijkstra over `weights`. Distances
+/// go to out[i] (kInfCost for kStale and kDisconnected), verdicts to
+/// verdicts[i] unless `verdicts` is empty.
+/// Chunk-parallel and const; the obs oracle counters are flushed once per
+/// chunk (DESIGN.md §2.10).
+ServeStats serve_batch(const CsrGraph& g, std::span<const double> weights,
+                       const LandmarkOracle& oracle, double max_stretch,
+                       std::span<const Query> queries, std::span<double> out,
+                       std::span<Verdict> verdicts);
 
 struct QueryEngineParams {
   std::size_t num_landmarks = 16;
@@ -93,14 +105,16 @@ class QueryEngine {
               const QueryEngineParams& params = {});
 
   // --- batched forms: chunk-parallel over the batch, results written to
-  // caller-owned buffers, safe to call concurrently on one engine ---
+  // caller-owned buffers, safe to call concurrently on one engine. The
+  // exact forms throw std::out_of_range, before any work, when a query
+  // names an id >= the vertex count ---
 
   /// Exact weighted distance per query into out[i] (kInfCost when
   /// disconnected). out.size() must equal queries.size().
   void exact_distances(std::span<const Query> queries, std::span<double> out) const;
 
-  /// Oracle-first distance per query into out[i]: certified upper bounds
-  /// where the bracket allows, exact fallback otherwise (header comment).
+  /// Oracle-first distance per query into out[i]: `serve_batch` over this
+  /// engine (out-of-range ids are answered kInfCost and counted stale).
   ServeStats estimate_distances(std::span<const Query> queries, std::span<double> out) const;
 
   /// Exact hop count per query into out[i] (kUnreachable when
@@ -113,15 +127,6 @@ class QueryEngine {
   /// are overwritten; offsets gets queries.size() + 1 entries.
   void routes(std::span<const Query> queries, std::vector<std::uint32_t>& offsets,
               std::vector<std::uint32_t>& nodes) const;
-
-  // --- single-query forms: the caller brings the scratch (§2.6) ---
-
-  [[nodiscard]] double exact_distance(Query q, RouteScratch& scratch) const {
-    return dijkstra_cost(*g_, q.src, q.dst, weights_, scratch.dijkstra);
-  }
-
-  /// One oracle-first answer; increments the matching `stats` counters.
-  [[nodiscard]] double estimate_distance(Query q, RouteScratch& scratch, ServeStats& stats) const;
 
   [[nodiscard]] const CsrGraph& graph() const { return *g_; }
   [[nodiscard]] std::span<const double> arc_weights() const { return weights_; }

@@ -404,33 +404,6 @@ template <typename Task>
       n, 0.0, std::forward<Task>(task), [](double a, double b) { return a + b; });
 }
 
-/// Chunk-ordered collection (DESIGN.md §2.3): run `scan(begin, end, sink)`
-/// over [0, n) — each invocation appending any number of T's to its sink —
-/// and return all results concatenated in chunk order. Because the chunk
-/// layout is a pure function of n, the output equals one serial
-/// left-to-right pass at any thread count (single-participant runs take
-/// exactly that short-circuit: one sink, one scan call). This is the shared
-/// scaffold of the variable-output graph builders (`build_udg`, the spanner
-/// filters).
-template <typename T, typename Scan>
-[[nodiscard]] std::vector<T> collect_chunk_ordered(std::size_t n, Scan&& scan) {
-  std::vector<T> out;
-  if (thread_count() == 1) {
-    scan(std::size_t{0}, n, out);
-    return out;
-  }
-  const ChunkLayout layout = chunk_layout(n);
-  std::vector<std::vector<T>> chunks(layout.count);
-  parallel_for_chunks(n, [&](std::size_t begin, std::size_t end) {
-    scan(begin, end, chunks[layout.index_of(begin)]);
-  });
-  std::size_t total = 0;
-  for (const auto& c : chunks) total += c.size();
-  out.reserve(total);
-  for (const auto& c : chunks) out.insert(out.end(), c.begin(), c.end());
-  return out;
-}
-
 /// Map over [0, n) into a vector (results placed at their task index).
 template <typename T, typename Task>
 [[nodiscard]] std::vector<T> parallel_map(std::size_t n, Task&& task) {

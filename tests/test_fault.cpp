@@ -10,6 +10,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <vector>
 
 #include "sens/dynamic/dynamic_hng.hpp"
@@ -386,13 +387,53 @@ TEST(EpochEngine, ZeroUncertifiedWrongAnswersUnderChurn) {
   }
   std::vector<double> out(queries.size());
   std::vector<Verdict> verdicts(queries.size());
-  const EpochServeStats served = engine.serve(queries, out, verdicts);
+  const ServeStats served = engine.serve(queries, out, verdicts);
   EXPECT_EQ(served.queries, queries.size());
   EXPECT_EQ(served.exact + served.certified + served.disconnected + served.stale,
             served.queries);
   EXPECT_GT(served.stale, 0u);
-  EXPECT_EQ(served.generation, engine.generation());
   expect_verdicts_sound(engine, queries, out, verdicts);
+}
+
+TEST(EpochEngine, AgreesWithQueryEngineAtGenerationZero) {
+  // Both engines serve through one kernel: at generation 0 a QueryEngine
+  // over the epoch snapshot with the same landmark params picks the same
+  // pivots, so answers and stats must match exactly (stale ids included).
+  DynamicHng dyn = make_dyn(180);
+  const EpochEngineParams params{.num_landmarks = 8,
+                                 .max_stretch = 1.25,
+                                 .seed = kSeed,
+                                 .selection = LandmarkSelection::kFarthestPoint};
+  const EpochQueryEngine epoch(dyn, params);
+  const QueryEngine plain(
+      epoch.graph(), std::vector<double>(epoch.arc_weights().begin(), epoch.arc_weights().end()),
+      QueryEngineParams{.num_landmarks = params.num_landmarks,
+                        .max_stretch = params.max_stretch,
+                        .seed = params.seed,
+                        .selection = params.selection});
+  ASSERT_TRUE(std::equal(plain.oracle().landmarks().begin(), plain.oracle().landmarks().end(),
+                         epoch.oracle().landmarks().begin(), epoch.oracle().landmarks().end()));
+  Rng rng = Rng::stream(kSeed, 0xc8u);
+  std::vector<Query> queries(400);
+  for (auto& q : queries) {
+    q.src = static_cast<std::uint32_t>(rng.uniform_index(dyn.size() + 3));  // a few stale
+    q.dst = static_cast<std::uint32_t>(rng.uniform_index(dyn.size() + 3));
+  }
+  queries[0] = Query{7, 7};
+  std::vector<double> want(queries.size());
+  std::vector<Verdict> verdicts(queries.size());
+  const ServeStats ws = epoch.serve(queries, want, verdicts);
+  std::vector<double> got(queries.size());
+  const ServeStats gs = plain.estimate_distances(queries, got);
+  EXPECT_EQ(0, std::memcmp(want.data(), got.data(), want.size() * sizeof(double)));
+  EXPECT_EQ(gs.queries, ws.queries);
+  EXPECT_EQ(gs.exact, ws.exact);
+  EXPECT_EQ(gs.certified, ws.certified);
+  EXPECT_EQ(gs.disconnected, ws.disconnected);
+  EXPECT_EQ(gs.stale, ws.stale);
+  EXPECT_GT(ws.stale, 0u);
+  EXPECT_GT(ws.certified, 0u);
+  EXPECT_EQ(verdicts[0], Verdict::kExact);  // s == t: a tight bracket is exact
 }
 
 TEST(EpochEngine, ServeBitIdenticalAcrossThreadCounts) {
@@ -434,7 +475,7 @@ TEST(EpochEngine, DrainedToEmptyEveryAnswerIsStale) {
   }
   std::vector<double> out(queries.size());
   std::vector<Verdict> verdicts(queries.size());
-  const EpochServeStats served = engine.serve(queries, out, verdicts);
+  const ServeStats served = engine.serve(queries, out, verdicts);
   EXPECT_EQ(served.stale, queries.size());
   for (std::size_t i = 0; i < queries.size(); ++i) {
     EXPECT_EQ(verdicts[i], Verdict::kStale);
@@ -446,7 +487,7 @@ TEST(EpochEngine, AllDisconnectedBatchIsExplicit) {
   // A blackout that severs the deployment into two far-apart UDG clusters:
   // every cross-cluster query must come back as an infinite distance —
   // explicitly, never as some certified finite guess. The plain
-  // QueryEngine certifies the disconnection from the oracle bracket alone
+  // QueryEngine proves the disconnection from the oracle bracket alone
   // ({inf, inf} bounds); the same batch through `hop_distances` agrees.
   const GeoGraph geo = make_udg(12.0);
   FaultPlan plan;
@@ -477,9 +518,15 @@ TEST(EpochEngine, AllDisconnectedBatchIsExplicit) {
                     QueryEngineParams{.num_landmarks = 6, .seed = kSeed});
   std::vector<double> out(queries.size());
   const ServeStats stats = plain.estimate_distances(queries, out);
-  EXPECT_EQ(stats.certified, queries.size());  // disconnection certifies exactly
-  EXPECT_EQ(stats.exact, 0u);
-  for (std::size_t i = 0; i < queries.size(); ++i) EXPECT_EQ(out[i], kInfCost);
+  EXPECT_EQ(stats.disconnected, queries.size());
+  EXPECT_EQ(stats.certified + stats.exact, 0u);
+  for (std::size_t i = 0; i < queries.size(); ++i) {
+    EXPECT_EQ(out[i], kInfCost);
+    // Proven by the bracket: {inf, inf} bounds, so no fallback Dijkstra.
+    const LandmarkOracle::Bounds b = plain.oracle().bounds(queries[i].src, queries[i].dst);
+    EXPECT_EQ(b.lower, kInfCost) << "query " << i;
+    EXPECT_EQ(b.upper, kInfCost) << "query " << i;
+  }
   std::vector<std::uint32_t> hops(queries.size());
   plain.hop_distances(queries, hops);
   for (std::size_t i = 0; i < queries.size(); ++i) EXPECT_EQ(hops[i], kUnreachable);

@@ -280,6 +280,28 @@ TEST(ObsCounters, DijkstraCountsPopsAndRelaxations) {
   EXPECT_EQ(reg.value(obs::Counter::kDijkstraRelaxedArcs), 8u);
 }
 
+/// The serve-kernel counter contract, shared by both engines: verdicts are
+/// disjoint, the certified/disconnected counters equal those verdict
+/// counts, and every fallback is one Dijkstra run (nothing else in a serve
+/// call runs Dijkstra).
+void expect_serve_counters_match(const ServeStats& stats, std::span<const Verdict> verdicts) {
+  const auto& reg = obs::CounterRegistry::global();
+  EXPECT_EQ(stats.queries, verdicts.size());
+  EXPECT_EQ(stats.exact + stats.certified + stats.disconnected + stats.stale, stats.queries);
+  auto count = [&](Verdict v) {
+    return static_cast<std::size_t>(std::count(verdicts.begin(), verdicts.end(), v));
+  };
+  EXPECT_EQ(stats.exact, count(Verdict::kExact));
+  EXPECT_EQ(stats.certified, count(Verdict::kCertified));
+  EXPECT_EQ(stats.disconnected, count(Verdict::kDisconnected));
+  EXPECT_EQ(stats.stale, count(Verdict::kStale));
+  EXPECT_EQ(reg.value(obs::Counter::kOracleCertified), stats.certified);
+  EXPECT_EQ(reg.value(obs::Counter::kOracleDisconnected), stats.disconnected);
+  EXPECT_EQ(reg.value(obs::Counter::kOracleFallback), reg.value(obs::Counter::kDijkstraRuns));
+  EXPECT_GT(reg.value(obs::Counter::kOracleFallback), 0u);
+  EXPECT_LE(reg.value(obs::Counter::kOracleFallback), stats.exact + stats.disconnected);
+}
+
 TEST(ObsCounters, ServeVerdictsMatchServeStats) {
   const GeoGraph geo = make_udg();
   const std::vector<double> w = geo.graph.arc_weights(
@@ -293,19 +315,41 @@ TEST(ObsCounters, ServeVerdictsMatchServeStats) {
         Query{static_cast<std::uint32_t>(rng.uniform_index(geo.size())),
               static_cast<std::uint32_t>(rng.uniform_index(geo.size()))});
   }
+  // The verdicts behind estimate_distances, from the same kernel.
+  std::vector<double> with_verdicts(queries.size());
+  std::vector<Verdict> verdicts(queries.size());
+  (void)serve_batch(engine.graph(), engine.arc_weights(), engine.oracle(), engine.max_stretch(),
+                    queries, with_verdicts, verdicts);
   std::vector<double> out(queries.size());
   auto& reg = obs::CounterRegistry::global();
   reg.reset();
   const ServeStats stats = engine.estimate_distances(queries, out);
-  EXPECT_EQ(stats.queries, queries.size());
-  EXPECT_EQ(stats.certified + stats.exact, stats.queries);
-  EXPECT_EQ(reg.value(obs::Counter::kOracleCertified), stats.certified);
-  EXPECT_EQ(reg.value(obs::Counter::kOracleFallback), stats.exact);
-  EXPECT_EQ(reg.value(obs::Counter::kOracleDisconnected), stats.disconnected);
-  // ServeStats.disconnected flags inf answers, whichever path produced them.
+  EXPECT_EQ(out, with_verdicts);
+  expect_serve_counters_match(stats, verdicts);
+  // Disconnected verdicts are exactly the inf answers.
   std::size_t inf = 0;
   for (const double d : out) inf += d >= kInfCost ? 1 : 0;
   EXPECT_EQ(stats.disconnected, inf);
+}
+
+TEST(ObsCounters, EpochServeVerdictsMatchServeStats) {
+  DynamicHng dyn(poisson_point_set(Box{{0.0, 0.0}, {9.0, 9.0}}, 3.0, kSeed).points,
+                 HngParams{.promote_p = 0.25, .k = 3, .max_level = 48}, kSeed);
+  const EpochQueryEngine engine(dyn, EpochEngineParams{.num_landmarks = 6, .seed = kSeed});
+  std::vector<Query> queries;
+  Rng rng = Rng::stream(kSeed, 0x7bu);
+  for (int i = 0; i < 300; ++i) {
+    queries.push_back(  // ids up to n + 4: a few stale
+        Query{static_cast<std::uint32_t>(rng.uniform_index(dyn.size() + 5)),
+              static_cast<std::uint32_t>(rng.uniform_index(dyn.size() + 5))});
+  }
+  std::vector<double> out(queries.size());
+  std::vector<Verdict> verdicts(queries.size());
+  auto& reg = obs::CounterRegistry::global();
+  reg.reset();
+  const ServeStats stats = engine.serve(queries, out, verdicts);
+  EXPECT_GT(stats.stale, 0u);
+  expect_serve_counters_match(stats, verdicts);
 }
 
 #endif  // SENS_OBS_ENABLED

@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
@@ -16,6 +17,7 @@
 #include "sens/graph/bfs.hpp"
 #include "sens/graph/csr.hpp"
 #include "sens/graph/dijkstra.hpp"
+#include "sens/obs/obs.hpp"
 #include "sens/rng/rng.hpp"
 #include "sens/serve/landmark_oracle.hpp"
 #include "sens/serve/query_engine.hpp"
@@ -176,7 +178,14 @@ TEST(ServeOracle, FarthestPointCertificationIsSound) {
                               .seed = 21,
                               .selection = LandmarkSelection::kFarthestPoint});
   const ServeStats sf = farthest.estimate_distances(qs, est);
-  EXPECT_GT(sf.certified, qs.size() / 20) << "the fast path barely fires";
+  // Oracle-only answers: certified upper bounds plus exact brackets (an
+  // endpoint is a pivot, or s == t), which count as exact verdicts.
+  std::size_t tight = 0;
+  for (const Query& q : qs) {
+    const LandmarkOracle::Bounds b = farthest.oracle().bounds(q.src, q.dst);
+    tight += b.exact() ? 1u : 0u;
+  }
+  EXPECT_GT(sf.certified + tight, qs.size() / 20) << "the fast path barely fires";
   std::vector<double> exact(qs.size());
   farthest.exact_distances(qs, exact);
   for (std::size_t i = 0; i < qs.size(); ++i) {
@@ -194,14 +203,13 @@ TEST(ServeOracle, ZeroLandmarksNeverCertifiesConnectedPairs) {
   const auto qs = make_queries(20, 30, 5);
   std::vector<double> est(qs.size());
   const ServeStats stats = engine.estimate_distances(qs, est);
-  // Everything except s == t must fall back to exact Dijkstra.
+  // Nothing certifies: s == t is an exact bracket, everything else falls
+  // back to exact Dijkstra.
   std::vector<double> exact(qs.size());
   engine.exact_distances(qs, exact);
   for (std::size_t i = 0; i < qs.size(); ++i) EXPECT_EQ(est[i], exact[i]);
-  std::size_t self = 0;
-  for (const Query& q : qs) self += q.src == q.dst ? 1 : 0;
-  EXPECT_EQ(stats.certified, self);
-  EXPECT_EQ(stats.exact, qs.size() - self);
+  EXPECT_EQ(stats.certified, 0u);
+  EXPECT_EQ(stats.exact, qs.size());
 }
 
 TEST(ServeEstimate, CertifiedWithinStretchAndStatsAddUp) {
@@ -212,7 +220,8 @@ TEST(ServeEstimate, CertifiedWithinStretchAndStatsAddUp) {
   std::vector<double> est(qs.size());
   const ServeStats stats = engine.estimate_distances(qs, est);
   EXPECT_EQ(stats.queries, qs.size());
-  EXPECT_EQ(stats.certified + stats.exact, stats.queries);
+  EXPECT_EQ(stats.exact + stats.certified + stats.disconnected + stats.stale, stats.queries);
+  EXPECT_EQ(stats.disconnected + stats.stale, 0u);  // one component, ids in range
   std::vector<double> exact(qs.size());
   engine.exact_distances(qs, exact);
   for (std::size_t i = 0; i < qs.size(); ++i) {
@@ -244,15 +253,65 @@ TEST(ServeEstimate, SelfAndDuplicateQueries) {
 TEST(ServeEstimate, DisconnectedPairsCertifiedInfinite) {
   // 80-vertex giant + 8-vertex island: cross-component queries must come
   // back infinite, and (with at least one landmark in either component)
-  // certified without a fallback Dijkstra.
+  // proven disconnected by the bracket alone.
   const TestGraph tg = make_graph(80, 40, 29, 8);
   const QueryEngine engine(tg.graph, tg.weights, {.num_landmarks = 88, .seed = 29});
   const std::vector<Query> qs = {{0, 85}, {85, 0}, {79, 80}, {82, 3}};
   std::vector<double> est(qs.size());
   const ServeStats stats = engine.estimate_distances(qs, est);
-  for (std::size_t i = 0; i < qs.size(); ++i) EXPECT_EQ(est[i], kInfCost) << "query " << i;
-  EXPECT_EQ(stats.certified, qs.size());
-  EXPECT_EQ(stats.exact, 0u);
+  for (std::size_t i = 0; i < qs.size(); ++i) {
+    EXPECT_EQ(est[i], kInfCost) << "query " << i;
+    // The bracket itself is {inf, inf}: the kernel takes the exact-bracket
+    // branch, never a fallback Dijkstra that merely also returns inf.
+    const LandmarkOracle::Bounds b = engine.oracle().bounds(qs[i].src, qs[i].dst);
+    EXPECT_EQ(b.lower, kInfCost) << "query " << i;
+    EXPECT_EQ(b.upper, kInfCost) << "query " << i;
+  }
+  EXPECT_EQ(stats.disconnected, qs.size());
+  EXPECT_EQ(stats.certified + stats.exact, 0u);
+#if SENS_OBS_ENABLED
+  auto& reg = obs::CounterRegistry::global();
+  reg.reset();
+  (void)engine.estimate_distances(qs, est);
+  EXPECT_EQ(reg.value(obs::Counter::kOracleFallback), 0u);
+  EXPECT_EQ(reg.value(obs::Counter::kDijkstraRuns), 0u);
+  EXPECT_EQ(reg.value(obs::Counter::kOracleDisconnected), qs.size());
+#endif
+}
+
+TEST(ServeEstimate, OutOfRangeIdsAreStale) {
+  // Ids >= n must never reach the label array or a Dijkstra scratch: the
+  // kernel answers them kInfCost with a kStale verdict.
+  const TestGraph tg = make_graph(40, 20, 53);
+  const QueryEngine engine(tg.graph, tg.weights, {.num_landmarks = 4, .seed = 53});
+  const auto n = static_cast<std::uint32_t>(tg.graph.num_vertices());
+  const std::vector<Query> qs = {{0, 39}, {n, 0}, {3, n + 7}, {0xffffffffu, 0xffffffffu}};
+  std::vector<double> est(qs.size());
+  const ServeStats stats = engine.estimate_distances(qs, est);
+  EXPECT_EQ(stats.queries, qs.size());
+  EXPECT_EQ(stats.stale, 3u);
+  for (std::size_t i = 1; i < qs.size(); ++i) EXPECT_EQ(est[i], kInfCost) << "query " << i;
+  EXPECT_LT(est[0], kInfCost);
+  std::vector<Verdict> verdicts(qs.size());
+  (void)serve_batch(engine.graph(), engine.arc_weights(), engine.oracle(), engine.max_stretch(),
+                    qs, est, verdicts);
+  EXPECT_NE(verdicts[0], Verdict::kStale);
+  for (std::size_t i = 1; i < qs.size(); ++i) EXPECT_EQ(verdicts[i], Verdict::kStale);
+}
+
+TEST(ServeExact, OutOfRangeIdsThrowBeforeAnyWork) {
+  const TestGraph tg = make_graph(40, 20, 59);
+  const QueryEngine engine(tg.graph, tg.weights, {.num_landmarks = 4, .seed = 59});
+  const auto n = static_cast<std::uint32_t>(tg.graph.num_vertices());
+  const std::vector<Query> qs = {{0, 1}, {2, n}};
+  std::vector<double> dist(qs.size(), -1.0);
+  EXPECT_THROW(engine.exact_distances(qs, dist), std::out_of_range);
+  EXPECT_EQ(dist[0], -1.0);  // rejected upfront: no slot written
+  std::vector<std::uint32_t> hops(qs.size());
+  EXPECT_THROW(engine.hop_distances(qs, hops), std::out_of_range);
+  std::vector<std::uint32_t> offsets;
+  std::vector<std::uint32_t> nodes;
+  EXPECT_THROW(engine.routes(std::vector<Query>{{n + 1, 0}}, offsets, nodes), std::out_of_range);
 }
 
 TEST(ServeRoutes, PathsValidAndCostMatchesDistance) {
@@ -299,22 +358,6 @@ TEST(ServeHops, MatchesBfs) {
   }
 }
 
-TEST(ServeSingleQuery, MatchesBatchBitExact) {
-  const TestGraph tg = make_graph(120, 70, 41);
-  const QueryEngine engine(tg.graph, tg.weights, {.num_landmarks = 10, .seed = 41});
-  const auto qs = make_queries(100, tg.graph.num_vertices(), 41);
-  std::vector<double> batch(qs.size());
-  const ServeStats batch_stats = engine.estimate_distances(qs, batch);
-  RouteScratch scratch;
-  ServeStats single_stats;
-  for (std::size_t i = 0; i < qs.size(); ++i) {
-    EXPECT_EQ(engine.estimate_distance(qs[i], scratch, single_stats), batch[i]) << "query " << i;
-  }
-  EXPECT_EQ(single_stats.queries, batch_stats.queries);
-  EXPECT_EQ(single_stats.certified, batch_stats.certified);
-  EXPECT_EQ(single_stats.exact, batch_stats.exact);
-}
-
 // --- the §2.6 serving contract under real concurrency (TSan tier) ---
 
 TEST(ServeConcurrency, ConcurrentCallersMatchSingleThreadBitExact) {
@@ -358,8 +401,10 @@ TEST(ServeConcurrency, ConcurrentCallersMatchSingleThreadBitExact) {
   ServeStats total;
   for (const ServeStats& s : got_stats) total += s;
   EXPECT_EQ(total.queries, ref_stats.queries);
-  EXPECT_EQ(total.certified, ref_stats.certified);
   EXPECT_EQ(total.exact, ref_stats.exact);
+  EXPECT_EQ(total.certified, ref_stats.certified);
+  EXPECT_EQ(total.disconnected, ref_stats.disconnected);
+  EXPECT_EQ(total.stale, ref_stats.stale);
 }
 
 TEST(ServeConcurrency, ConcurrentRouteServingBitExact) {

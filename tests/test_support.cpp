@@ -211,26 +211,6 @@ TEST(ParallelTest, ChunkLayoutMatchesDispatchedChunks) {
   EXPECT_EQ(chunk_layout(0).count, 0u);
 }
 
-TEST(ParallelTest, CollectChunkOrderedEqualsSerialScan) {
-  // The chunk-ordered collector must equal one serial left-to-right scan at
-  // any thread count (DESIGN.md §2.3) — the contract future variable-output
-  // sweeps rely on even though the graph builders moved to the two-pass
-  // count-then-write shape.
-  auto scan = [](std::size_t begin, std::size_t end, auto& sink) {
-    for (std::size_t i = begin; i < end; ++i) {
-      if (i % 3 == 0) sink.push_back(i);
-      if (i % 7 == 0) sink.push_back(10 * i);
-    }
-  };
-  set_thread_count(1);
-  const auto serial = collect_chunk_ordered<std::size_t>(4000, scan);
-  for (const unsigned threads : {2u, 8u}) {
-    set_thread_count(threads);
-    EXPECT_EQ(serial, collect_chunk_ordered<std::size_t>(4000, scan)) << "threads=" << threads;
-  }
-  set_thread_count(0);
-}
-
 TEST(ParallelTest, SumBitIdenticalAcrossThreadCounts) {
   // Floating-point addition is not associative, so bit-identical sums prove
   // the reduction really combines per-chunk partials in a thread-count-
