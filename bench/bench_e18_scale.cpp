@@ -92,12 +92,14 @@ QueryRun run_queries(const GeoGraph& gg, std::span<const std::uint32_t> sources,
   run.knn_s = timer.seconds();
 
   timer.reset();
-  const std::vector<std::uint32_t> hops = bfs_many(gg.graph, sources);
+  std::vector<std::uint32_t> hops(sources.size() * n);
+  bfs_many_into(gg.graph, sources, hops);
   run.bfs_s = timer.seconds();
 
   const std::vector<double> w = gg.length_arc_weights();
   timer.reset();
-  const std::vector<double> costs = dijkstra_many(gg.graph, sources, w);
+  std::vector<double> costs(sources.size() * n);
+  dijkstra_many_into(gg.graph, sources, w, costs);
   run.dij_s = timer.seconds();
 
   std::uint64_t hb = 0xE18, hd = 0xE18;

@@ -4,7 +4,6 @@
 #include <benchmark/benchmark.h>
 
 #include <cmath>
-#include <functional>
 #include <map>
 #include <numeric>
 #include <utility>
@@ -18,11 +17,9 @@
 #include "sens/hng/hng.hpp"
 #include "sens/perc/clusters.hpp"
 #include "sens/perc/mesh_router.hpp"
-#include "sens/spatial/grid_index.hpp"
 #include "sens/spatial/grid_knn.hpp"
 #include "sens/rng/rng.hpp"
 #include "sens/spatial/grid_knn_pyramid.hpp"
-#include "sens/spatial/kdtree.hpp"
 #include "sens/spatial/reorder.hpp"
 #include "sens/support/parallel.hpp"
 #include "sens/tiles/classify.hpp"
@@ -87,58 +84,9 @@ void BM_BuildKnnGraph(benchmark::State& state) {
 }
 BENCHMARK(BM_BuildKnnGraph)->Arg(8)->Arg(32);
 
-void BM_KdTreeQuery(benchmark::State& state) {
-  const Box w{{0.0, 0.0}, {64.0, 64.0}};
-  const PointSet ps = poisson_point_set(w, 2.0, 11);
-  const KdTree tree(ps.points);
-  std::uint32_t i = 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        tree.nearest(ps.points[i % ps.size()], 16, static_cast<std::uint32_t>(i % ps.size())));
-    ++i;
-  }
-}
-BENCHMARK(BM_KdTreeQuery);
-
-void BM_KdTreeQueryScratch(benchmark::State& state) {
-  const Box w{{0.0, 0.0}, {64.0, 64.0}};
-  const PointSet ps = poisson_point_set(w, 2.0, 11);
-  const KdTree tree(ps.points);
-  KdTree::QueryScratch scratch;
-  std::vector<std::uint32_t> out;
-  std::uint32_t i = 0;
-  for (auto _ : state) {
-    tree.nearest_into(ps.points[i % ps.size()], 16, static_cast<std::uint32_t>(i % ps.size()),
-                      scratch, out);
-    benchmark::DoNotOptimize(out.data());
-    ++i;
-  }
-}
-BENCHMARK(BM_KdTreeQueryScratch);
-
-// The k-NN selection kernel, seed shape (PR 2): one allocating `nearest`
-// call per point, results in a nested vector<vector>. Serial loop so the
-// ratio against BM_KnnSelectScratch isolates the per-query cost.
-void BM_KnnSelectAlloc(benchmark::State& state) {
-  const Box w{{0.0, 0.0}, {32.0, 32.0}};
-  const PointSet ps = poisson_point_set(w, 2.0, 9);
-  const KdTree tree(ps.points);
-  const std::size_t k = static_cast<std::size_t>(state.range(0));
-  for (auto _ : state) {
-    std::vector<std::vector<std::uint32_t>> out(ps.size());
-    for (std::size_t i = 0; i < ps.size(); ++i) {
-      out[i] = tree.nearest(ps.points[i], k, static_cast<std::uint32_t>(i));
-    }
-    benchmark::DoNotOptimize(out.data());
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(ps.size()));
-}
-BENCHMARK(BM_KnnSelectAlloc)->Arg(8)->Arg(32)->Arg(188);
-
-// Same kernel, allocation-free batched shape: `GridKnn::nearest_into` with
-// one scratch, writing flat slices (what `knn_selections_flat` runs per
-// chunk). Returns identical neighbor lists to the kd-tree path.
+// The k-NN selection kernel, serial: `GridKnn::nearest_into` with one
+// scratch, writing flat slices (what `knn_selections_flat` runs per chunk),
+// so the per-query cost shows without the parallel layer.
 void BM_KnnSelectScratch(benchmark::State& state) {
   const Box w{{0.0, 0.0}, {32.0, 32.0}};
   const PointSet ps = poisson_point_set(w, 2.0, 9);
@@ -229,32 +177,6 @@ BENCHMARK(BM_GridKnnBatch)
     ->Args({524288, 0})
     ->Args({524288, 1});
 
-void BM_GridRadiusAlloc(benchmark::State& state) {
-  const Box w{{0.0, 0.0}, {48.0, 48.0}};
-  const PointSet ps = poisson_point_set(w, 4.0, 7);
-  const GridIndex index(ps.points, w, 1.0);
-  std::size_t i = 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(index.query_radius(ps.points[i % ps.size()], 1.0).data());
-    ++i;
-  }
-}
-BENCHMARK(BM_GridRadiusAlloc);
-
-void BM_GridRadiusInto(benchmark::State& state) {
-  const Box w{{0.0, 0.0}, {48.0, 48.0}};
-  const PointSet ps = poisson_point_set(w, 4.0, 7);
-  const GridIndex index(ps.points, w, 1.0);
-  std::vector<std::uint32_t> out;
-  std::size_t i = 0;
-  for (auto _ : state) {
-    index.query_radius_into(ps.points[i % ps.size()], 1.0, out);
-    benchmark::DoNotOptimize(out.data());
-    ++i;
-  }
-}
-BENCHMARK(BM_GridRadiusInto);
-
 void BM_ClusterLabeling(benchmark::State& state) {
   const auto n = static_cast<std::int32_t>(state.range(0));
   const SiteGrid grid = SiteGrid::random(n, n, 0.65, 3);
@@ -310,27 +232,8 @@ void BM_NnGoodTrial(benchmark::State& state) {
 }
 BENCHMARK(BM_NnGoodTrial);
 
-// The single-source Dijkstra kernel, seed shape (pre-PR-4): a type-erased
-// `std::function` invoked per relaxed edge and a freshly allocated
-// cost/queue per source. The ratio against BM_DijkstraCostsInto isolates
-// what the arc-weight array + versioned scratch + indexed heap buy.
-void BM_DijkstraCostsFn(benchmark::State& state) {
-  const GeoGraph& g = traversal_graph();
-  const std::function<double(std::uint32_t, std::uint32_t)> weight =
-      [&g](std::uint32_t u, std::uint32_t v) { return std::pow(g.edge_length(u, v), 2.0); };
-  std::uint32_t s = 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        dijkstra_costs(g.graph, s % static_cast<std::uint32_t>(g.size()), weight).data());
-    ++s;
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(g.size()));
-}
-BENCHMARK(BM_DijkstraCostsFn);
-
-// Same kernel, batched shape: precomputed per-arc powers, caller-owned
-// scratch and output buffer (DESIGN.md §2.4).
+// The single-source Dijkstra kernel: precomputed per-arc powers,
+// caller-owned scratch and output buffer (DESIGN.md §2.4).
 void BM_DijkstraCostsInto(benchmark::State& state) {
   const GeoGraph& g = traversal_graph();
   const std::vector<double> weights = g.power_arc_weights(2.0);
@@ -347,32 +250,9 @@ void BM_DijkstraCostsInto(benchmark::State& state) {
 }
 BENCHMARK(BM_DijkstraCostsInto);
 
-// The multi-source stretch kernel, seed shape: what bench_e07/e12-style
-// sweeps paid per batch of sources before PR 4 — one `std::function`
-// Dijkstra per source in a serial loop.
-void BM_DijkstraManySerialFn(benchmark::State& state) {
-  const GeoGraph& g = traversal_graph();
-  const auto sources = traversal_sources(static_cast<std::size_t>(state.range(0)));
-  const std::function<double(std::uint32_t, std::uint32_t)> weight =
-      [&g](std::uint32_t u, std::uint32_t v) { return std::pow(g.edge_length(u, v), 2.0); };
-  for (auto _ : state) {
-    double sum = 0.0;
-    for (const std::uint32_t s : sources) {
-      const auto costs = dijkstra_costs(g.graph, s, weight);
-      sum += costs[0];
-    }
-    benchmark::DoNotOptimize(sum);
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          state.range(0));
-}
-BENCHMARK(BM_DijkstraManySerialFn)->Arg(64);
-
-// Same batch through `dijkstra_many` — now swept over the scale-tier size
-// axis with the Hilbert layout on/off (args: n target, hilbert; 8 fixed
-// sources, items = settled row-nodes). The 4096/deploy row is the modern
-// shape of the old 4k-fixture batch; BM_DijkstraManySerialFn above remains
-// the seed-shape contrast at that size (compare time per source).
+// The multi-source stretch kernel through `dijkstra_many_into`, swept over
+// the scale-tier size axis with the Hilbert layout on/off (args: n target,
+// hilbert; 8 fixed sources, items = settled row-nodes).
 void BM_DijkstraMany(benchmark::State& state) {
   const GeoGraph& g = scale_udg(state.range(0), state.range(1) != 0);
   std::vector<std::uint32_t> sources(8);
@@ -410,23 +290,6 @@ void BM_BfsMany(benchmark::State& state) {
                           state.range(0));
 }
 BENCHMARK(BM_BfsMany)->Arg(64);
-
-// Seed shape of the BFS batch: one allocating `bfs_distances` per source.
-void BM_BfsManySerialAlloc(benchmark::State& state) {
-  const GeoGraph& g = traversal_graph();
-  const auto sources = traversal_sources(static_cast<std::size_t>(state.range(0)));
-  for (auto _ : state) {
-    std::uint64_t sum = 0;
-    for (const std::uint32_t s : sources) {
-      const auto dist = bfs_distances(g.graph, s);
-      sum += dist[0];
-    }
-    benchmark::DoNotOptimize(sum);
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          state.range(0));
-}
-BENCHMARK(BM_BfsManySerialAlloc)->Arg(64);
 
 // The full hierarchical-neighbor-graph construction (DESIGN.md §2.5):
 // p-thinning levels, pyramid build, per-level k-NN linking, CSR

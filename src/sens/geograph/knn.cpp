@@ -22,7 +22,7 @@ FlatAdjacency knn_selections_flat(std::span<const Vec2> points, std::size_t k) {
   adj.neighbors.resize(n * deg);
   if (deg == 0) return adj;
 
-  // GridKnn returns the same neighbor lists as KdTree::nearest (same
+  // GridKnn returns the same neighbor lists as KdTree::nearest_into (same
   // (distance, index) tie-break) and wins on the batched self-query
   // workload; one scratch per chunk keeps the hot path allocation-free.
   const GridKnn index(points, k);

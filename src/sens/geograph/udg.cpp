@@ -1,5 +1,6 @@
 #include "sens/geograph/udg.hpp"
 
+#include <cmath>
 #include <stdexcept>
 
 #include "sens/graph/flat_adjacency.hpp"
@@ -8,7 +9,9 @@
 namespace sens {
 
 GeoGraph build_udg(std::span<const Vec2> points, Box bounds, double radius) {
-  if (radius <= 0.0) throw std::invalid_argument("build_udg: radius <= 0");
+  if (!(std::isfinite(radius) && radius > 0.0)) {
+    throw std::invalid_argument("build_udg: radius must be finite and > 0");
+  }
   GeoGraph gg;
   gg.points.assign(points.begin(), points.end());
 

@@ -59,21 +59,9 @@ void bfs_distances_into(const CsrGraph& g, std::uint32_t source, BfsScratch& scr
   }
 }
 
-std::vector<std::uint32_t> bfs_distances(const CsrGraph& g, std::uint32_t source) {
-  BfsScratch scratch;
-  std::vector<std::uint32_t> out(g.num_vertices());
-  bfs_distances_into(g, source, scratch, out);
-  return out;
-}
-
 std::uint32_t bfs_distance(const CsrGraph& g, std::uint32_t source, std::uint32_t target,
                            BfsScratch& scratch) {
   return bfs_run(g, source, scratch, target) ? scratch.dist[target] : kUnreachable;
-}
-
-std::uint32_t bfs_distance(const CsrGraph& g, std::uint32_t source, std::uint32_t target) {
-  BfsScratch scratch;
-  return bfs_distance(g, source, target, scratch);
 }
 
 bool bfs_path_into(const CsrGraph& g, std::uint32_t source, std::uint32_t target,
@@ -86,14 +74,6 @@ bool bfs_path_into(const CsrGraph& g, std::uint32_t source, std::uint32_t target
   }
   std::reverse(path.begin(), path.end());
   return true;
-}
-
-std::vector<std::uint32_t> bfs_path(const CsrGraph& g, std::uint32_t source,
-                                    std::uint32_t target) {
-  BfsScratch scratch;
-  std::vector<std::uint32_t> path;
-  bfs_path_into(g, source, target, scratch, path);
-  return path;
 }
 
 void bfs_many_into(const CsrGraph& g, std::span<const std::uint32_t> sources,
@@ -110,12 +90,6 @@ void bfs_many_into(const CsrGraph& g, std::span<const std::uint32_t> sources,
       bfs_distances_into(g, sources[i], *scratch, out.subspan(i * n, n));
     }
   });
-}
-
-std::vector<std::uint32_t> bfs_many(const CsrGraph& g, std::span<const std::uint32_t> sources) {
-  std::vector<std::uint32_t> out(sources.size() * g.num_vertices());
-  bfs_many_into(g, sources, out);
-  return out;
 }
 
 }  // namespace sens

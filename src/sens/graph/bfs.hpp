@@ -1,12 +1,11 @@
 // Breadth-first search utilities: single-source hop distances, distances to
 // a single target (early exit), shortest hop paths, and the batched
-// multi-source `bfs_many`. Distances use uint32 with `kUnreachable` as the
-// sentinel.
+// multi-source `bfs_many_into`. Distances use uint32 with `kUnreachable` as
+// the sentinel.
 //
-// Hot-path queries are allocation-free: the caller owns a `BfsScratch`
-// whose distance/parent arrays are timestamp-versioned, so consecutive
-// sources skip the O(n) clear (DESIGN.md §2.4). The legacy allocating
-// signatures remain as thin wrappers.
+// Every query is allocation-free: the caller owns a `BfsScratch` whose
+// distance/parent arrays are timestamp-versioned, so consecutive sources
+// skip the O(n) clear (DESIGN.md §2.4).
 #pragma once
 
 #include <algorithm>
@@ -54,23 +53,16 @@ struct BfsScratch {
 void bfs_distances_into(const CsrGraph& g, std::uint32_t source, BfsScratch& scratch,
                         std::span<std::uint32_t> out);
 
-/// Hop distance from `source` to every vertex (kUnreachable if none).
-[[nodiscard]] std::vector<std::uint32_t> bfs_distances(const CsrGraph& g, std::uint32_t source);
-
 /// Hop distance from `source` to `target` only, with early exit; returns
 /// kUnreachable when disconnected.
 [[nodiscard]] std::uint32_t bfs_distance(const CsrGraph& g, std::uint32_t source,
                                          std::uint32_t target, BfsScratch& scratch);
-[[nodiscard]] std::uint32_t bfs_distance(const CsrGraph& g, std::uint32_t source,
-                                         std::uint32_t target);
 
 /// Shortest hop path from source to target written into `path` (cleared;
 /// empty when disconnected; includes both endpoints). Returns true when
 /// the target was reached.
 bool bfs_path_into(const CsrGraph& g, std::uint32_t source, std::uint32_t target,
                    BfsScratch& scratch, std::vector<std::uint32_t>& path);
-[[nodiscard]] std::vector<std::uint32_t> bfs_path(const CsrGraph& g, std::uint32_t source,
-                                                  std::uint32_t target);
 
 /// Batched multi-source hop distances, chunk-parallel over `sources`: row i
 /// of `out` (stride n, size sources.size() * n) receives the distances from
@@ -79,7 +71,5 @@ bool bfs_path_into(const CsrGraph& g, std::uint32_t source, std::uint32_t target
 /// bit-identical at any thread count (DESIGN.md §2.4, §2.6).
 void bfs_many_into(const CsrGraph& g, std::span<const std::uint32_t> sources,
                    std::span<std::uint32_t> out);
-[[nodiscard]] std::vector<std::uint32_t> bfs_many(const CsrGraph& g,
-                                                  std::span<const std::uint32_t> sources);
 
 }  // namespace sens

@@ -3,29 +3,26 @@
 // The power-efficiency experiments (Li-Wan-Wang comparison, E12) need
 // shortest paths under Euclidean length and under the radio power metric
 // w(u,v) = d(u,v)^beta, beta in [2, 5], over the same CSR graph. Weights
-// come in two shapes (DESIGN.md §2.4):
-//   * a template functor `w(u, v)` — zero type erasure, inlined into the
-//     relaxation loop (never a `std::function` per relaxed edge);
-//   * a precomputed per-arc array aligned with the CSR adjacency
-//     (`CsrGraph::arc_weights`) — the inner loop is a flat array read,
-//     and one array serves every source of a batch.
-// Hot-path queries are allocation-free: the caller owns a
-// `DijkstraScratch` whose distance/heap arrays are timestamp-versioned, so
-// consecutive sources skip the O(n) clear, and the 4-ary indexed heap
-// decrease-keys in place instead of enqueueing stale entries. The batched
-// `dijkstra_many` chunk-parallelizes over sources; every source's row is
-// computed independently, so the output is bit-identical at any thread
-// count (§2.4).
+// are data (DESIGN.md §2.4): a precomputed per-arc array aligned with the
+// CSR adjacency (`CsrGraph::arc_weights`), so the inner loop is a flat
+// array read and one array serves every source of a batch.
+//
+// Each job has one entry point, and every query is allocation-free: the
+// caller owns a `DijkstraScratch` whose distance/heap arrays are
+// timestamp-versioned, so consecutive sources skip the O(n) clear, and the
+// 4-ary indexed heap decrease-keys in place instead of enqueueing stale
+// entries. The batched `dijkstra_many_into` chunk-parallelizes over
+// sources; every source's row is computed independently, so the output is
+// bit-identical at any thread count (§2.4).
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <limits>
 #include <span>
-#include <type_traits>
 #include <vector>
 
 #include "sens/graph/csr.hpp"
-#include "sens/obs/obs.hpp"
 
 namespace sens {
 
@@ -135,93 +132,23 @@ struct DijkstraScratch {
   }
 };
 
-namespace detail {
-
-inline constexpr std::uint32_t kNoTarget = 0xffffffffu;
-
-/// Shared engine: settle vertices from `source` until the heap drains or
-/// `target` is settled. `w(arc, u, v)` supplies the weight of the arc with
-/// index `arc` (a flat array read for the precomputed-weight path).
-template <typename ArcWeight>
-void dijkstra_run(const CsrGraph& g, std::uint32_t source, ArcWeight&& w, DijkstraScratch& s,
-                  std::uint32_t target = kNoTarget) {
-  // Work tallies live in plain stack locals and flush to the obs registry
-  // once per exit path — the hot loop never touches shared state, and the
-  // flush is a call, not a destructor: a non-trivial destructor here makes
-  // the compiler thread EH cleanups through the relaxation loop, which
-  // costs ~5% wall clock on Dijkstra-bound benches. uint32 tallies cannot
-  // overflow (pops <= n, relaxed <= m, both < 2^32 by CSR's arc indexing)
-  // and keep register pressure down. Per-source work is a pure function of
-  // (graph, source, target), so totals are thread-invariant (§2.10).
-  SENS_OBS(std::uint32_t obs_pops = 0; std::uint32_t obs_relaxed = 0;)
-  SENS_OBS(const auto obs_flush = [&]() noexcept {
-    obs::add(obs::Counter::kDijkstraRuns, 1);
-    obs::add(obs::Counter::kDijkstraHeapPops, obs_pops);
-    obs::add(obs::Counter::kDijkstraRelaxedArcs, obs_relaxed);
-  };)
-  s.prepare(g.num_vertices());
-  s.push(source, 0.0, source);
-  while (!s.heap.empty()) {
-    const std::uint32_t u = s.pop_min();
-    if (u == target) {
-      SENS_OBS(++obs_pops; obs_flush();)
-      return;
-    }
-    const double du = s.dist[u];
-    const std::uint32_t begin = g.arc_begin(u);
-    const std::uint32_t end = g.arc_end(u);
-    SENS_OBS(++obs_pops; obs_relaxed += end - begin;)
-    for (std::uint32_t a = begin; a < end; ++a) {
-      const std::uint32_t v = g.arc_target(a);
-      const double nc = du + w(a, u, v);
-      if (!s.reached(v)) {
-        s.push(v, nc, u);
-      } else if (nc < s.dist[v] && s.pos[v] != DijkstraScratch::kSettled) {
-        s.decrease(v, nc, u);
-      }
-    }
-  }
-  SENS_OBS(obs_flush();)
-}
-
-/// Copy a finished run's costs into a caller buffer (unreached = kInfCost).
-void export_costs(const DijkstraScratch& s, std::span<double> out);
-
-/// Walk the parent chain of a finished run into `path` (cleared; empty when
-/// `target` was not reached; includes both endpoints).
-void export_path(const DijkstraScratch& s, std::uint32_t source, std::uint32_t target,
-                 std::vector<std::uint32_t>& path);
-
-template <typename WeightFn>
-concept EndpointWeight = std::is_invocable_r_v<double, WeightFn, std::uint32_t, std::uint32_t>;
-
-}  // namespace detail
-
-// --- precomputed per-arc weights (see CsrGraph::arc_weights) ---
-
 /// Costs from `source` to all vertices, written into `out` (size n);
-/// unreachable vertices get kInfCost. Allocation-free given a warm scratch.
+/// unreachable vertices get kInfCost. `arc_weights` is aligned with the
+/// CSR arcs (see CsrGraph::arc_weights). Allocation-free given a warm
+/// scratch.
 void dijkstra_costs_into(const CsrGraph& g, std::uint32_t source,
                          std::span<const double> arc_weights, DijkstraScratch& scratch,
                          std::span<double> out);
 
-[[nodiscard]] std::vector<double> dijkstra_costs(const CsrGraph& g, std::uint32_t source,
-                                                 std::span<const double> arc_weights);
-
 /// Cost from source to target with early exit; kInfCost when disconnected.
 [[nodiscard]] double dijkstra_cost(const CsrGraph& g, std::uint32_t source, std::uint32_t target,
                                    std::span<const double> arc_weights, DijkstraScratch& scratch);
-[[nodiscard]] double dijkstra_cost(const CsrGraph& g, std::uint32_t source, std::uint32_t target,
-                                   std::span<const double> arc_weights);
 
 /// Min-cost path into `path` (cleared; empty when unreachable; includes
 /// both endpoints). Returns true when target was reached.
 bool dijkstra_path_into(const CsrGraph& g, std::uint32_t source, std::uint32_t target,
                         std::span<const double> arc_weights, DijkstraScratch& scratch,
                         std::vector<std::uint32_t>& path);
-[[nodiscard]] std::vector<std::uint32_t> dijkstra_path(const CsrGraph& g, std::uint32_t source,
-                                                       std::uint32_t target,
-                                                       std::span<const double> arc_weights);
 
 /// Batched multi-source costs, chunk-parallel over `sources`: row i of
 /// `out` (stride n, size sources.size() * n) receives the costs from
@@ -230,50 +157,5 @@ bool dijkstra_path_into(const CsrGraph& g, std::uint32_t source, std::uint32_t t
 /// bit-identical at any thread count (DESIGN.md §2.4, §2.6).
 void dijkstra_many_into(const CsrGraph& g, std::span<const std::uint32_t> sources,
                         std::span<const double> arc_weights, std::span<double> out);
-[[nodiscard]] std::vector<double> dijkstra_many(const CsrGraph& g,
-                                                std::span<const std::uint32_t> sources,
-                                                std::span<const double> arc_weights);
-
-// --- template weight functors (one-off queries, tests) ---
-
-template <detail::EndpointWeight WeightFn>
-void dijkstra_costs_into(const CsrGraph& g, std::uint32_t source, WeightFn&& weight,
-                         DijkstraScratch& scratch, std::span<double> out) {
-  detail::dijkstra_run(
-      g, source, [&](std::size_t, std::uint32_t u, std::uint32_t v) { return weight(u, v); },
-      scratch);
-  detail::export_costs(scratch, out);
-}
-
-template <detail::EndpointWeight WeightFn>
-[[nodiscard]] std::vector<double> dijkstra_costs(const CsrGraph& g, std::uint32_t source,
-                                                 WeightFn&& weight) {
-  DijkstraScratch scratch;
-  std::vector<double> out(g.num_vertices());
-  dijkstra_costs_into(g, source, std::forward<WeightFn>(weight), scratch, out);
-  return out;
-}
-
-template <detail::EndpointWeight WeightFn>
-[[nodiscard]] double dijkstra_cost(const CsrGraph& g, std::uint32_t source, std::uint32_t target,
-                                   WeightFn&& weight) {
-  DijkstraScratch scratch;
-  detail::dijkstra_run(
-      g, source, [&](std::size_t, std::uint32_t u, std::uint32_t v) { return weight(u, v); },
-      scratch, target);
-  return scratch.reached(target) ? scratch.dist[target] : kInfCost;
-}
-
-template <detail::EndpointWeight WeightFn>
-[[nodiscard]] std::vector<std::uint32_t> dijkstra_path(const CsrGraph& g, std::uint32_t source,
-                                                       std::uint32_t target, WeightFn&& weight) {
-  DijkstraScratch scratch;
-  detail::dijkstra_run(
-      g, source, [&](std::size_t, std::uint32_t u, std::uint32_t v) { return weight(u, v); },
-      scratch, target);
-  std::vector<std::uint32_t> path;
-  detail::export_path(scratch, source, target, path);
-  return path;
-}
 
 }  // namespace sens

@@ -36,13 +36,6 @@ void chemical_distances_into(const SiteGrid& grid, Site source, ChemicalScratch&
   }
 }
 
-std::vector<std::uint32_t> chemical_distances(const SiteGrid& grid, Site source) {
-  ChemicalScratch scratch;
-  std::vector<std::uint32_t> dist(grid.num_sites());
-  chemical_distances_into(grid, source, scratch, dist);
-  return dist;
-}
-
 std::vector<ChemicalSample> sample_chemical_distances(const SiteGrid& grid,
                                                       const ClusterLabels& labels,
                                                       std::int32_t target_separation,

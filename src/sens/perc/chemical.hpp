@@ -27,9 +27,6 @@ struct ChemicalScratch {
 void chemical_distances_into(const SiteGrid& grid, Site source, ChemicalScratch& scratch,
                              std::span<std::uint32_t> out);
 
-/// Allocating wrapper over `chemical_distances_into`.
-[[nodiscard]] std::vector<std::uint32_t> chemical_distances(const SiteGrid& grid, Site source);
-
 struct ChemicalSample {
   std::int32_t lattice = 0;   ///< D(x, y): L1 distance
   std::uint32_t chemical = 0; ///< D_p(x, y): hops through open sites

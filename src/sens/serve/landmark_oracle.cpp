@@ -87,7 +87,8 @@ LandmarkOracle LandmarkOracle::build_with(const CsrGraph& g, std::span<const dou
   // (landmark-major). Queries read all landmarks of one vertex at once, so
   // transpose into node-major labels (each slot written exactly once —
   // bit-identical at any thread count).
-  const std::vector<double> rows = dijkstra_many(g, oracle.landmarks_, arc_weights);
+  std::vector<double> rows(num * n);
+  dijkstra_many_into(g, oracle.landmarks_, arc_weights, rows);
   oracle.labels_.resize(n * num);
   parallel_for(n, [&](std::size_t v) {
     for (std::size_t l = 0; l < num; ++l) {

@@ -16,9 +16,9 @@
 // policy; the fault audit reuses the same rule).
 //
 // Determinism: landmarks are drawn from the seeded rng stream, the label
-// sweep is one batched `dijkstra_many` call (bit-identical at any thread
-// count, §2.4), and `bounds` is a pure function of the labels — so every
-// oracle answer is a pure function of (graph, weights, params, query).
+// sweep is one batched `dijkstra_many_into` call (bit-identical at any
+// thread count, §2.4), and `bounds` is a pure function of the labels — so
+// every oracle answer is a pure function of (graph, weights, params, query).
 //
 // Disconnected pairs are detected exactly whenever some landmark reaches one
 // endpoint but not the other (the pair then straddles two components):
@@ -79,7 +79,7 @@ class LandmarkOracle {
 
   /// Pick landmarks deterministically from the seeded rng stream and label
   /// every vertex with its exact distance to each landmark (one batched
-  /// `dijkstra_many` sweep). `arc_weights` must be aligned with the arcs of
+  /// `dijkstra_many_into` sweep). `arc_weights` must be aligned with the arcs of
   /// `g` (CsrGraph::arc_weights).
   [[nodiscard]] static LandmarkOracle build(const CsrGraph& g,
                                             std::span<const double> arc_weights,

@@ -6,7 +6,10 @@ namespace sens {
 
 GridIndex::GridIndex(std::span<const Vec2> points, Box bounds, double cell_size)
     : points_(points.begin(), points.end()), bounds_(bounds), cell_size_(cell_size) {
-  if (cell_size_ <= 0.0) throw std::invalid_argument("GridIndex: cell_size <= 0");
+  // Negated so NaN fails too: a NaN cell count is UB in the size_t cast.
+  if (!(std::isfinite(cell_size_) && cell_size_ > 0.0)) {
+    throw std::invalid_argument("GridIndex: cell_size must be finite and > 0");
+  }
   nx_ = std::max<std::size_t>(1, static_cast<std::size_t>(std::ceil(bounds_.width() / cell_size_)));
   ny_ = std::max<std::size_t>(1, static_cast<std::size_t>(std::ceil(bounds_.height() / cell_size_)));
 

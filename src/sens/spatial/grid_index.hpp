@@ -25,8 +25,9 @@ namespace sens {
 
 class GridIndex {
  public:
-  /// Builds an index over `points` with cells of side `cell_size` (must be
-  /// > 0). Points outside `bounds` are clamped into the edge cells.
+  /// Builds an index over `points` with cells of side `cell_size` (finite
+  /// and > 0, else std::invalid_argument). Points outside `bounds` are
+  /// clamped into the edge cells.
   GridIndex(std::span<const Vec2> points, Box bounds, double cell_size);
 
   /// Invoke `visit(j)` for every point j with dist(points[j], q) <= radius.
@@ -69,23 +70,6 @@ class GridIndex {
       }
     }
     return false;
-  }
-
-  /// CSR-style collector: write every index within `radius` of q into `out`
-  /// (cleared first; capacity is reused — allocation-free once warm).
-  /// Returns the number written. Order is the deterministic scan order of
-  /// `for_each_in_radius`, NOT sorted.
-  std::size_t query_radius_into(Vec2 q, double radius, std::vector<std::uint32_t>& out) const {
-    out.clear();
-    for_each_in_radius(q, radius, [&](std::uint32_t j) { out.push_back(j); });
-    return out.size();
-  }
-
-  /// Allocating wrapper over `query_radius_into`.
-  [[nodiscard]] std::vector<std::uint32_t> query_radius(Vec2 q, double radius) const {
-    std::vector<std::uint32_t> out;
-    query_radius_into(q, radius, out);
-    return out;
   }
 
   [[nodiscard]] std::size_t size() const { return points_.size(); }

@@ -6,7 +6,7 @@
 // ring expansion touches O(k) candidates with no tree traversal at all.
 // This engine is exact (not approximate): rings expand until the k-th best
 // distance provably beats the nearest unscanned cell boundary, and ties are
-// broken by (distance, index) exactly like `KdTree::nearest`, so both
+// broken by (distance, index) exactly like `KdTree::nearest_into`, so both
 // engines return identical neighbor lists on any input (asserted by
 // `GridKnnParamTest.MatchesKdTreeOracle`). `knn_selections_flat` drives it
 // chunk-parallel with one scratch per chunk (DESIGN.md §2.3).
@@ -48,9 +48,10 @@ class GridKnn {
   /// Queries return those global ids, with the same (distance, index)
   /// tie-break as the owning constructor — equivalent to a fresh GridKnn
   /// over the compacted subset with ids mapped back (asserted by
-  /// `GridKnnPyramid.LevelsMatchFreshGridKnnOracle`). The caller must keep
-  /// `shared_points` alive and unmoved for the lifetime of this index; the
-  /// grid geometry is tuned to the *subset's* bounding box and density.
+  /// `GridKnnPyramidParamTest.LevelsMatchFreshGridKnnOracle`). The caller
+  /// must keep `shared_points` alive and unmoved for the lifetime of this
+  /// index; the grid geometry is tuned to the *subset's* bounding box and
+  /// density.
   GridKnn(std::span<const Vec2> shared_points, std::span<const std::uint32_t> members,
           std::size_t expected_k);
 

@@ -8,7 +8,8 @@
 // copies) — and each level reuses GridKnn's exact expanding-ring search
 // kernel unchanged. Per-level results are therefore bit-identical to a
 // fresh single-level GridKnn over the compacted subset, including the
-// (distance, index) tie-breaks (`GridKnnPyramid.LevelsMatchFreshGridKnnOracle`).
+// (distance, index) tie-breaks
+// (`GridKnnPyramidParamTest.LevelsMatchFreshGridKnnOracle`).
 //
 // The pyramid is mutable for the churn workload (sens/dynamic): the store
 // can grow (`append_point` — levels are *rebound*, never rebuilt, since

@@ -121,44 +121,4 @@ std::size_t KdTree::nearest_into(Vec2 q, std::size_t k, std::uint32_t exclude,
   return out.size();
 }
 
-std::vector<std::uint32_t> KdTree::nearest(Vec2 q, std::size_t k, std::uint32_t exclude) const {
-  QueryScratch scratch;
-  std::vector<std::uint32_t> out;
-  nearest_into(q, k, exclude, scratch, out);
-  return out;
-}
-
-std::size_t KdTree::query_radius_into(Vec2 q, double radius, QueryScratch& scratch,
-                                      std::vector<std::uint32_t>& out) const {
-  out.clear();
-  if (points_.empty()) return 0;
-  const double r2 = radius * radius;
-  auto& stack = scratch.stack;
-  stack.clear();
-  stack.push_back(root_);
-  while (!stack.empty()) {
-    const Node& node = nodes_[stack.back()];
-    stack.pop_back();
-    if (node.leaf) {
-      for (std::uint32_t i = node.begin; i < node.end; ++i) {
-        if (dist2(leaf_points_[i], q) <= r2) out.push_back(order_[i]);
-      }
-      continue;
-    }
-    const double qv = node.axis == 0 ? q.x : q.y;
-    const double delta = qv - static_cast<double>(node.split);
-    if (delta <= radius) stack.push_back(node.left);
-    if (-delta <= radius) stack.push_back(node.right);
-  }
-  std::sort(out.begin(), out.end());
-  return out.size();
-}
-
-std::vector<std::uint32_t> KdTree::query_radius(Vec2 q, double radius) const {
-  QueryScratch scratch;
-  std::vector<std::uint32_t> out;
-  query_radius_into(q, radius, scratch, out);
-  return out;
-}
-
 }  // namespace sens

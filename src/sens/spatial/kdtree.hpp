@@ -7,14 +7,11 @@
 // rule is acceptable (ties are measure zero under a Poisson process but
 // appear in adversarial tests).
 //
-// The query entry points come in two flavors (DESIGN.md §2.3):
-//   * `nearest_into` / `query_radius_into` write into caller-owned buffers
-//     and reuse a caller-owned `QueryScratch` — allocation-free after the
-//     first call, which is what the batched graph builders
-//     (`knn_selections_flat`, `build_udg`) drive from `parallel_for_chunks`
-//     with one scratch per chunk.
-//   * `nearest` / `query_radius` are thin allocating wrappers kept for
-//     one-off queries and tests.
+// The one query, `nearest_into`, writes into a caller-owned buffer and
+// reuses a caller-owned `QueryScratch`, so it is allocation-free after the
+// first call (DESIGN.md §2.3). Production k-NN runs on `GridKnn`; the tree
+// remains for `build_nn_overlay`'s edge oracle and as the independent
+// oracle `GridKnn` is tested against.
 #pragma once
 
 #include <cstdint>
@@ -31,10 +28,10 @@ class KdTree {
 
   static constexpr std::uint32_t npos = 0xffffffffu;
 
-  /// Caller-owned scratch for the *_into queries. One instance per thread
-  /// (or per chunk of a `parallel_for_chunks` body); reusing it across
-  /// queries makes the hot path allocation-free. The contents are opaque:
-  /// any query may clobber them.
+  /// Caller-owned scratch for `nearest_into`. One instance per thread (or
+  /// per chunk of a `parallel_for_chunks` body); reusing it across queries
+  /// makes the hot path allocation-free. The contents are opaque: any
+  /// query may clobber them.
   struct QueryScratch {
     struct Candidate {
       double d2;
@@ -43,8 +40,7 @@ class KdTree {
         return d2 != o.d2 ? d2 < o.d2 : idx < o.idx;
       }
     };
-    std::vector<Candidate> best;       ///< bounded k-best candidate set
-    std::vector<std::uint32_t> stack;  ///< node stack for radius queries
+    std::vector<Candidate> best;  ///< bounded k-best candidate set
   };
 
   /// Indices of the k points nearest to `q`, excluding index `exclude`
@@ -53,18 +49,6 @@ class KdTree {
   /// indices written: min(k, size() minus the excluded point).
   std::size_t nearest_into(Vec2 q, std::size_t k, std::uint32_t exclude, QueryScratch& scratch,
                            std::vector<std::uint32_t>& out) const;
-
-  /// Allocating wrapper over `nearest_into`.
-  [[nodiscard]] std::vector<std::uint32_t> nearest(Vec2 q, std::size_t k,
-                                                   std::uint32_t exclude = npos) const;
-
-  /// All indices within `radius` of q, sorted ascending, written into `out`
-  /// (cleared first; capacity is reused). Returns the number written.
-  std::size_t query_radius_into(Vec2 q, double radius, QueryScratch& scratch,
-                                std::vector<std::uint32_t>& out) const;
-
-  /// Allocating wrapper over `query_radius_into`.
-  [[nodiscard]] std::vector<std::uint32_t> query_radius(Vec2 q, double radius) const;
 
   [[nodiscard]] std::size_t size() const { return points_.size(); }
   [[nodiscard]] std::span<const Vec2> points() const { return points_; }

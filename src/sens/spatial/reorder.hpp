@@ -2,8 +2,9 @@
 //
 // The builders and batched engines are label-order sensitive in *memory*
 // terms only: `GridKnn` ring scans, CSR adjacency walks and the
-// `dijkstra_many`/`bfs_many` sweeps all touch per-node arrays indexed by
-// vertex id, so ids that are spatially local should be numerically close.
+// `dijkstra_many_into`/`bfs_many_into` sweeps all touch per-node arrays
+// indexed by vertex id, so ids that are spatially local should be
+// numerically close.
 // A freshly generated Poisson store is grid-major (good); a store in
 // deployment order — ids assigned by arrival, the realistic regime for a
 // sensor network — is effectively random (bad: every adjacency hop is a

@@ -1,6 +1,7 @@
 // A transient free-list of scratch objects for chunk-parallel batch calls.
 //
-// The batched engines (dijkstra_many, bfs_many, the serve-layer QueryEngine)
+// The batched engines (dijkstra_many_into, bfs_many_into, the serve-layer
+// QueryEngine)
 // want one warm scratch per *participant* of a parallel call: a scratch per
 // chunk would reintroduce the per-source O(n) allocation the versioned
 // scratches exist to remove (a chunk frequently holds a single source), and

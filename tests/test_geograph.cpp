@@ -94,6 +94,12 @@ TEST(Udg, CustomRadius) {
   EXPECT_TRUE(g.graph.has_edge(1, 2));
   EXPECT_FALSE(g.graph.has_edge(0, 2));
   EXPECT_THROW((void)build_udg(pts, Box{{0, 0}, {4, 1}}, 0.0), std::invalid_argument);
+  // NaN fails every comparison, so only a negated guard rejects it before
+  // the grid's cell-count cast (UB for NaN); an infinite radius is refused
+  // alike.
+  for (const double bad : {std::nan(""), HUGE_VAL, -HUGE_VAL}) {
+    EXPECT_THROW((void)build_udg(pts, Box{{0, 0}, {4, 1}}, bad), std::invalid_argument) << bad;
+  }
 }
 
 TEST(Udg, MeanDegreeNearTheory) {
@@ -162,11 +168,13 @@ TEST(Knn, FlatSelectionsRoundTripAgainstNested) {
   const auto nested = flat.to_nested();
   ASSERT_EQ(nested.size(), flat.size());
   const KdTree tree(ps.points);
+  KdTree::QueryScratch scratch;
+  std::vector<std::uint32_t> oracle;
   for (std::size_t i = 0; i < flat.size(); ++i) {
     EXPECT_EQ(flat.degree(i), std::min(k, ps.size() - 1));
     const auto slice = flat[i];
     EXPECT_TRUE(std::equal(slice.begin(), slice.end(), nested[i].begin(), nested[i].end()));
-    const auto oracle = tree.nearest(ps.points[i], k, static_cast<std::uint32_t>(i));
+    tree.nearest_into(ps.points[i], k, static_cast<std::uint32_t>(i), scratch, oracle);
     EXPECT_TRUE(std::equal(slice.begin(), slice.end(), oracle.begin(), oracle.end()));
   }
 }

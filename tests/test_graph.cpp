@@ -7,6 +7,8 @@
 #include <cstring>
 #include <vector>
 
+#include "sens/geograph/point_set.hpp"
+#include "sens/geograph/udg.hpp"
 #include "sens/graph/bfs.hpp"
 #include "sens/graph/components.hpp"
 #include "sens/graph/csr.hpp"
@@ -31,6 +33,22 @@ std::vector<std::pair<std::uint32_t, std::uint32_t>> random_edges(std::size_t n,
     edges.emplace_back(static_cast<std::uint32_t>(rng.uniform_index(n)),
                        static_cast<std::uint32_t>(rng.uniform_index(n)));
   return edges;
+}
+
+/// Independent reference rows: a fresh scratch plus the `_into` call.
+std::vector<std::uint32_t> fresh_bfs_row(const CsrGraph& g, std::uint32_t source) {
+  BfsScratch scratch;
+  std::vector<std::uint32_t> out(g.num_vertices());
+  bfs_distances_into(g, source, scratch, out);
+  return out;
+}
+
+std::vector<double> fresh_dijkstra_row(const CsrGraph& g, std::uint32_t source,
+                                       std::span<const double> w) {
+  DijkstraScratch scratch;
+  std::vector<double> out(g.num_vertices());
+  dijkstra_costs_into(g, source, w, scratch, out);
+  return out;
 }
 
 CsrGraph path_graph(std::size_t n) {
@@ -69,23 +87,29 @@ TEST(Csr, NeighborsSortedAndEdgeList) {
 
 TEST(Bfs, DistancesOnPath) {
   const CsrGraph g = path_graph(6);
-  const auto dist = bfs_distances(g, 0);
+  const auto dist = fresh_bfs_row(g, 0);
   for (std::uint32_t i = 0; i < 6; ++i) EXPECT_EQ(dist[i], i);
-  EXPECT_EQ(bfs_distance(g, 0, 5), 5u);
-  EXPECT_EQ(bfs_distance(g, 2, 2), 0u);
+  BfsScratch scratch;
+  EXPECT_EQ(bfs_distance(g, 0, 5, scratch), 5u);
+  EXPECT_EQ(bfs_distance(g, 2, 2, scratch), 0u);
 }
 
 TEST(Bfs, Unreachable) {
   const CsrGraph g = CsrGraph::from_edges(4, {{0, 1}, {2, 3}});
-  EXPECT_EQ(bfs_distance(g, 0, 3), kUnreachable);
-  EXPECT_EQ(bfs_distances(g, 0)[2], kUnreachable);
-  EXPECT_TRUE(bfs_path(g, 0, 3).empty());
+  BfsScratch scratch;
+  EXPECT_EQ(bfs_distance(g, 0, 3, scratch), kUnreachable);
+  EXPECT_EQ(fresh_bfs_row(g, 0)[2], kUnreachable);
+  std::vector<std::uint32_t> path{7};  // stale contents must vanish
+  EXPECT_FALSE(bfs_path_into(g, 0, 3, scratch, path));
+  EXPECT_TRUE(path.empty());
 }
 
 TEST(Bfs, PathValidAndShortest) {
   // Diamond with a long detour: 0-1-3, 0-2-3, 0-4-5-3.
   const CsrGraph g = CsrGraph::from_edges(6, {{0, 1}, {1, 3}, {0, 2}, {2, 3}, {0, 4}, {4, 5}, {5, 3}});
-  const auto path = bfs_path(g, 0, 3);
+  BfsScratch scratch;
+  std::vector<std::uint32_t> path;
+  ASSERT_TRUE(bfs_path_into(g, 0, 3, scratch, path));
   ASSERT_EQ(path.size(), 3u);
   EXPECT_EQ(path.front(), 0u);
   EXPECT_EQ(path.back(), 3u);
@@ -94,7 +118,9 @@ TEST(Bfs, PathValidAndShortest) {
 
 TEST(Bfs, PathSourceEqualsTarget) {
   const CsrGraph g = path_graph(3);
-  const auto path = bfs_path(g, 1, 1);
+  BfsScratch scratch;
+  std::vector<std::uint32_t> path;
+  ASSERT_TRUE(bfs_path_into(g, 1, 1, scratch, path));
   ASSERT_EQ(path.size(), 1u);
   EXPECT_EQ(path[0], 1u);
 }
@@ -107,8 +133,9 @@ TEST(Dijkstra, MatchesBfsWithUnitWeights) {
     edges.emplace_back(static_cast<std::uint32_t>(rng.uniform_index(n)),
                        static_cast<std::uint32_t>(rng.uniform_index(n)));
   const CsrGraph g = CsrGraph::from_edges(n, std::move(edges));
-  const auto hops = bfs_distances(g, 0);
-  const auto costs = dijkstra_costs(g, 0, [](std::uint32_t, std::uint32_t) { return 1.0; });
+  const std::vector<double> unit(g.num_arcs(), 1.0);
+  const auto hops = fresh_bfs_row(g, 0);
+  const auto costs = fresh_dijkstra_row(g, 0, unit);
   for (std::size_t v = 0; v < n; ++v) {
     if (hops[v] == kUnreachable) {
       EXPECT_EQ(costs[v], kInfCost);
@@ -121,18 +148,24 @@ TEST(Dijkstra, MatchesBfsWithUnitWeights) {
 TEST(Dijkstra, WeightedShortcut) {
   // 0-1-2 cheap vs direct 0-2 expensive.
   const CsrGraph g = CsrGraph::from_edges(3, {{0, 1}, {1, 2}, {0, 2}});
-  auto w = [](std::uint32_t a, std::uint32_t b) {
+  const std::vector<double> w = g.arc_weights([](std::uint32_t a, std::uint32_t b) {
     return (a == 0 && b == 2) || (a == 2 && b == 0) ? 10.0 : 1.0;
-  };
-  EXPECT_DOUBLE_EQ(dijkstra_cost(g, 0, 2, w), 2.0);
-  const auto path = dijkstra_path(g, 0, 2, w);
+  });
+  DijkstraScratch scratch;
+  EXPECT_DOUBLE_EQ(dijkstra_cost(g, 0, 2, w, scratch), 2.0);
+  std::vector<std::uint32_t> path;
+  EXPECT_TRUE(dijkstra_path_into(g, 0, 2, w, scratch, path));
   EXPECT_EQ(path, (std::vector<std::uint32_t>{0, 1, 2}));
 }
 
 TEST(Dijkstra, UnreachableIsInf) {
   const CsrGraph g = CsrGraph::from_edges(3, {{0, 1}});
-  EXPECT_EQ(dijkstra_cost(g, 0, 2, [](auto, auto) { return 1.0; }), kInfCost);
-  EXPECT_TRUE(dijkstra_path(g, 0, 2, [](auto, auto) { return 1.0; }).empty());
+  const std::vector<double> w(g.num_arcs(), 1.0);
+  DijkstraScratch scratch;
+  EXPECT_EQ(dijkstra_cost(g, 0, 2, w, scratch), kInfCost);
+  std::vector<std::uint32_t> path;
+  EXPECT_FALSE(dijkstra_path_into(g, 0, 2, w, scratch, path));
+  EXPECT_TRUE(path.empty());
 }
 
 TEST(Csr, BuilderMatchesFromEdges) {
@@ -245,22 +278,39 @@ TEST(Csr, ArcViewConsistent) {
   }
 }
 
-TEST(Dijkstra, ArcWeightsMatchFunctorPath) {
-  // The per-arc weight array and the functor must produce bitwise-equal
-  // costs (DESIGN.md §2.4) — the arc array holds the same doubles and the
-  // relaxations add the same operands.
+/// Every arc `a` of vertex `u` must carry exactly `w(u, arc_target(a))`,
+/// bit for bit: Dijkstra reads `arcs[a]` as the weight of that arc.
+template <typename WeightFn>
+void expect_arcs_aligned(const CsrGraph& g, std::span<const double> arcs, WeightFn&& w) {
+  ASSERT_EQ(arcs.size(), g.num_arcs());
+  for (std::uint32_t u = 0; u < g.num_vertices(); ++u) {
+    for (std::uint32_t a = g.arc_begin(u); a < g.arc_end(u); ++a) {
+      const double want = w(u, g.arc_target(a));
+      EXPECT_EQ(0, std::memcmp(&arcs[a], &want, sizeof(double))) << "u=" << u << " arc=" << a;
+    }
+  }
+}
+
+// Weights are data (DESIGN.md §2.4): the per-arc arrays every Dijkstra
+// caller builds must be aligned with the CSR arcs.
+TEST(Dijkstra, ArcWeightsAlignWithCsrArcs) {
   const std::size_t n = 60;
   const CsrGraph g = CsrGraph::from_edges(n, random_edges(n, 150, 31));
   auto weight = [](std::uint32_t u, std::uint32_t v) {
     return 1.0 + 0.25 * static_cast<double>((u * 31 + v * 17) % 13);
   };
-  const std::vector<double> arcs = g.arc_weights(weight);
-  ASSERT_EQ(arcs.size(), g.num_arcs());
-  for (std::uint32_t s = 0; s < n; s += 7) {
-    const auto by_fn = dijkstra_costs(g, s, weight);
-    const auto by_arcs = dijkstra_costs(g, s, std::span<const double>(arcs));
-    ASSERT_EQ(by_fn.size(), by_arcs.size());
-    EXPECT_EQ(0, std::memcmp(by_fn.data(), by_arcs.data(), by_fn.size() * sizeof(double)));
+  expect_arcs_aligned(g, g.arc_weights(weight), weight);
+
+  const Box window{{0.0, 0.0}, {6.0, 6.0}};
+  const GeoGraph udg = build_udg(poisson_point_set(window, 4.0, 0xA11C).points, window, 1.0);
+  ASSERT_GT(udg.graph.num_edges(), 0u);
+  expect_arcs_aligned(udg.graph, udg.length_arc_weights(),
+                      [&](std::uint32_t u, std::uint32_t v) { return udg.edge_length(u, v); });
+  for (const double beta : {2.0, 3.5}) {
+    expect_arcs_aligned(udg.graph, udg.power_arc_weights(beta),
+                        [&](std::uint32_t u, std::uint32_t v) {
+                          return std::pow(udg.edge_length(u, v), beta);
+                        });
   }
 }
 
@@ -274,7 +324,7 @@ TEST(Dijkstra, ScratchReuseAcrossSourcesOnDisconnectedGraph) {
   std::vector<double> out(g.num_vertices());
   for (const std::uint32_t s : {0u, 3u, 6u, 0u}) {
     dijkstra_costs_into(g, s, w, scratch, out);
-    const auto fresh = dijkstra_costs(g, s, std::span<const double>(w));
+    const auto fresh = fresh_dijkstra_row(g, s, w);
     for (std::size_t v = 0; v < fresh.size(); ++v) EXPECT_EQ(out[v], fresh[v]);
   }
   // Early-exit and path queries share the same scratch.
@@ -299,12 +349,13 @@ TEST(Dijkstra, ManyMatchesSerialAndBitIdenticalAcrossThreadCounts) {
   std::vector<double> serial;
   serial.reserve(sources.size() * n);
   for (const std::uint32_t s : sources) {
-    const auto row = dijkstra_costs(g, s, std::span<const double>(w));
+    const auto row = fresh_dijkstra_row(g, s, w);
     serial.insert(serial.end(), row.begin(), row.end());
   }
   for (const unsigned threads : {1u, 2u, 8u}) {
     set_thread_count(threads);
-    const std::vector<double> batched = dijkstra_many(g, sources, w);
+    std::vector<double> batched(sources.size() * n);
+    dijkstra_many_into(g, sources, w, batched);
     ASSERT_EQ(batched.size(), serial.size());
     EXPECT_EQ(0, std::memcmp(batched.data(), serial.data(), serial.size() * sizeof(double)));
   }
@@ -317,7 +368,7 @@ TEST(Bfs, ScratchReuseAcrossSourcesOnDisconnectedGraph) {
   std::vector<std::uint32_t> out(g.num_vertices());
   for (const std::uint32_t s : {0u, 3u, 5u, 2u}) {
     bfs_distances_into(g, s, scratch, out);
-    const auto fresh = bfs_distances(g, s);
+    const auto fresh = fresh_bfs_row(g, s);
     EXPECT_EQ(out, fresh);
   }
   EXPECT_EQ(bfs_distance(g, 0, 4, scratch), kUnreachable);
@@ -338,12 +389,13 @@ TEST(Bfs, ManyMatchesSerialAndBitIdenticalAcrossThreadCounts) {
   std::vector<std::uint32_t> serial;
   serial.reserve(sources.size() * n);
   for (const std::uint32_t s : sources) {
-    const auto row = bfs_distances(g, s);
+    const auto row = fresh_bfs_row(g, s);
     serial.insert(serial.end(), row.begin(), row.end());
   }
   for (const unsigned threads : {1u, 2u, 8u}) {
     set_thread_count(threads);
-    const std::vector<std::uint32_t> batched = bfs_many(g, sources);
+    std::vector<std::uint32_t> batched(sources.size() * n);
+    bfs_many_into(g, sources, batched);
     ASSERT_EQ(batched.size(), serial.size());
     EXPECT_EQ(batched, serial);
   }

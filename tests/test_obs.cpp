@@ -1,11 +1,11 @@
 // Tests for the observability layer (DESIGN.md §2.10). The heart of the
 // suite is the determinism contract: every *work counter* is a pure
 // function of (seed, workload), so registry totals must be bit-identical at
-// --threads 1/2/8 for the instrumented kernels (dijkstra_many / bfs_many,
-// GridKnn batches, and an EpochQueryEngine churn replay). The timing
-// classes (LatencyHistogram, TraceLog) are tested for shape only — their
-// values are machine-dependent by design and banned from `--json`. The
-// whole Obs* set is the `obs` ctest tier.
+// --threads 1/2/8 for the instrumented kernels (dijkstra_many_into /
+// bfs_many_into, GridKnn batches, and an EpochQueryEngine churn replay).
+// The timing classes (LatencyHistogram, TraceLog) are tested for shape
+// only — their values are machine-dependent by design and banned from
+// `--json`. The whole Obs* set is the `obs` ctest tier.
 //
 // Exact-count assertions are gated on SENS_OBS_ENABLED so this suite also
 // passes in the compiled-out build (where the registry exists but no kernel
@@ -261,8 +261,10 @@ TEST(ObsCounters, BfsCountsVisitsOnAPath) {
   // 0-1-2-3-4 path: a full BFS from 0 labels all 5 vertices.
   const CsrGraph g = CsrGraph::from_edges(5, {{0, 1}, {1, 2}, {2, 3}, {3, 4}});
   auto& reg = obs::CounterRegistry::global();
+  BfsScratch scratch;
+  std::vector<std::uint32_t> out(g.num_vertices());
   reg.reset();
-  (void)bfs_distances(g, 0);
+  bfs_distances_into(g, 0, scratch, out);
   EXPECT_EQ(reg.value(obs::Counter::kBfsRuns), 1u);
   EXPECT_EQ(reg.value(obs::Counter::kBfsVisits), 5u);
 }
@@ -273,8 +275,10 @@ TEST(ObsCounters, DijkstraCountsPopsAndRelaxations) {
   const CsrGraph g = CsrGraph::from_edges(5, {{0, 1}, {1, 2}, {2, 3}, {3, 4}});
   const std::vector<double> w(g.num_arcs(), 1.0);
   auto& reg = obs::CounterRegistry::global();
+  DijkstraScratch scratch;
+  std::vector<double> out(g.num_vertices());
   reg.reset();
-  (void)dijkstra_costs(g, 0, w);
+  dijkstra_costs_into(g, 0, w, scratch, out);
   EXPECT_EQ(reg.value(obs::Counter::kDijkstraRuns), 1u);
   EXPECT_EQ(reg.value(obs::Counter::kDijkstraHeapPops), 5u);
   EXPECT_EQ(reg.value(obs::Counter::kDijkstraRelaxedArcs), 8u);

@@ -112,16 +112,24 @@ TEST(Crossing, HalfCrossingPointNearPc) {
   EXPECT_NEAR(pc, 0.5927, 0.05);
 }
 
+/// Independent reference: a fresh scratch and buffer per call.
+std::vector<std::uint32_t> fresh_chemical_row(const SiteGrid& g, Site source) {
+  ChemicalScratch scratch;
+  std::vector<std::uint32_t> dist(g.num_sites());
+  chemical_distances_into(g, source, scratch, dist);
+  return dist;
+}
+
 TEST(Chemical, DistancesAtPOne) {
   const SiteGrid g(20, 20, true);
-  const auto dist = chemical_distances(g, {0, 0});
+  const auto dist = fresh_chemical_row(g, {0, 0});
   EXPECT_EQ(dist[g.index({5, 7})], 12u);  // equals L1 on the full lattice
   EXPECT_EQ(dist[g.index({19, 19})], 38u);
 }
 
 TEST(Chemical, ClosedSourceYieldsNothing) {
   SiteGrid g(5, 5, false);
-  const auto dist = chemical_distances(g, {2, 2});
+  const auto dist = fresh_chemical_row(g, {2, 2});
   for (const auto d : dist) EXPECT_EQ(d, 0xffffffffu);
 }
 
@@ -137,16 +145,16 @@ TEST(Chemical, SamplesRespectLowerBound) {
   }
 }
 
-TEST(Chemical, IntoMatchesAllocatingWrapperAcrossSources) {
+TEST(Chemical, ScratchReuseMatchesFreshScratchAcrossSources) {
   // One scratch + buffer reused across sources (including a closed one)
-  // must match fresh allocating runs exactly (DESIGN.md §2.4).
+  // must match fresh-scratch runs exactly (DESIGN.md §2.4).
   SiteGrid g = SiteGrid::random(32, 32, 0.7, 12);
   g.set_open({3, 3}, false);
   ChemicalScratch scratch;
   std::vector<std::uint32_t> dist(g.num_sites());
   for (const Site s : {Site{0, 0}, Site{3, 3}, Site{31, 31}, Site{16, 5}}) {
     chemical_distances_into(g, s, scratch, dist);
-    EXPECT_EQ(dist, chemical_distances(g, s));
+    EXPECT_EQ(dist, fresh_chemical_row(g, s));
   }
 }
 

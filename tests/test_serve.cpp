@@ -76,8 +76,9 @@ TEST(ServeSmoke, ExactMatchesDijkstra) {
   const auto qs = make_queries(50, tg.graph.num_vertices(), 7);
   std::vector<double> got(qs.size());
   engine.exact_distances(qs, got);
+  DijkstraScratch scratch;
   for (std::size_t i = 0; i < qs.size(); ++i) {
-    EXPECT_EQ(got[i], dijkstra_cost(tg.graph, qs[i].src, qs[i].dst, tg.weights))
+    EXPECT_EQ(got[i], dijkstra_cost(tg.graph, qs[i].src, qs[i].dst, tg.weights, scratch))
         << "query " << i;
   }
 }
@@ -353,8 +354,9 @@ TEST(ServeHops, MatchesBfs) {
   const auto qs = make_queries(80, tg.graph.num_vertices(), 37);
   std::vector<std::uint32_t> hops(qs.size());
   engine.hop_distances(qs, hops);
+  BfsScratch scratch;
   for (std::size_t i = 0; i < qs.size(); ++i) {
-    EXPECT_EQ(hops[i], bfs_distance(tg.graph, qs[i].src, qs[i].dst)) << "query " << i;
+    EXPECT_EQ(hops[i], bfs_distance(tg.graph, qs[i].src, qs[i].dst, scratch)) << "query " << i;
   }
 }
 

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <span>
 #include <stdexcept>
 #include <vector>
@@ -34,6 +35,24 @@ std::vector<std::uint32_t> brute_radius(const std::vector<Vec2>& pts, Vec2 q, do
   return out;
 }
 
+/// Every index within `r` of q, collected through the radius visitor and
+/// sorted (the visitor's own order is the scan order, not index order).
+std::vector<std::uint32_t> grid_radius(const GridIndex& index, Vec2 q, double r) {
+  std::vector<std::uint32_t> out;
+  index.for_each_in_radius(q, r, [&](std::uint32_t j) { out.push_back(j); });
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+/// Independent k-NN reference: a fresh scratch plus `nearest_into`.
+std::vector<std::uint32_t> kd_nearest(const KdTree& tree, Vec2 q, std::size_t k,
+                                      std::uint32_t exclude = KdTree::npos) {
+  KdTree::QueryScratch scratch;
+  std::vector<std::uint32_t> out;
+  tree.nearest_into(q, k, exclude, scratch, out);
+  return out;
+}
+
 class GridIndexParamTest : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(GridIndexParamTest, RadiusQueryMatchesBruteForce) {
@@ -44,10 +63,7 @@ TEST_P(GridIndexParamTest, RadiusQueryMatchesBruteForce) {
   for (int t = 0; t < 50; ++t) {
     const Vec2 q{rng.uniform(-1.0, 11.0), rng.uniform(-1.0, 11.0)};
     const double r = rng.uniform(0.1, 1.0);
-    auto got = index.query_radius(q, r);
-    auto want = brute_radius(pts, q, r);
-    std::sort(got.begin(), got.end());
-    EXPECT_EQ(got, want);
+    EXPECT_EQ(grid_radius(index, q, r), brute_radius(pts, q, r));
   }
 }
 
@@ -56,10 +72,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, GridIndexParamTest, ::testing::Range<std::uint64
 TEST(GridIndex, LargerRadiusThanCellStillExact) {
   const auto pts = random_points(300, 42);
   const GridIndex index(pts, Box{{0.0, 0.0}, {10.0, 10.0}}, 0.5);
-  auto got = index.query_radius({5.0, 5.0}, 3.0);
-  auto want = brute_radius(pts, {5.0, 5.0}, 3.0);
-  std::sort(got.begin(), got.end());
-  EXPECT_EQ(got, want);
+  EXPECT_EQ(grid_radius(index, {5.0, 5.0}, 3.0), brute_radius(pts, {5.0, 5.0}, 3.0));
 }
 
 // The scan widens to ceil(radius / cell_size) rings, so any radius is
@@ -71,26 +84,9 @@ TEST(GridIndex, RadiusSweepsBeyondCellAreExhaustive) {
   for (int t = 0; t < 40; ++t) {
     const Vec2 q{rng.uniform(-2.0, 12.0), rng.uniform(-2.0, 12.0)};
     const double r = rng.uniform(1.0, 6.0);  // always > cell_size
-    auto got = index.query_radius(q, r);
-    std::sort(got.begin(), got.end());
-    EXPECT_EQ(got, brute_radius(pts, q, r));
+    EXPECT_EQ(grid_radius(index, q, r), brute_radius(pts, q, r));
   }
-  auto all = index.query_radius({0.0, 0.0}, 20.0);
-  EXPECT_EQ(all.size(), pts.size());
-}
-
-TEST(GridIndex, QueryRadiusIntoReusesBuffer) {
-  const auto pts = random_points(200, 13);
-  const GridIndex index(pts, Box{{0.0, 0.0}, {10.0, 10.0}}, 1.0);
-  std::vector<std::uint32_t> out{99, 99, 99};  // stale contents must vanish
-  const std::size_t n1 = index.query_radius_into({5.0, 5.0}, 1.5, out);
-  EXPECT_EQ(n1, out.size());
-  std::vector<std::uint32_t> sorted = out;
-  std::sort(sorted.begin(), sorted.end());
-  EXPECT_EQ(sorted, brute_radius(pts, {5.0, 5.0}, 1.5));
-  // Second query with the same buffer: result identical to a fresh call.
-  index.query_radius_into({2.0, 8.0}, 0.7, out);
-  EXPECT_EQ(out, index.query_radius({2.0, 8.0}, 0.7));
+  EXPECT_EQ(grid_radius(index, {0.0, 0.0}, 20.0).size(), pts.size());
 }
 
 TEST(GridIndex, ForEachUntilStopsEarly) {
@@ -111,19 +107,21 @@ TEST(GridIndex, ForEachUntilStopsEarly) {
 TEST(GridIndex, PointsOutsideBoundsAreClamped) {
   std::vector<Vec2> pts{{-5.0, -5.0}, {15.0, 15.0}, {5.0, 5.0}};
   const GridIndex index(pts, Box{{0.0, 0.0}, {10.0, 10.0}}, 1.0);
-  EXPECT_EQ(index.query_radius({-5.0, -5.0}, 0.5), std::vector<std::uint32_t>{0});
+  EXPECT_EQ(grid_radius(index, {-5.0, -5.0}, 0.5), std::vector<std::uint32_t>{0});
   EXPECT_EQ(index.size(), 3u);
 }
 
 TEST(GridIndex, InvalidCellSizeThrows) {
   std::vector<Vec2> pts{{0.0, 0.0}};
-  EXPECT_THROW(GridIndex(pts, Box{{0.0, 0.0}, {1.0, 1.0}}, 0.0), std::invalid_argument);
+  for (const double bad : {0.0, -1.0, std::nan(""), HUGE_VAL, -HUGE_VAL}) {
+    EXPECT_THROW(GridIndex(pts, Box{{0.0, 0.0}, {1.0, 1.0}}, bad), std::invalid_argument) << bad;
+  }
 }
 
 TEST(GridIndex, EmptyInput) {
   std::vector<Vec2> pts;
   const GridIndex index(pts, Box{{0.0, 0.0}, {1.0, 1.0}}, 1.0);
-  EXPECT_TRUE(index.query_radius({0.5, 0.5}, 10.0).empty());
+  EXPECT_TRUE(grid_radius(index, {0.5, 0.5}, 10.0).empty());
 }
 
 class KdTreeParamTest : public ::testing::TestWithParam<std::uint64_t> {};
@@ -135,7 +133,7 @@ TEST_P(KdTreeParamTest, NearestMatchesBruteForce) {
   for (int t = 0; t < 30; ++t) {
     const Vec2 q{rng.uniform(0.0, 10.0), rng.uniform(0.0, 10.0)};
     const std::size_t k = 1 + rng.uniform_index(20);
-    const auto got = tree.nearest(q, k);
+    const auto got = kd_nearest(tree, q, k);
     // Oracle: sort all points by (distance, index).
     std::vector<std::uint32_t> want(pts.size());
     for (std::uint32_t i = 0; i < pts.size(); ++i) want[i] = i;
@@ -153,51 +151,40 @@ INSTANTIATE_TEST_SUITE_P(Seeds, KdTreeParamTest, ::testing::Range<std::uint64_t>
 TEST(KdTree, ExcludeSelf) {
   const auto pts = random_points(100, 3);
   const KdTree tree(pts);
-  const auto got = tree.nearest(pts[17], 5, 17);
+  const auto got = kd_nearest(tree, pts[17], 5, 17);
   for (const auto idx : got) EXPECT_NE(idx, 17u);
   // Without exclusion, the point itself comes first (distance 0).
-  EXPECT_EQ(tree.nearest(pts[17], 1).front(), 17u);
+  EXPECT_EQ(kd_nearest(tree, pts[17], 1).front(), 17u);
 }
 
 TEST(KdTree, KLargerThanN) {
   const auto pts = random_points(10, 8);
   const KdTree tree(pts);
-  EXPECT_EQ(tree.nearest({5.0, 5.0}, 50).size(), 10u);
-  EXPECT_EQ(tree.nearest({5.0, 5.0}, 50, 3).size(), 9u);
+  EXPECT_EQ(kd_nearest(tree, {5.0, 5.0}, 50).size(), 10u);
+  EXPECT_EQ(kd_nearest(tree, {5.0, 5.0}, 50, 3).size(), 9u);
 }
 
 TEST(KdTree, DuplicatePointsTieBreakByIndex) {
   std::vector<Vec2> pts{{1.0, 1.0}, {1.0, 1.0}, {1.0, 1.0}, {2.0, 2.0}};
   const KdTree tree(pts);
-  const auto got = tree.nearest({1.0, 1.0}, 3);
+  const auto got = kd_nearest(tree, {1.0, 1.0}, 3);
   EXPECT_EQ(got, (std::vector<std::uint32_t>{0, 1, 2}));
-}
-
-TEST(KdTree, RadiusQueryMatchesBruteForce) {
-  const auto pts = random_points(500, 5);
-  const KdTree tree(pts);
-  Rng rng(55);
-  for (int t = 0; t < 25; ++t) {
-    const Vec2 q{rng.uniform(0.0, 10.0), rng.uniform(0.0, 10.0)};
-    const double r = rng.uniform(0.2, 2.5);
-    EXPECT_EQ(tree.query_radius(q, r), brute_radius(pts, q, r));
-  }
 }
 
 TEST(KdTree, EmptyAndZeroK) {
   std::vector<Vec2> none;
   const KdTree tree(none);
-  EXPECT_TRUE(tree.nearest({0.0, 0.0}, 3).empty());
+  EXPECT_TRUE(kd_nearest(tree, {0.0, 0.0}, 3).empty());
   const auto pts = random_points(5, 1);
   const KdTree t2(pts);
-  EXPECT_TRUE(t2.nearest({0.0, 0.0}, 0).empty());
+  EXPECT_TRUE(kd_nearest(t2, {0.0, 0.0}, 0).empty());
 }
 
-// --- scratch-buffer overloads --------------------------------------------
+// --- scratch reuse --------------------------------------------------------
 
-// `nearest_into` must equal `nearest` with one scratch reused across
-// adversarial queries: duplicates, k >= n, exclusion, mixed k sizes (the
-// sorted-array and heap candidate strategies share one scratch).
+// `nearest_into` with one scratch reused across adversarial queries must
+// equal a fresh-scratch run: duplicates, k >= n, exclusion, mixed k sizes
+// (the sorted-array and heap candidate strategies share one scratch).
 TEST(KdTree, NearestIntoMatchesNearestOnAdversarialInputs) {
   std::vector<Vec2> pts{{1.0, 1.0}, {1.0, 1.0}, {1.0, 1.0}, {2.0, 2.0}, {1.0, 1.0}};
   const KdTree tree(pts);
@@ -209,9 +196,9 @@ TEST(KdTree, NearestIntoMatchesNearestOnAdversarialInputs) {
   EXPECT_EQ(out, (std::vector<std::uint32_t>{0, 2, 4}));
   // k >= n, with and without exclusion.
   EXPECT_EQ(tree.nearest_into({0.0, 0.0}, 50, KdTree::npos, scratch, out), 5u);
-  EXPECT_EQ(out, tree.nearest({0.0, 0.0}, 50));
+  EXPECT_EQ(out, kd_nearest(tree, {0.0, 0.0}, 50));
   EXPECT_EQ(tree.nearest_into({0.0, 0.0}, 50, 3, scratch, out), 4u);
-  EXPECT_EQ(out, tree.nearest({0.0, 0.0}, 50, 3));
+  EXPECT_EQ(out, kd_nearest(tree, {0.0, 0.0}, 50, 3));
   // Alternating k across the sorted-array / heap strategy threshold with
   // the same scratch.
   const auto big = random_points(400, 99);
@@ -221,22 +208,8 @@ TEST(KdTree, NearestIntoMatchesNearestOnAdversarialInputs) {
     const Vec2 q{rng.uniform(0.0, 10.0), rng.uniform(0.0, 10.0)};
     for (const std::size_t k : {3ul, 60ul, 17ul, 200ul}) {
       btree.nearest_into(q, k, KdTree::npos, scratch, out);
-      EXPECT_EQ(out, btree.nearest(q, k));
+      EXPECT_EQ(out, kd_nearest(btree, q, k));
     }
-  }
-}
-
-TEST(KdTree, QueryRadiusIntoMatchesQueryRadius) {
-  const auto pts = random_points(300, 21);
-  const KdTree tree(pts);
-  KdTree::QueryScratch scratch;
-  std::vector<std::uint32_t> out;
-  Rng rng(212);
-  for (int t = 0; t < 20; ++t) {
-    const Vec2 q{rng.uniform(0.0, 10.0), rng.uniform(0.0, 10.0)};
-    const double r = rng.uniform(0.2, 2.0);
-    tree.query_radius_into(q, r, scratch, out);
-    EXPECT_EQ(out, brute_radius(pts, q, r));
   }
 }
 
@@ -258,12 +231,12 @@ TEST_P(GridKnnParamTest, MatchesKdTreeOracle) {
     for (int t = 0; t < 15; ++t) {
       const Vec2 q{rng.uniform(-1.0, 11.0), rng.uniform(-1.0, 11.0)};
       grid.nearest_into(q, k, GridKnn::npos, scratch, got);
-      EXPECT_EQ(got, tree.nearest(q, k)) << "k=" << k;
+      EXPECT_EQ(got, kd_nearest(tree, q, k)) << "k=" << k;
     }
     // Self-queries with exclusion — the batched builder's workload.
     for (std::uint32_t i = 0; i < 25; ++i) {
       grid.nearest_into(pts[i], k, i, scratch, got);
-      EXPECT_EQ(got, tree.nearest(pts[i], k, i)) << "k=" << k << " i=" << i;
+      EXPECT_EQ(got, kd_nearest(tree, pts[i], k, i)) << "k=" << k << " i=" << i;
     }
   }
 }
@@ -556,7 +529,7 @@ TEST(GridKnn, CollinearPoints) {
   std::vector<std::uint32_t> out;
   for (std::uint32_t i = 0; i < pts.size(); ++i) {
     grid.nearest_into(pts[i], 5, i, scratch, out);
-    EXPECT_EQ(out, tree.nearest(pts[i], 5, i));
+    EXPECT_EQ(out, kd_nearest(tree, pts[i], 5, i));
   }
 }
 
