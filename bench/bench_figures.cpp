@@ -67,13 +67,8 @@ int main(int argc, char** argv) {
   for (std::int32_t y = 0; y < grid.height() && !shown; ++y) {
     for (std::int32_t x = 0; x + 1 < grid.width() && !shown; ++x) {
       if (!grid.open({x, y}) || !grid.open({x + 1, y})) continue;
-      const std::size_t idx = udg.overlay.tile_index({x, y});
-      const std::size_t nidx = udg.overlay.tile_index({x + 1, y});
-      std::vector<std::uint32_t> path{udg.overlay.rep_node[idx],
-                                      udg.overlay.exit_chain[idx][0].back(),
-                                      udg.overlay.exit_chain[nidx][1].back(),
-                                      udg.overlay.rep_node[nidx]};
-      path.erase(std::unique(path.begin(), path.end()), path.end());
+      std::vector<std::uint32_t> path;
+      udg.overlay.append_tile_hop({x, y}, {x + 1, y}, path);
       print_path(udg.overlay, path);
       shown = true;
     }
@@ -87,14 +82,8 @@ int main(int argc, char** argv) {
   for (std::int32_t y = 0; y < ngrid.height() && !shown; ++y) {
     for (std::int32_t x = 0; x + 1 < ngrid.width() && !shown; ++x) {
       if (!ngrid.open({x, y}) || !ngrid.open({x + 1, y})) continue;
-      const std::size_t idx = nn.overlay.tile_index({x, y});
-      const std::size_t nidx = nn.overlay.tile_index({x + 1, y});
-      std::vector<std::uint32_t> path{nn.overlay.rep_node[idx]};
-      for (const auto v : nn.overlay.exit_chain[idx][0]) path.push_back(v);
-      const auto& back = nn.overlay.exit_chain[nidx][1];
-      for (auto it = back.rbegin(); it != back.rend(); ++it) path.push_back(*it);
-      path.push_back(nn.overlay.rep_node[nidx]);
-      path.erase(std::unique(path.begin(), path.end()), path.end());
+      std::vector<std::uint32_t> path;
+      nn.overlay.append_tile_hop({x, y}, {x + 1, y}, path);
       print_path(nn.overlay, path);
       shown = true;
     }

@@ -4,7 +4,6 @@
 
 #include "sens/graph/bfs.hpp"
 #include "sens/rng/rng.hpp"
-#include "sens/tiles/udg_tile.hpp"
 
 namespace sens {
 
@@ -63,19 +62,9 @@ ClaimCheck check_adjacent_tile_paths(const Overlay& overlay) {
         if (!grid.in_bounds(n) || !grid.open(n)) continue;
         ++check.adjacent_good_pairs;
 
-        // The prescribed path: rep -> exit chain -> reversed neighbor exit
-        // chain -> neighbor rep; all consecutive pairs must be overlay edges.
-        const std::size_t idx = overlay.tile_index(s);
-        const std::size_t nidx = overlay.tile_index(n);
-        std::vector<std::uint32_t> path{overlay.rep_node[idx]};
-        for (std::uint32_t node : overlay.exit_chain[idx][static_cast<std::size_t>(dir)])
-          path.push_back(node);
-        const auto& back_chain =
-            overlay.exit_chain[nidx][static_cast<std::size_t>(opposite_dir(dir))];
-        for (auto it = back_chain.rbegin(); it != back_chain.rend(); ++it) path.push_back(*it);
-        path.push_back(overlay.rep_node[nidx]);
-        // Collapse duplicate shared nodes (a point can hold two roles).
-        path.erase(std::unique(path.begin(), path.end()), path.end());
+        // Every consecutive pair of the prescribed path must be an overlay edge.
+        std::vector<std::uint32_t> path;
+        overlay.append_tile_hop(s, n, path);
 
         bool realized = true;
         double worst_edge = 0.0;

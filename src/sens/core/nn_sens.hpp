@@ -1,12 +1,15 @@
 // NN-SENS(2, k) construction (Section 2.2).
 //
-// Same pipeline as UDG-SENS with two differences:
+// The tile pipeline shared with UDG-SENS (DESIGN.md §1.1), with three
+// differences:
 //   * points are sampled on a window enlarged by a buffer so that k-NN
 //     neighborhoods of interior tiles are not distorted by the boundary;
-//   * overlay edges must exist in the k-NN graph NN(2, k). Existence is
-//     checked against actual k-nearest selections (edge {u,v} exists iff
-//     v in kNN(u) or u in kNN(v)), queried on demand from a kd-tree —
-//     the full 3M-edge CSR graph is never materialized.
+//   * each exit chain has two relays (E, then C) and goodness also caps
+//     the tile at k/2 points;
+//   * the link test: overlay edges must exist in the k-NN graph NN(2, k).
+//     Existence is checked against actual k-nearest selections (edge {u,v}
+//     exists iff v in kNN(u) or u in kNN(v)), queried on demand from a
+//     kd-tree — the full 3M-edge CSR graph is never materialized.
 //
 // Per Claim 2.3, when adjacent tiles are both good the 5-edge path
 // rep - E relay - C relay - C' relay - E' relay - rep' is guaranteed; the

@@ -8,17 +8,23 @@
 //   * the site-percolation configuration (`sites`) the tiles induce,
 //   * per-tile exit chains that realize a tile-level mesh hop as a node
 //     path (rep -> relays -> boundary), used by SensRouter.
-// Edges are inserted only when the corresponding base-graph edge actually
-// exists; `edges_missing` counts the claim violations (see DESIGN.md §1.1).
+//
+// Both models assemble it in one code path (DESIGN.md §1.1):
+// `overlay_skeleton` numbers the elected nodes, fills reps and exit chains
+// and lists the prescribed edges; the model's link test marks which of them
+// the base graph realizes; `finish_overlay` builds the graph. Edges are
+// inserted only when realized; `edges_missing` counts the claim violations.
 #pragma once
 
 #include <array>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "sens/geograph/geo_graph.hpp"
 #include "sens/graph/components.hpp"
 #include "sens/perc/site_grid.hpp"
+#include "sens/tiles/classify.hpp"
 #include "sens/tiles/tiling.hpp"
 
 namespace sens {
@@ -52,8 +58,6 @@ struct Overlay {
 
   // --- convenience ---
 
-  [[nodiscard]] static constexpr std::uint32_t no_node() { return 0xffffffffu; }
-
   [[nodiscard]] std::size_t tile_index(Site s) const {
     return static_cast<std::size_t>(s.y) * static_cast<std::size_t>(window.width) +
            static_cast<std::size_t>(s.x);
@@ -65,7 +69,7 @@ struct Overlay {
   /// component (i.e. the tile participates in the SENS subgraph).
   [[nodiscard]] bool rep_in_giant(Site s) const {
     const std::uint32_t r = rep_of(s);
-    return r != no_node() && comps.in_largest(r);
+    return r != kNoNode && comps.in_largest(r);
   }
 
   /// Sites whose representatives lie in the largest overlay component.
@@ -73,6 +77,42 @@ struct Overlay {
 
   /// Overlay nodes of the largest component.
   [[nodiscard]] std::size_t giant_size() const { return comps.largest_size(); }
+
+  /// Append the prescribed node path of the hop between lattice-adjacent
+  /// good tiles `from` -> `to`: rep(from), from's exit chain toward `to`,
+  /// to's facing exit chain reversed, rep(to). A node equal to the path's
+  /// last node is skipped (one point may hold two consecutive roles), so
+  /// appending successive hops yields one repeat-free route.
+  void append_tile_hop(Site from, Site to, std::vector<std::uint32_t>& path) const;
 };
+
+/// One prescribed overlay edge in overlay node ids — an in-tile chain link
+/// or a facing-relay handshake — with the model's verdict on whether the
+/// base graph realizes it.
+struct PrescribedEdge {
+  std::uint32_t a = 0;
+  std::uint32_t b = 0;
+  bool linked = false;
+};
+
+/// An overlay with nodes, reps and exit chains in place and its prescribed
+/// edges not yet realized.
+struct OverlaySkeleton {
+  Overlay overlay;
+  std::vector<PrescribedEdge> edges;
+};
+
+/// Walk the good tiles of `cls` in window order: number the rep and every
+/// exit-chain leader (deduplicated, first use first), fill rep_node and
+/// exit_chain, and prescribe rep -> chain links inside each tile, then the
+/// facing-relay pair of every adjacent good pair (+x, +y). The chain toward
+/// dir is TileLeaders slot {dir+1} (UDG), or {dir+5, dir+1} with
+/// `e_relays` (NN). Pairs of one node with itself are not prescribed.
+[[nodiscard]] OverlaySkeleton overlay_skeleton(const TileClassification& cls, double tile_side,
+                                               bool e_relays);
+
+/// Count and insert the linked edges, attach the node points and label
+/// components.
+[[nodiscard]] Overlay finish_overlay(OverlaySkeleton skeleton, std::span<const Vec2> points);
 
 }  // namespace sens

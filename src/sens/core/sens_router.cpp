@@ -1,21 +1,8 @@
 #include "sens/core/sens_router.hpp"
 
-#include <algorithm>
 #include <cmath>
 
-#include "sens/tiles/udg_tile.hpp"
-
 namespace sens {
-
-namespace {
-/// Direction index (kDirVec convention) of the unit step from a to b.
-int step_dir(Site a, Site b) {
-  if (b.x == a.x + 1 && b.y == a.y) return 0;
-  if (b.x == a.x - 1 && b.y == a.y) return 1;
-  if (b.x == a.x && b.y == a.y + 1) return 2;
-  return 3;
-}
-}  // namespace
 
 SensRoute SensRouter::route(Site src, Site dst) const {
   SensRouteScratch scratch;
@@ -31,20 +18,8 @@ SensRoute SensRouter::route(Site src, Site dst, SensRouteScratch& scratch) const
 
   const Overlay& ov = *overlay_;
   out.node_path.push_back(ov.rep_of(src));
-  for (std::size_t i = 1; i < mesh_route.path.size(); ++i) {
-    const Site a = mesh_route.path[i - 1];
-    const Site b = mesh_route.path[i];
-    const int dir = step_dir(a, b);
-    // rep(a) -> exit chain of a toward dir -> reversed chain of b -> rep(b).
-    for (const std::uint32_t node : ov.exit_chain[ov.tile_index(a)][static_cast<std::size_t>(dir)])
-      out.node_path.push_back(node);
-    const auto& back = ov.exit_chain[ov.tile_index(b)][static_cast<std::size_t>(opposite_dir(dir))];
-    for (auto it = back.rbegin(); it != back.rend(); ++it) out.node_path.push_back(*it);
-    out.node_path.push_back(ov.rep_node[ov.tile_index(b)]);
-  }
-  // A node may play two consecutive roles; collapse repeats.
-  out.node_path.erase(std::unique(out.node_path.begin(), out.node_path.end()),
-                      out.node_path.end());
+  for (std::size_t i = 1; i < mesh_route.path.size(); ++i)
+    ov.append_tile_hop(mesh_route.path[i - 1], mesh_route.path[i], out.node_path);
 
   for (std::size_t i = 1; i < out.node_path.size(); ++i) {
     const double d = ov.geo.edge_length(out.node_path[i - 1], out.node_path[i]);

@@ -2,12 +2,14 @@
 // equivalent of the distributed protocol in sens/runtime).
 //
 // Pipeline: Poisson points -> tile classification (goodness + per-region
-// leader election) -> overlay graph over the elected reps/relays. Overlay
-// edges follow Figure 7: rep(t)-relay(t, dir) inside every good tile and
+// leader election) -> overlay graph over the elected reps/relays, through
+// the tile pipeline shared with NN-SENS (DESIGN.md §1.1). Overlay edges
+// follow Figure 7: rep(t)-relay(t, dir) inside every good tile and
 // relay(t, dir)-relay(t', opposite) across every pair of adjacent good
-// tiles. An edge is realized only when the two nodes are within the UDG
-// link radius; with the strict() spec this always holds (Claim 2.1), with
-// the paper() spec violations are possible and are counted.
+// tiles. This file contributes only the link test: an edge is realized
+// when the two nodes are within the UDG link radius; with the strict()
+// spec this always holds (Claim 2.1), with the paper() spec violations are
+// possible and are counted.
 #pragma once
 
 #include <cstdint>

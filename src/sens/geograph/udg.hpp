@@ -11,7 +11,8 @@ namespace sens {
 
 /// Build the unit-disk graph over `points` inside `bounds` with connection
 /// radius `radius` (grid-accelerated; O(n) expected for Poisson inputs).
-/// Throws std::invalid_argument unless `radius` is finite and > 0.
+/// Throws std::invalid_argument unless `radius` is finite and > 0 and every
+/// point coordinate is finite.
 [[nodiscard]] GeoGraph build_udg(std::span<const Vec2> points, Box bounds, double radius = 1.0);
 
 }  // namespace sens

@@ -5,7 +5,6 @@
 
 #include "sens/runtime/radio.hpp"
 #include "sens/runtime/sim.hpp"
-#include "sens/support/parallel.hpp"
 
 namespace sens {
 
@@ -30,7 +29,7 @@ struct NodeState {
   std::uint32_t tile = kNoNode;                       // window tile index (or kNoNode)
   std::vector<std::uint8_t> slots;                    // region slots held in `tile`
   std::unordered_map<std::uint64_t, std::uint32_t> best;  // election best per role
-  std::array<std::uint32_t, 9> heard{};               // leader per slot of own tile
+  TileLeaders heard = kNoLeaders;                     // leader per slot of own tile
   std::uint32_t present_heard = 0;                    // same-tile PRESENT count
   std::uint8_t armed_dirs = 0;                        // boundary relay: bitmask of directions
 };
@@ -48,13 +47,12 @@ class ConstructEngine {
     radio_.set_receiver([this](const Message& m) { on_receive(m); });
   }
 
-  void set_roles(const std::vector<std::pair<std::uint32_t, unsigned>>& tile_and_mask) {
+  void set_roles(const std::vector<TileRole>& roles) {
     state_.assign(net_->size(), NodeState{});
     for (std::uint32_t v = 0; v < net_->size(); ++v) {
-      auto [tile, mask] = tile_and_mask[v];
+      const auto [tile, mask] = roles[v];
       NodeState& st = state_[v];
       st.tile = tile;
-      st.heard.fill(kNoNode);
       if (tile == kNoNode) continue;
       for (std::uint8_t slot = 0; slot < 9; ++slot) {
         if (mask & (1u << slot)) {
@@ -68,9 +66,7 @@ class ConstructEngine {
   ConstructOutcome run() {
     ConstructOutcome result;
     outcome_ = &result;
-    result.leaders.assign(window_.tile_count(),
-                          {kNoNode, kNoNode, kNoNode, kNoNode, kNoNode, kNoNode, kNoNode, kNoNode,
-                           kNoNode});
+    result.leaders.assign(window_.tile_count(), kNoLeaders);
     result.tile_good.assign(window_.tile_count(), 0);
 
     // --- Phase 1: elections (and PRESENT counting for the NN cap) ---
@@ -267,18 +263,9 @@ ConstructOutcome run_udg_construction(const GeoGraph& udg, const UdgTileSpec& sp
                                       TileWindow window) {
   ConstructEngine engine(udg, window, /*nn_mode=*/false, /*required_slots=*/5,
                          /*occupancy_cap=*/0);
-  const Tiling tiling(spec.side);
-  // Role assignment (tile + region mask per node) is a pure point-in-region
-  // test per vertex — batched over the parallel layer; the protocol itself
-  // stays sequential (it is an event simulation).
-  const auto roles = parallel_map<std::pair<std::uint32_t, unsigned>>(
-      udg.size(), [&](std::size_t v) -> std::pair<std::uint32_t, unsigned> {
-        const TileCoord t = tiling.tile_of(udg.points[v]);
-        if (!window.contains(t)) return {kNoNode, 0u};
-        const unsigned mask = udg_region_mask(spec, tiling.local(udg.points[v], t));
-        return {static_cast<std::uint32_t>(window.index(t)), mask};
-      });
-  engine.set_roles(roles);
+  // Role assignment is the shared role pass of tile classification; the
+  // protocol itself stays sequential (it is an event simulation).
+  engine.set_roles(tile_roles(spec, udg.points, window));
   return engine.run();
 }
 
@@ -286,15 +273,7 @@ ConstructOutcome run_nn_construction(const GeoGraph& knn, const NnTileSpec& spec
                                      TileWindow window) {
   ConstructEngine engine(knn, window, /*nn_mode=*/true, /*required_slots=*/9,
                          spec.max_occupancy());
-  const Tiling tiling(spec.side());
-  const auto roles = parallel_map<std::pair<std::uint32_t, unsigned>>(
-      knn.size(), [&](std::size_t v) -> std::pair<std::uint32_t, unsigned> {
-        const TileCoord t = tiling.tile_of(knn.points[v]);
-        if (!window.contains(t)) return {kNoNode, 0u};
-        const unsigned mask = spec.region_mask(tiling.local(knn.points[v], t));
-        return {static_cast<std::uint32_t>(window.index(t)), mask};
-      });
-  engine.set_roles(roles);
+  engine.set_roles(tile_roles(spec, knn.points, window));
   return engine.run();
 }
 

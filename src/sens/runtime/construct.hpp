@@ -1,7 +1,9 @@
 // Distributed execution of the network-formation algorithm (Figure 7).
 //
 // Every node knows only its own coordinates (the paper's GPS assumption)
-// and can exchange messages with its base-graph neighbors. The protocol
+// and can exchange messages with its base-graph neighbors. Each node's tile
+// and region memberships come from the role pass shared with centralized
+// classification (`tile_roles`, sens/tiles/classify.hpp). The protocol
 // runs in four phases, each driven to quiescence on the event simulator
 // (a synchronous-rounds idealization of the timeout a deployment would use):
 //
@@ -26,7 +28,6 @@
 // reproduces the centralized overlay bit for bit.
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <utility>
 #include <vector>
@@ -42,10 +43,9 @@ namespace sens {
 struct ConstructOutcome {
   /// Tile goodness as decided by the representatives (P4, local rule).
   std::vector<std::uint8_t> tile_good;
-  /// Elected leader (base node id) per tile and slot; kNoNode when absent.
-  /// Slot layout: 0 = rep; 1..4 = boundary relay toward dir (UDG relay /
-  /// NN C relay); 5..8 = NN E relay toward dir.
-  std::vector<std::array<std::uint32_t, 9>> leaders;
+  /// Elected leaders per tile, in the TileLeaders slot layout of tile
+  /// classification (sens/tiles/classify.hpp).
+  std::vector<TileLeaders> leaders;
   /// Overlay edges as base-node id pairs (u < v, sorted, deduplicated).
   std::vector<std::pair<std::uint32_t, std::uint32_t>> edges;
 

@@ -15,7 +15,13 @@ GridIndex::GridIndex(std::span<const Vec2> points, Box bounds, double cell_size)
 
   const std::size_t cells = nx_ * ny_;
   std::vector<std::uint32_t> counts(cells, 0);
-  for (const Vec2& p : points_) ++counts[cell_of(p)];
+  for (const Vec2& p : points_) {
+    // A non-finite coordinate has no cell: its cast in cell_of would be UB.
+    if (!(std::isfinite(p.x) && std::isfinite(p.y))) {
+      throw std::invalid_argument("GridIndex: point coordinates must be finite");
+    }
+    ++counts[cell_of(p)];
+  }
 
   offsets_.assign(cells + 1, 0);
   for (std::size_t c = 0; c < cells; ++c) offsets_[c + 1] = offsets_[c] + counts[c];

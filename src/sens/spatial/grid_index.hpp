@@ -26,8 +26,8 @@ namespace sens {
 class GridIndex {
  public:
   /// Builds an index over `points` with cells of side `cell_size` (finite
-  /// and > 0, else std::invalid_argument). Points outside `bounds` are
-  /// clamped into the edge cells.
+  /// and > 0) and finite point coordinates, else std::invalid_argument.
+  /// Points outside `bounds` are clamped into the edge cells.
   GridIndex(std::span<const Vec2> points, Box bounds, double cell_size);
 
   /// Invoke `visit(j)` for every point j with dist(points[j], q) <= radius.

@@ -3,9 +3,12 @@
 // classification *is* a site-percolation configuration (SiteGrid), and the
 // elected representatives/relays are the overlay nodes.
 //
-// Leader election here is the centralized equivalent of the distributed
-// flood-min protocol in sens/runtime: the member with the smallest point
-// index wins. The runtime integration test asserts the two agree.
+// UDG-SENS and NN-SENS share one pipeline (DESIGN.md §1.1). The role pass
+// (`tile_roles`) maps every point to its window tile and region mask;
+// classification folds those roles in point order, electing the smallest
+// point index per (tile, slot) — the centralized equivalent of the
+// distributed flood-min protocol in sens/runtime, which consumes the same
+// role pass. The runtime integration test asserts the two agree.
 #pragma once
 
 #include <array>
@@ -22,45 +25,56 @@ namespace sens {
 
 inline constexpr std::uint32_t kNoNode = 0xffffffffu;
 
-/// Elected nodes of one UDG tile: representative + one relay per direction.
-struct UdgTileNodes {
-  std::uint32_t rep = kNoNode;
-  std::array<std::uint32_t, 4> relay{kNoNode, kNoNode, kNoNode, kNoNode};
+/// Elected base point per region slot of one tile (kNoNode: region empty).
+/// Slot s is bit s of `udg_region_mask` / `NnTileSpec::region_mask`:
+///   0     representative (C0);
+///   1..4  boundary relay toward dir 0..3 (UDG relay / NN C relay);
+///   5..8  NN E relay toward dir 0..3 (always empty for UDG).
+using TileLeaders = std::array<std::uint32_t, 9>;
+
+inline constexpr TileLeaders kNoLeaders{kNoNode, kNoNode, kNoNode, kNoNode, kNoNode,
+                                        kNoNode, kNoNode, kNoNode, kNoNode};
+
+/// One point's role: its window tile index (kNoNode outside the window) and
+/// its region mask within that tile.
+struct TileRole {
+  std::uint32_t tile = kNoNode;
+  unsigned mask = 0;
 };
 
-/// Elected nodes of one NN tile: representative + C relay and E relay per
-/// direction (Figure 5's nine regions).
-struct NnTileNodes {
-  std::uint32_t rep = kNoNode;
-  std::array<std::uint32_t, 4> c_relay{kNoNode, kNoNode, kNoNode, kNoNode};
-  std::array<std::uint32_t, 4> e_relay{kNoNode, kNoNode, kNoNode, kNoNode};
-};
+/// The role pass, one entry per point (parallel over points; identical at
+/// any thread count). Throws std::invalid_argument on a NaN or infinite
+/// coordinate, or one too large for a tile index.
+[[nodiscard]] std::vector<TileRole> tile_roles(const UdgTileSpec& spec,
+                                               std::span<const Vec2> points, TileWindow window);
+[[nodiscard]] std::vector<TileRole> tile_roles(const NnTileSpec& spec,
+                                               std::span<const Vec2> points, TileWindow window);
 
-struct UdgClassification {
-  UdgTileSpec spec;
+/// Per-tile outcome shared by both models, all vectors in window.index
+/// order. Leaders are elected in every tile, good or bad.
+struct TileClassification {
   TileWindow window;
-  std::vector<std::uint8_t> good;      ///< per tile (window.index order)
-  std::vector<UdgTileNodes> nodes;     ///< per tile
+  std::vector<std::uint8_t> good;
+  std::vector<TileLeaders> leaders;
   std::vector<std::uint32_t> occupancy;  ///< points per tile
 
   [[nodiscard]] SiteGrid site_grid() const;
   [[nodiscard]] std::size_t good_count() const;
 };
 
-struct NnClassification {
+/// Good = all five regions occupied.
+struct UdgClassification : TileClassification {
+  UdgTileSpec spec;
+};
+
+/// Good = all nine regions occupied and at most k/2 points in the tile.
+struct NnClassification : TileClassification {
   double a = 0.0;
   std::size_t k = 0;
-  TileWindow window;
-  std::vector<std::uint8_t> good;
-  std::vector<NnTileNodes> nodes;
-  std::vector<std::uint32_t> occupancy;
-
-  [[nodiscard]] SiteGrid site_grid() const;
-  [[nodiscard]] std::size_t good_count() const;
 };
 
 /// Classify `points` over the tile window. Points outside the window are
-/// ignored (they belong to the buffer).
+/// ignored (they belong to the buffer). Both throw like `tile_roles`.
 [[nodiscard]] UdgClassification classify_udg(const UdgTileSpec& spec, std::span<const Vec2> points,
                                              TileWindow window);
 

@@ -74,11 +74,11 @@ TEST(UdgSens, SiteGridMatchesClassification) {
 TEST(UdgSens, RepNodesExistExactlyOnGoodTiles) {
   const UdgSensResult r = small_build(4);
   for (std::size_t idx = 0; idx < r.classification.good.size(); ++idx) {
-    const bool has_rep = r.overlay.rep_node[idx] != Overlay::no_node();
+    const bool has_rep = r.overlay.rep_node[idx] != kNoNode;
     EXPECT_EQ(has_rep, r.classification.good[idx] == 1);
     if (has_rep) {
       // Rep overlay node maps back to the elected base point.
-      EXPECT_EQ(r.overlay.base_index[r.overlay.rep_node[idx]], r.classification.nodes[idx].rep);
+      EXPECT_EQ(r.overlay.base_index[r.overlay.rep_node[idx]], r.classification.leaders[idx][0]);
     }
   }
 }

@@ -100,6 +100,15 @@ TEST(Udg, CustomRadius) {
   for (const double bad : {std::nan(""), HUGE_VAL, -HUGE_VAL}) {
     EXPECT_THROW((void)build_udg(pts, Box{{0, 0}, {4, 1}}, bad), std::invalid_argument) << bad;
   }
+  // Non-finite points are refused by the grid index the builder runs on.
+  for (const double bad : {std::nan(""), HUGE_VAL, -HUGE_VAL}) {
+    for (const Vec2 p : {Vec2{bad, 0.5}, Vec2{0.5, bad}}) {
+      std::vector<Vec2> with_bad = pts;
+      with_bad[1] = p;
+      EXPECT_THROW((void)build_udg(with_bad, Box{{0, 0}, {4, 1}}, 2.0), std::invalid_argument)
+          << bad;
+    }
+  }
 }
 
 TEST(Udg, MeanDegreeNearTheory) {

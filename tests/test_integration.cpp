@@ -45,7 +45,7 @@ TEST(Coupling, GiantClusterRepsBelongToOneOverlayComponent) {
     const Site s = r.overlay.sites.site_at(i);
     if (!labels.in_largest(s)) continue;
     const std::uint32_t rep = r.overlay.rep_of(s);
-    ASSERT_NE(rep, Overlay::no_node());
+    ASSERT_NE(rep, kNoNode);
     if (comp == 0xffffffffu) comp = r.overlay.comps.label[rep];
     EXPECT_EQ(r.overlay.comps.label[rep], comp);
     ++checked;

@@ -33,7 +33,7 @@ TEST_P(UdgLambdaGridTest, InvariantsHoldAtEveryDensity) {
   EXPECT_TRUE(std::adjacent_find(idx.begin(), idx.end()) == idx.end());
   // Rep nodes exist iff tiles are good.
   for (std::size_t i = 0; i < r.classification.good.size(); ++i)
-    EXPECT_EQ(r.overlay.rep_node[i] != Overlay::no_node(), r.classification.good[i] == 1);
+    EXPECT_EQ(r.overlay.rep_node[i] != kNoNode, r.classification.good[i] == 1);
   // Exit chains of good tiles are populated with valid overlay nodes.
   for (std::size_t i = 0; i < r.classification.good.size(); ++i) {
     if (!r.classification.good[i]) continue;

@@ -125,13 +125,11 @@ TEST_P(ConstructEquivalenceTest, UdgStrictProtocolMatchesCentralized) {
   for (std::size_t i = 0; i < proto.tile_good.size(); ++i)
     EXPECT_EQ(proto.tile_good[i], central.classification.good[i]) << "tile " << i;
 
-  // Elected leaders agree on good tiles (flood-min == min index).
+  // Elected leaders agree on good tiles, all nine slots (flood-min == min
+  // index; the NN-only slots stay empty on both sides).
   for (std::size_t i = 0; i < proto.tile_good.size(); ++i) {
     if (!proto.tile_good[i]) continue;
-    EXPECT_EQ(proto.leaders[i][0], central.classification.nodes[i].rep);
-    for (int dir = 0; dir < 4; ++dir)
-      EXPECT_EQ(proto.leaders[i][static_cast<std::size_t>(dir) + 1],
-                central.classification.nodes[i].relay[static_cast<std::size_t>(dir)]);
+    EXPECT_EQ(proto.leaders[i], central.classification.leaders[i]) << "tile " << i;
   }
 
   // Overlay edges agree exactly (compared in base-point ids).

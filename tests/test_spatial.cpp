@@ -111,10 +111,18 @@ TEST(GridIndex, PointsOutsideBoundsAreClamped) {
   EXPECT_EQ(index.size(), 3u);
 }
 
-TEST(GridIndex, InvalidCellSizeThrows) {
+TEST(GridIndex, InvalidInputThrows) {
   std::vector<Vec2> pts{{0.0, 0.0}};
   for (const double bad : {0.0, -1.0, std::nan(""), HUGE_VAL, -HUGE_VAL}) {
     EXPECT_THROW(GridIndex(pts, Box{{0.0, 0.0}, {1.0, 1.0}}, bad), std::invalid_argument) << bad;
+  }
+  // A non-finite point has no cell (the cast before the clamp would be UB).
+  for (const double bad : {std::nan(""), HUGE_VAL, -HUGE_VAL}) {
+    for (const Vec2 p : {Vec2{bad, 0.5}, Vec2{0.5, bad}}) {
+      const std::vector<Vec2> with_bad{{0.2, 0.2}, p};
+      EXPECT_THROW(GridIndex(with_bad, Box{{0.0, 0.0}, {1.0, 1.0}}, 1.0), std::invalid_argument)
+          << bad;
+    }
   }
 }
 

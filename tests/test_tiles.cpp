@@ -3,10 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <numbers>
+#include <span>
 #include <vector>
 
+#include "sens/geograph/point_set.hpp"
 #include "sens/rng/rng.hpp"
 #include "sens/tiles/classify.hpp"
 #include "sens/tiles/good_prob.hpp"
@@ -301,9 +304,9 @@ TEST(ClassifyUdg, HandCraftedTile) {
   EXPECT_EQ(cls.good[0], 1);
   EXPECT_EQ(cls.good[1], 0);
   EXPECT_EQ(cls.occupancy[0], 5u);
-  EXPECT_EQ(cls.nodes[0].rep, 0u);
-  EXPECT_EQ(cls.nodes[0].relay[0], 1u);
-  EXPECT_EQ(cls.nodes[0].relay[1], 2u);
+  EXPECT_EQ(cls.leaders[0][0], 0u);
+  EXPECT_EQ(cls.leaders[0][1], 1u);
+  EXPECT_EQ(cls.leaders[0][2], 2u);
   EXPECT_EQ(cls.good_count(), 1u);
   const SiteGrid grid = cls.site_grid();
   EXPECT_TRUE(grid.open({0, 0}));
@@ -317,7 +320,7 @@ TEST(ClassifyUdg, ElectionPicksSmallestIndex) {
   // Two candidates in C0; the first index wins.
   std::vector<Vec2> pts{c + Vec2{0.05, 0.0}, c + Vec2{0.0, 0.05}};
   const UdgClassification cls = classify_udg(s, pts, w);
-  EXPECT_EQ(cls.nodes[0].rep, 0u);
+  EXPECT_EQ(cls.leaders[0][0], 0u);
 }
 
 TEST(ClassifyNn, OccupancyCapEnforced) {
@@ -332,7 +335,7 @@ TEST(ClassifyNn, OccupancyCapEnforced) {
     pts.push_back(c + local);
   NnClassification cls = classify_nn(s, pts, w);
   EXPECT_EQ(cls.good[0], 1);
-  EXPECT_EQ(cls.nodes[0].rep, 0u);
+  EXPECT_EQ(cls.leaders[0][0], 0u);
   // Exceed the cap.
   for (int i = 0; i < 4; ++i) pts.push_back(c + Vec2{3.4 * a, 3.4 * a});
   cls = classify_nn(s, pts, w);
@@ -346,6 +349,114 @@ TEST(ClassifyTiles, PointsOutsideWindowIgnored) {
   std::vector<Vec2> pts{{-0.1, 0.3}, {5.0, 5.0}};
   const UdgClassification cls = classify_udg(s, pts, w);
   EXPECT_EQ(cls.occupancy[0], 0u);
+}
+
+TEST(ClassifyTiles, NonFiniteCoordinatesThrow) {
+  // A NaN or infinite coordinate has no tile (the floor-to-int64 cast would
+  // be UB), so the role pass refuses it — in either coordinate, for both
+  // models, and even when it is the only bad point in a large input.
+  const UdgTileSpec udg = UdgTileSpec::strict();
+  const NnTileSpec nn = NnTileSpec::paper();
+  const TileWindow w{0, 0, 2, 2};
+  for (const double bad : {std::nan(""), HUGE_VAL, -HUGE_VAL}) {
+    for (const Vec2 p : {Vec2{bad, 0.5}, Vec2{0.5, bad}}) {
+      std::vector<Vec2> pts(1000, Vec2{0.5, 0.5});
+      pts[731] = p;
+      EXPECT_THROW((void)classify_udg(udg, pts, w), std::invalid_argument) << bad;
+      EXPECT_THROW((void)classify_nn(nn, pts, w), std::invalid_argument) << bad;
+      EXPECT_THROW((void)tile_roles(udg, pts, w), std::invalid_argument) << bad;
+    }
+  }
+}
+
+// --- brute-force classification oracle ---
+
+struct OracleTile {
+  std::uint32_t occupancy = 0;
+  unsigned mask = 0;
+  std::array<std::uint32_t, 9> leaders{kNoNode, kNoNode, kNoNode, kNoNode, kNoNode,
+                                       kNoNode, kNoNode, kNoNode, kNoNode};
+};
+
+/// Per tile, rescan every point: occupancy, OR of the region masks, and the
+/// smallest point index holding each mask bit.
+template <typename MaskFn>
+std::vector<OracleTile> brute_force_tiles(std::span<const Vec2> pts, TileWindow w, double side,
+                                          MaskFn mask_of) {
+  const Tiling tiling(side);
+  std::vector<OracleTile> out(w.tile_count());
+  for (std::int32_t y = 0; y < w.height; ++y) {
+    for (std::int32_t x = 0; x < w.width; ++x) {
+      const TileCoord t = w.phi_inverse({x, y});
+      OracleTile& o = out[w.index(t)];
+      for (std::uint32_t p = 0; p < pts.size(); ++p) {
+        if (!(tiling.tile_of(pts[p]) == t)) continue;
+        ++o.occupancy;
+        const unsigned m = mask_of(tiling.local(pts[p], t));
+        o.mask |= m;
+        for (std::size_t slot = 0; slot < o.leaders.size(); ++slot)
+          if (m & (1u << slot)) o.leaders[slot] = std::min(o.leaders[slot], p);
+      }
+    }
+  }
+  return out;
+}
+
+TEST(ClassifyOracle, UdgMatchesBruteForce) {
+  const UdgTileSpec spec = UdgTileSpec::strict();
+  const Tiling tiling(spec.side);
+  const TileWindow w{1, 2, 6, 5};  // off-origin, with sampled points outside it
+  std::size_t good = 0;
+  std::size_t tiles = 0;
+  for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+    const PointSet ps = poisson_point_set(w.bounds(tiling).expanded(spec.side), 12.0, seed);
+    const UdgClassification cls = classify_udg(spec, ps.points, w);
+    const std::vector<OracleTile> oracle = brute_force_tiles(
+        ps.points, w, spec.side, [&](Vec2 local) { return udg_region_mask(spec, local); });
+    ASSERT_EQ(cls.good.size(), oracle.size());
+    for (std::size_t t = 0; t < oracle.size(); ++t) {
+      const bool expect_good = oracle[t].mask == 0x1Fu;
+      EXPECT_EQ(cls.occupancy[t], oracle[t].occupancy) << "seed " << seed << " tile " << t;
+      EXPECT_EQ(cls.good[t], expect_good ? 1 : 0) << "seed " << seed << " tile " << t;
+      EXPECT_EQ(cls.leaders[t], oracle[t].leaders) << "seed " << seed << " tile " << t;
+      good += expect_good;
+      ++tiles;
+    }
+  }
+  // Both verdicts occur, so the goodness rule is exercised either way.
+  EXPECT_GT(good, 0u);
+  EXPECT_LT(good, tiles);
+}
+
+TEST(ClassifyOracle, NnMatchesBruteForce) {
+  const TileWindow w{0, 0, 3, 3};
+  std::size_t good = 0;
+  std::size_t over_cap = 0;
+  std::size_t tiles = 0;
+  // k = 188 is the paper's spec; k = 160 caps at 80 points, near the mean
+  // tile occupancy (100 a^2 = 79.7), so the cap decides many tiles.
+  for (const std::size_t k : {std::size_t{188}, std::size_t{160}}) {
+    const NnTileSpec spec(0.893, k);
+    const Tiling tiling(spec.side());
+    const PointSet ps = poisson_point_set(w.bounds(tiling).expanded(spec.side()), 1.0, k);
+    const NnClassification cls = classify_nn(spec, ps.points, w);
+    const std::vector<OracleTile> oracle = brute_force_tiles(
+        ps.points, w, spec.side(), [&](Vec2 local) { return spec.region_mask(local); });
+    ASSERT_EQ(cls.good.size(), oracle.size());
+    for (std::size_t t = 0; t < oracle.size(); ++t) {
+      const bool under_cap = oracle[t].occupancy <= k / 2;
+      const bool expect_good = oracle[t].mask == 0x1FFu && under_cap;
+      EXPECT_EQ(cls.occupancy[t], oracle[t].occupancy) << "k " << k << " tile " << t;
+      EXPECT_EQ(cls.good[t], expect_good ? 1 : 0) << "k " << k << " tile " << t;
+      EXPECT_EQ(cls.leaders[t], oracle[t].leaders) << "k " << k << " tile " << t;
+      good += expect_good;
+      over_cap += !under_cap;
+      ++tiles;
+    }
+  }
+  EXPECT_GT(good, 0u);
+  EXPECT_GT(over_cap, 0u);
+  EXPECT_LT(good, tiles);
 }
 
 }  // namespace
