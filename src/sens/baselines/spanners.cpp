@@ -107,14 +107,14 @@ GeoGraph yao_graph(const GeoGraph& udg, std::size_t cones) {
   // each row is written by exactly one task), then compacted into directed
   // selection lists and symmetrized — no edge-pair list.
   std::vector<std::uint32_t> winner(n * cones, kNone);
-  parallel_for_chunks(n, [&](std::size_t begin, std::size_t end) {
-    // Winner-distance buffer hoisted to chunk scope: allocated once per
-    // chunk, not once per vertex.
-    std::vector<double> best_d2(cones);
+  // Winner-distance buffer as participant state: allocated once per
+  // participant, not once per chunk or vertex.
+  parallel_for_chunks<std::vector<double>>(n, [&](std::vector<double>& best_d2,
+                                                  std::size_t begin, std::size_t end) {
     for (std::size_t i = begin; i < end; ++i) {
       const auto u = static_cast<std::uint32_t>(i);
       std::uint32_t* best = winner.data() + i * cones;
-      std::fill(best_d2.begin(), best_d2.end(), std::numeric_limits<double>::infinity());
+      best_d2.assign(cones, std::numeric_limits<double>::infinity());
       for (const std::uint32_t v : udg.graph.neighbors(u)) {
         const Vec2 delta = udg.points[v] - udg.points[u];
         double angle = std::atan2(delta.y, delta.x);

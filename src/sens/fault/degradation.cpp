@@ -51,7 +51,9 @@ DegradationReport audit_degradation(const GeoGraph& geo, const Box& window,
       LandmarkOracleParams{params.num_landmarks, params.seed, params.selection});
 
   // Pair i is a pure function of (seed, i); per-pair sums fold in chunk
-  // order (§2.3), so the rates below are --threads-invariant.
+  // order (§2.3), so the rates below are --threads-invariant. The n-sized
+  // Dijkstra scratch is participant state, not per chunk: chunks usually
+  // hold one sampled pair.
   struct Acc {
     double stretch_sum = 0.0;
     std::size_t stretch_pairs = 0;
@@ -60,8 +62,9 @@ DegradationReport audit_degradation(const GeoGraph& geo, const Box& window,
   };
   const ChunkLayout layout = chunk_layout(params.sample_pairs);
   std::vector<Acc> partials(layout.count);
-  parallel_for_chunks(params.sample_pairs, [&](std::size_t begin, std::size_t end) {
-    DijkstraScratch scratch;
+  parallel_for_chunks<DijkstraScratch>(params.sample_pairs, [&](DijkstraScratch& scratch,
+                                                                 std::size_t begin,
+                                                                 std::size_t end) {
     Acc& acc = partials[layout.index_of(begin)];
     for (std::size_t i = begin; i < end; ++i) {
       Rng rng = Rng::stream(params.seed, kPairStream, i);

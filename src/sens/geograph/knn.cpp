@@ -24,27 +24,22 @@ FlatAdjacency knn_selections_flat(std::span<const Vec2> points, std::size_t k) {
 
   // GridKnn returns the same neighbor lists as KdTree::nearest_into (same
   // (distance, index) tie-break) and wins on the batched self-query
-  // workload; one scratch per chunk keeps the hot path allocation-free.
+  // workload; one scratch per participant keeps the hot path
+  // allocation-free.
   const GridKnn index(points, k);
-  auto fill = [&](std::size_t begin, std::size_t end, GridKnn::QueryScratch& scratch,
-                  std::vector<std::uint32_t>& found) {
+  struct FillScratch {
+    GridKnn::QueryScratch grid;
+    std::vector<std::uint32_t> found;
+  };
+  parallel_for_chunks<FillScratch>(n, [&](FillScratch& scratch, std::size_t begin,
+                                          std::size_t end) {
     for (std::size_t i = begin; i < end; ++i) {
-      index.nearest_into(points[i], k, static_cast<std::uint32_t>(i), scratch, found);
-      std::copy(found.begin(), found.end(),
+      index.nearest_into(points[i], k, static_cast<std::uint32_t>(i), scratch.grid,
+                         scratch.found);
+      std::copy(scratch.found.begin(), scratch.found.end(),
                 adj.neighbors.begin() + static_cast<std::ptrdiff_t>(i * deg));
     }
-  };
-  if (thread_count() == 1) {
-    GridKnn::QueryScratch scratch;
-    std::vector<std::uint32_t> found;
-    fill(0, n, scratch, found);
-  } else {
-    parallel_for_chunks(n, [&](std::size_t begin, std::size_t end) {
-      GridKnn::QueryScratch scratch;
-      std::vector<std::uint32_t> found;
-      fill(begin, end, scratch, found);
-    });
-  }
+  });
   return adj;
 }
 

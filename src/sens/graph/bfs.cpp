@@ -1,8 +1,9 @@
 #include "sens/graph/bfs.hpp"
 
+#include <stdexcept>
+
 #include "sens/obs/obs.hpp"
 #include "sens/support/parallel.hpp"
-#include "sens/support/scratch_pool.hpp"
 
 namespace sens {
 
@@ -79,17 +80,19 @@ bool bfs_path_into(const CsrGraph& g, std::uint32_t source, std::uint32_t target
 void bfs_many_into(const CsrGraph& g, std::span<const std::uint32_t> sources,
                    std::span<std::uint32_t> out) {
   const std::size_t n = g.num_vertices();
-  // Leased per-participant scratch for the same reason as
-  // dijkstra_many_into: chunks often hold one source, rows depend only on
-  // (graph, source), and the pool dies with this call so no per-thread
-  // allocation outlives it (DESIGN.md §2.4, §2.6).
-  ScratchPool<BfsScratch> scratches;
-  parallel_for_chunks(sources.size(), [&](std::size_t begin, std::size_t end) {
-    const auto scratch = scratches.acquire();
-    for (std::size_t i = begin; i < end; ++i) {
-      bfs_distances_into(g, sources[i], *scratch, out.subspan(i * n, n));
-    }
-  });
+  if (out.size() != sources.size() * n) {
+    throw std::invalid_argument("bfs_many_into: out.size() != sources.size() * n");
+  }
+  // Per-participant scratch for the same reason as dijkstra_many_into:
+  // chunks often hold one source, rows depend only on (graph, source), and
+  // the scratch dies with this call so no per-thread allocation outlives it
+  // (DESIGN.md §2.4, §2.6).
+  parallel_for_chunks<BfsScratch>(
+      sources.size(), [&](BfsScratch& scratch, std::size_t begin, std::size_t end) {
+        for (std::size_t i = begin; i < end; ++i) {
+          bfs_distances_into(g, sources[i], scratch, out.subspan(i * n, n));
+        }
+      });
 }
 
 }  // namespace sens

@@ -66,9 +66,11 @@ bool bfs_path_into(const CsrGraph& g, std::uint32_t source, std::uint32_t target
 
 /// Batched multi-source hop distances, chunk-parallel over `sources`: row i
 /// of `out` (stride n, size sources.size() * n) receives the distances from
-/// sources[i]. Rows are computed independently with scratches leased from a
-/// per-call pool (no allocation outlives the call), so the output is
-/// bit-identical at any thread count (DESIGN.md §2.4, §2.6).
+/// sources[i]. Rows are computed independently, each participant of the
+/// parallel call reusing its own scratch (no allocation outlives the call),
+/// so the output is bit-identical at any thread count (DESIGN.md §2.4,
+/// §2.6). Throws std::invalid_argument when `out` is not
+/// sources.size() * n long.
 void bfs_many_into(const CsrGraph& g, std::span<const std::uint32_t> sources,
                    std::span<std::uint32_t> out);
 

@@ -1,10 +1,11 @@
 #include "sens/graph/dijkstra.hpp"
 
 #include <algorithm>
+#include <stdexcept>
+#include <string>
 
 #include "sens/obs/obs.hpp"
 #include "sens/support/parallel.hpp"
-#include "sens/support/scratch_pool.hpp"
 
 namespace sens {
 
@@ -99,23 +100,31 @@ bool dijkstra_path_into(const CsrGraph& g, std::uint32_t source, std::uint32_t t
   return !path.empty();
 }
 
+void check_arc_weights(const CsrGraph& g, std::span<const double> arc_weights, const char* who) {
+  if (arc_weights.size() != g.num_arcs()) {
+    throw std::invalid_argument(std::string(who) + ": arc_weights.size() != num_arcs()");
+  }
+}
+
 void dijkstra_many_into(const CsrGraph& g, std::span<const std::uint32_t> sources,
                         std::span<const double> arc_weights, std::span<double> out) {
   const std::size_t n = g.num_vertices();
-  // One warm scratch per participant, leased per chunk from a pool that
-  // dies with this call — chunks frequently hold a single source, so a
-  // per-chunk scratch would pay the O(n) allocation per source, and a
-  // thread_local would retain one n-sized allocation per worker thread
-  // for the process lifetime. Rows depend only on (graph, weights,
-  // source), so scratch reuse keeps the output bit-identical at any
-  // thread count (DESIGN.md §2.4, §2.6).
-  ScratchPool<DijkstraScratch> scratches;
-  parallel_for_chunks(sources.size(), [&](std::size_t begin, std::size_t end) {
-    const auto scratch = scratches.acquire();
-    for (std::size_t i = begin; i < end; ++i) {
-      dijkstra_costs_into(g, sources[i], arc_weights, *scratch, out.subspan(i * n, n));
-    }
-  });
+  check_arc_weights(g, arc_weights, "dijkstra_many_into");
+  if (out.size() != sources.size() * n) {
+    throw std::invalid_argument("dijkstra_many_into: out.size() != sources.size() * n");
+  }
+  // One warm scratch per participant — chunks frequently hold a single
+  // source, so a per-chunk scratch would pay the O(n) allocation per
+  // source, and a thread_local would retain one n-sized allocation per
+  // worker thread for the process lifetime. Rows depend only on (graph,
+  // weights, source), so scratch reuse keeps the output bit-identical at
+  // any thread count (DESIGN.md §2.4, §2.6).
+  parallel_for_chunks<DijkstraScratch>(
+      sources.size(), [&](DijkstraScratch& scratch, std::size_t begin, std::size_t end) {
+        for (std::size_t i = begin; i < end; ++i) {
+          dijkstra_costs_into(g, sources[i], arc_weights, scratch, out.subspan(i * n, n));
+        }
+      });
 }
 
 }  // namespace sens

@@ -150,11 +150,18 @@ bool dijkstra_path_into(const CsrGraph& g, std::uint32_t source, std::uint32_t t
                         std::span<const double> arc_weights, DijkstraScratch& scratch,
                         std::vector<std::uint32_t>& path);
 
+/// Input contract of every batched weighted entry point: one weight per
+/// CSR arc. Throws std::invalid_argument (message prefixed with `who`)
+/// otherwise, before any work is dispatched.
+void check_arc_weights(const CsrGraph& g, std::span<const double> arc_weights, const char* who);
+
 /// Batched multi-source costs, chunk-parallel over `sources`: row i of
 /// `out` (stride n, size sources.size() * n) receives the costs from
-/// sources[i]. Rows are computed independently with scratches leased from a
-/// per-call pool (no allocation outlives the call), so the output is
-/// bit-identical at any thread count (DESIGN.md §2.4, §2.6).
+/// sources[i]. Rows are computed independently, each participant of the
+/// parallel call reusing its own scratch (no allocation outlives the call),
+/// so the output is bit-identical at any thread count (DESIGN.md §2.4,
+/// §2.6). Throws std::invalid_argument when `out` is not sources.size() * n
+/// long or `arc_weights` does not match the arcs.
 void dijkstra_many_into(const CsrGraph& g, std::span<const std::uint32_t> sources,
                         std::span<const double> arc_weights, std::span<double> out);
 

@@ -121,8 +121,14 @@ HngResult build_hng(std::span<const Vec2> points, const HngParams& params, std::
   }
   sel.neighbors.resize(sel.offsets[n]);
 
-  auto link = [&](std::size_t begin, std::size_t end, GridKnn::QueryScratch& scratch,
-                  std::vector<std::uint32_t>& found) {
+  // One k-NN scratch per participant (the serial path included), reused
+  // across every chunk it claims.
+  struct LinkScratch {
+    GridKnn::QueryScratch grid;
+    std::vector<std::uint32_t> found;
+  };
+  parallel_for_chunks<LinkScratch>(n, [&](LinkScratch& scratch, std::size_t begin,
+                                          std::size_t end) {
     for (std::size_t u = begin; u < end; ++u) {
       std::uint32_t* slot = sel.neighbors.data() + sel.offsets[u];
       const std::uint32_t l = r.level[u];
@@ -133,21 +139,10 @@ HngResult build_hng(std::span<const Vec2> points, const HngParams& params, std::
         continue;
       }
       hng_link_node(pyramid.level(l - 1), points[u], static_cast<std::uint32_t>(u), params.k,
-                    scratch, found);
-      std::copy(found.begin(), found.end(), slot);
+                    scratch.grid, scratch.found);
+      std::copy(scratch.found.begin(), scratch.found.end(), slot);
     }
-  };
-  if (thread_count() == 1) {
-    GridKnn::QueryScratch scratch;
-    std::vector<std::uint32_t> found;
-    link(0, n, scratch, found);
-  } else {
-    parallel_for_chunks(n, [&](std::size_t begin, std::size_t end) {
-      GridKnn::QueryScratch scratch;
-      std::vector<std::uint32_t> found;
-      link(begin, end, scratch, found);
-    });
-  }
+  });
 
   r.geo.graph = CsrGraph::from_selections(std::move(sel));
   return r;

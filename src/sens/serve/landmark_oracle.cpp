@@ -67,6 +67,8 @@ std::vector<std::uint32_t> pick_farthest(const CsrGraph& g, std::span<const doub
 
 LandmarkOracle LandmarkOracle::build(const CsrGraph& g, std::span<const double> arc_weights,
                                      const LandmarkOracleParams& params) {
+  // Checked before the farthest-point sweep, which runs Dijkstra itself.
+  check_arc_weights(g, arc_weights, "LandmarkOracle::build");
   if (g.num_vertices() == 0) return {};
   std::vector<std::uint32_t> picks =
       params.selection == LandmarkSelection::kFarthestPoint
@@ -77,6 +79,7 @@ LandmarkOracle LandmarkOracle::build(const CsrGraph& g, std::span<const double> 
 
 LandmarkOracle LandmarkOracle::build_with(const CsrGraph& g, std::span<const double> arc_weights,
                                           std::vector<std::uint32_t> landmarks) {
+  check_arc_weights(g, arc_weights, "LandmarkOracle::build_with");
   LandmarkOracle oracle;
   const std::size_t n = g.num_vertices();
   if (n == 0) return oracle;

@@ -80,7 +80,8 @@ class LandmarkOracle {
   /// Pick landmarks deterministically from the seeded rng stream and label
   /// every vertex with its exact distance to each landmark (one batched
   /// `dijkstra_many_into` sweep). `arc_weights` must be aligned with the arcs of
-  /// `g` (CsrGraph::arc_weights).
+  /// `g` (CsrGraph::arc_weights); a size mismatch throws
+  /// std::invalid_argument, as it does in `build_with`.
   [[nodiscard]] static LandmarkOracle build(const CsrGraph& g,
                                             std::span<const double> arc_weights,
                                             const LandmarkOracleParams& params);

@@ -2,16 +2,16 @@
 
 #include <numeric>
 #include <stdexcept>
+#include <string>
 
 #include "sens/obs/obs.hpp"
 #include "sens/support/parallel.hpp"
-#include "sens/support/scratch_pool.hpp"
 
 namespace sens {
 
 namespace {
 
-/// Working memory of one `routes` chunk.
+/// Working memory of one `routes` participant.
 struct RouteScratch {
   DijkstraScratch dijkstra;
   std::vector<std::uint32_t> path;
@@ -28,18 +28,31 @@ void check_ids(const CsrGraph& g, std::span<const Query> queries) {
   }
 }
 
+/// The batch buffers' input contract: one output slot per query. A short
+/// buffer would be written past its end, so the call is rejected before
+/// any dispatch (one check per call, never per query).
+void check_out_size(std::size_t out, std::size_t queries, const char* who) {
+  if (out != queries) {
+    throw std::invalid_argument(std::string(who) + ": output size != queries.size()");
+  }
+}
+
 }  // namespace
 
 ServeStats serve_batch(const CsrGraph& g, std::span<const double> weights,
                        const LandmarkOracle& oracle, double max_stretch,
                        std::span<const Query> queries, std::span<double> out,
                        std::span<Verdict> verdicts) {
+  check_arc_weights(g, weights, "serve_batch");
+  check_out_size(out.size(), queries.size(), "serve_batch (out)");
+  if (!verdicts.empty()) check_out_size(verdicts.size(), queries.size(), "serve_batch (verdicts)");
   const std::size_t n = g.num_vertices();
   const ChunkLayout layout = chunk_layout(queries.size());
   std::vector<ServeStats> partials(layout.count);
-  ScratchPool<DijkstraScratch> scratches;
-  parallel_for_chunks(queries.size(), [&](std::size_t begin, std::size_t end) {
-    const auto scratch = scratches.acquire();
+  // The per-chunk tallies stay indexed by chunk; only the fallback's
+  // Dijkstra scratch is participant state (DESIGN.md §2.4).
+  parallel_for_chunks<DijkstraScratch>(queries.size(), [&](DijkstraScratch& scratch,
+                                                            std::size_t begin, std::size_t end) {
     std::size_t tally[4] = {};  // indexed by Verdict
     SENS_OBS(std::uint32_t fallbacks = 0;)
     for (std::size_t i = begin; i < end; ++i) {
@@ -61,7 +74,7 @@ ServeStats serve_batch(const CsrGraph& g, std::span<const double> weights,
           answer = b.upper;
         } else {
           v = Verdict::kExact;
-          answer = dijkstra_cost(g, q.src, q.dst, weights, *scratch);
+          answer = dijkstra_cost(g, q.src, q.dst, weights, scratch);
           SENS_OBS(++fallbacks;)
         }
         if (answer >= kInfCost) v = Verdict::kDisconnected;
@@ -96,13 +109,13 @@ QueryEngine::QueryEngine(const CsrGraph& g, std::vector<double> arc_weights,
 
 void QueryEngine::exact_distances(std::span<const Query> queries, std::span<double> out) const {
   check_ids(*g_, queries);
-  ScratchPool<DijkstraScratch> scratches;
-  parallel_for_chunks(queries.size(), [&](std::size_t begin, std::size_t end) {
-    const auto scratch = scratches.acquire();
-    for (std::size_t i = begin; i < end; ++i) {
-      out[i] = dijkstra_cost(*g_, queries[i].src, queries[i].dst, weights_, *scratch);
-    }
-  });
+  check_out_size(out.size(), queries.size(), "QueryEngine::exact_distances");
+  parallel_for_chunks<DijkstraScratch>(
+      queries.size(), [&](DijkstraScratch& scratch, std::size_t begin, std::size_t end) {
+        for (std::size_t i = begin; i < end; ++i) {
+          out[i] = dijkstra_cost(*g_, queries[i].src, queries[i].dst, weights_, scratch);
+        }
+      });
 }
 
 ServeStats QueryEngine::estimate_distances(std::span<const Query> queries,
@@ -113,13 +126,13 @@ ServeStats QueryEngine::estimate_distances(std::span<const Query> queries,
 void QueryEngine::hop_distances(std::span<const Query> queries,
                                 std::span<std::uint32_t> out) const {
   check_ids(*g_, queries);
-  ScratchPool<BfsScratch> scratches;
-  parallel_for_chunks(queries.size(), [&](std::size_t begin, std::size_t end) {
-    const auto scratch = scratches.acquire();
-    for (std::size_t i = begin; i < end; ++i) {
-      out[i] = bfs_distance(*g_, queries[i].src, queries[i].dst, *scratch);
-    }
-  });
+  check_out_size(out.size(), queries.size(), "QueryEngine::hop_distances");
+  parallel_for_chunks<BfsScratch>(
+      queries.size(), [&](BfsScratch& scratch, std::size_t begin, std::size_t end) {
+        for (std::size_t i = begin; i < end; ++i) {
+          out[i] = bfs_distance(*g_, queries[i].src, queries[i].dst, scratch);
+        }
+      });
 }
 
 void QueryEngine::routes(std::span<const Query> queries, std::vector<std::uint32_t>& offsets,
@@ -133,15 +146,14 @@ void QueryEngine::routes(std::span<const Query> queries, std::vector<std::uint32
   const ChunkLayout layout = chunk_layout(q);
   std::vector<std::vector<std::uint32_t>> chunk_nodes(layout.count);
   offsets.assign(q + 1, 0);
-  ScratchPool<RouteScratch> scratches;
-  parallel_for_chunks(q, [&](std::size_t begin, std::size_t end) {
-    const auto scratch = scratches.acquire();
+  parallel_for_chunks<RouteScratch>(q, [&](RouteScratch& scratch, std::size_t begin,
+                                             std::size_t end) {
     std::vector<std::uint32_t>& sink = chunk_nodes[layout.index_of(begin)];
     for (std::size_t i = begin; i < end; ++i) {
-      dijkstra_path_into(*g_, queries[i].src, queries[i].dst, weights_, scratch->dijkstra,
-                         scratch->path);
-      offsets[i + 1] = static_cast<std::uint32_t>(scratch->path.size());
-      sink.insert(sink.end(), scratch->path.begin(), scratch->path.end());
+      dijkstra_path_into(*g_, queries[i].src, queries[i].dst, weights_, scratch.dijkstra,
+                         scratch.path);
+      offsets[i + 1] = static_cast<std::uint32_t>(scratch.path.size());
+      sink.insert(sink.end(), scratch.path.begin(), scratch.path.end());
     }
   });
   std::partial_sum(offsets.begin(), offsets.end(), offsets.begin());
@@ -153,13 +165,12 @@ void QueryEngine::routes(std::span<const Query> queries, std::vector<std::uint32
 std::vector<SensRoute> route_batch(const SensRouter& router,
                                    std::span<const std::pair<Site, Site>> pairs) {
   std::vector<SensRoute> out(pairs.size());
-  ScratchPool<SensRouteScratch> scratches;
-  parallel_for_chunks(pairs.size(), [&](std::size_t begin, std::size_t end) {
-    const auto scratch = scratches.acquire();
-    for (std::size_t i = begin; i < end; ++i) {
-      out[i] = router.route(pairs[i].first, pairs[i].second, *scratch);
-    }
-  });
+  parallel_for_chunks<SensRouteScratch>(
+      pairs.size(), [&](SensRouteScratch& scratch, std::size_t begin, std::size_t end) {
+        for (std::size_t i = begin; i < end; ++i) {
+          out[i] = router.route(pairs[i].first, pairs[i].second, scratch);
+        }
+      });
   return out;
 }
 

@@ -7,8 +7,10 @@
 // queries into caller-owned buffers. It is immutable after construction —
 // every method is const and allocates no shared mutable state — so one
 // engine instance serves any number of concurrent caller threads, each
-// submitting its own batches (the §2.6 serving contract). Working memory
-// comes from per-call `ScratchPool` leases; nothing survives the call.
+// submitting its own batches (the §2.6 serving contract). Working memory is
+// participant state of the parallel call (`parallel_for_chunks<State>`):
+// one scratch per participating thread, built on its first chunk, taken
+// without a lock and dropped when the call returns — nothing survives it.
 //
 // Two distance paths share one output contract:
 //   * `exact_distances` — one early-exit Dijkstra per query, chunk-parallel
@@ -77,7 +79,9 @@ struct ServeStats {
 /// go to out[i] (kInfCost for kStale and kDisconnected), verdicts to
 /// verdicts[i] unless `verdicts` is empty.
 /// Chunk-parallel and const; the obs oracle counters are flushed once per
-/// chunk (DESIGN.md §2.10).
+/// chunk (DESIGN.md §2.10). Throws std::invalid_argument, before any
+/// dispatch, when out.size() != queries.size(), when a non-empty `verdicts`
+/// has another size, or when `weights` does not match the arcs of `g`.
 ServeStats serve_batch(const CsrGraph& g, std::span<const double> weights,
                        const LandmarkOracle& oracle, double max_stretch,
                        std::span<const Query> queries, std::span<double> out,
@@ -100,14 +104,17 @@ class QueryEngine {
  public:
   /// `g` must outlive the engine; `arc_weights` is consumed (aligned with
   /// the arcs of `g`, see CsrGraph::arc_weights). Builds the landmark
-  /// oracle eagerly — construction is the only expensive step.
+  /// oracle eagerly — construction is the only expensive step. Throws
+  /// std::invalid_argument when arc_weights.size() != g.num_arcs() (the
+  /// oracle build checks it before its first Dijkstra).
   QueryEngine(const CsrGraph& g, std::vector<double> arc_weights,
               const QueryEngineParams& params = {});
 
   // --- batched forms: chunk-parallel over the batch, results written to
-  // caller-owned buffers, safe to call concurrently on one engine. The
-  // exact forms throw std::out_of_range, before any work, when a query
-  // names an id >= the vertex count ---
+  // caller-owned buffers, safe to call concurrently on one engine. Every
+  // form throws std::invalid_argument, before any work, when out.size() !=
+  // queries.size(); the exact forms throw std::out_of_range, before any
+  // work, when a query names an id >= the vertex count ---
 
   /// Exact weighted distance per query into out[i] (kInfCost when
   /// disconnected). out.size() must equal queries.size().
@@ -141,10 +148,10 @@ class QueryEngine {
 };
 
 /// Batched SENS tile routes on a shared router: one `SensRouter::route` per
-/// pair, chunk-parallel with leased scratches. The router is immutable, so
-/// any number of concurrent `route_batch` calls may share it; result i
-/// depends only on (overlay, pairs[i]) and is bit-identical at any thread
-/// count (§2.6).
+/// pair, chunk-parallel with one scratch per participant. The router is
+/// immutable, so any number of concurrent `route_batch` calls may share it;
+/// result i depends only on (overlay, pairs[i]) and is bit-identical at any
+/// thread count (§2.6).
 [[nodiscard]] std::vector<SensRoute> route_batch(const SensRouter& router,
                                                  std::span<const std::pair<Site, Site>> pairs);
 

@@ -64,7 +64,8 @@ class GridKnn {
 
   static constexpr std::uint32_t npos = 0xffffffffu;
 
-  /// Caller-owned scratch; one per thread/chunk, contents opaque.
+  /// Caller-owned scratch; one per thread or parallel-call participant
+  /// (`parallel_for_chunks<State>`), contents opaque.
   struct QueryScratch {
     struct Candidate {
       double d2;

@@ -29,8 +29,8 @@ class KdTree {
   static constexpr std::uint32_t npos = 0xffffffffu;
 
   /// Caller-owned scratch for `nearest_into`. One instance per thread (or
-  /// per chunk of a `parallel_for_chunks` body); reusing it across queries
-  /// makes the hot path allocation-free. The contents are opaque: any
+  /// participant state of a `parallel_for_chunks<State>` call); reusing it
+  /// across queries makes the hot path allocation-free. The contents are opaque: any
   /// query may clobber them.
   struct QueryScratch {
     struct Candidate {

@@ -1,8 +1,10 @@
 // Structured, deterministic fork/join parallelism (header-only).
 //
 // Monte-Carlo sweeps in this project are embarrassingly parallel over task
-// indices. The layer hands out index *chunks* from an atomic cursor to a
-// persistent worker pool and invokes the caller's lambda directly — the only
+// indices. The layer hands out index *chunks* from an atomic cursor to the
+// *participants* of a call — the calling thread plus any pool helpers that
+// join it — and each participant loops "claim the next chunk, run it" until
+// the cursor is drained. The caller's lambda is invoked directly — the only
 // type erasure is one function-pointer + context per parallel call, never a
 // `std::function` per index. Callers derive their randomness from the task
 // index alone (see sens/rng/rng.hpp), and `parallel_reduce` combines
@@ -11,7 +13,7 @@
 // threads. This follows the C++ Core Guidelines CP rules: no shared mutable
 // state inside tasks, joins are structured and exceptions propagate to the
 // caller. Nested parallel calls are safe: an inner call issued from inside a
-// parallel region runs its chunks inline, in chunk order, on the calling
+// parallel region runs as a single participant, inline on the calling
 // worker (same chunk layout, hence the same deterministic result).
 //
 // The layer is *reentrant* (DESIGN.md §2.6): top-level calls issued
@@ -26,6 +28,9 @@
 //
 // Design notes (DESIGN.md §2 records the full contract):
 //   * chunk layout: ceil(n / 1024) indices per chunk, a pure function of n;
+//   * working state (`parallel_for_chunks<State>`) is per participant, not
+//     per chunk, and takes no lock: a batch of 1024 one-query chunks pays
+//     no per-chunk synchronization beyond the cursor's fetch_add (§2.4);
 //   * the worker pool is lazy, grows to the largest helper count requested,
 //     and is shared by all concurrently active top-level calls;
 //   * `set_thread_count(1)` (or a 1-core machine) short-circuits to the
@@ -102,15 +107,16 @@ inline constexpr std::size_t kMaxChunks = 1024;
   return (n + cs - 1) / cs;
 }
 
-/// One parallel call: a function pointer + untyped context (erased once per
-/// call), an atomic cursor handing out chunks, and the first exception.
-/// `tickets` / `active` are the pool's per-job bookkeeping (§2.6): helper
-/// slots not yet claimed and helpers currently inside work(). Both are
-/// guarded by the pool mutex, never touched by the job itself.
+/// One parallel call: a participant function pointer + untyped context
+/// (erased once per call), an atomic cursor handing out chunks, and the
+/// first exception. `tickets` / `active` are the pool's per-job bookkeeping
+/// (§2.6): helper slots not yet claimed and helpers currently inside work().
+/// Both are guarded by the pool mutex, never touched by the job itself.
 struct ParallelJob {
-  using ChunkFn = void (*)(void* ctx, std::size_t begin, std::size_t end);
+  /// One participant: claims chunks with `claim` until it returns false.
+  using ParticipantFn = void (*)(void* ctx, ParallelJob& job);
 
-  ChunkFn run_chunk;
+  ParticipantFn participant;
   void* ctx;
   std::size_t n;
   std::size_t chunk;
@@ -120,25 +126,28 @@ struct ParallelJob {
   unsigned tickets = 0;  ///< unclaimed helper slots (pool mutex)
   unsigned active = 0;   ///< helpers inside work() (pool mutex)
 
-  ParallelJob(ChunkFn fn, void* context, std::size_t count, std::size_t chunk_sz)
-      : run_chunk(fn), ctx(context), n(count), chunk(chunk_sz) {}
+  ParallelJob(ParticipantFn fn, void* context, std::size_t count, std::size_t chunk_sz)
+      : participant(fn), ctx(context), n(count), chunk(chunk_sz) {}
 
-  /// Pull chunks until the cursor is exhausted. Called by the submitting
-  /// thread and every participating worker.
+  /// Claim the next chunk [begin, end); false once the cursor is drained.
+  [[nodiscard]] bool claim(std::size_t& begin, std::size_t& end) noexcept {
+    begin = cursor.fetch_add(chunk, std::memory_order_relaxed);
+    if (begin >= n) return false;
+    end = begin + chunk < n ? begin + chunk : n;
+    return true;
+  }
+
+  /// Run one participant of a pooled job: the submitting thread and every
+  /// helper call this. The first exception is kept for the caller and
+  /// drains the cursor, so every other participant stops at its next claim.
   void work() {
     const RegionGuard region;
-    for (;;) {
-      const std::size_t begin = cursor.fetch_add(chunk, std::memory_order_relaxed);
-      if (begin >= n) break;
-      const std::size_t end = begin + chunk < n ? begin + chunk : n;
-      try {
-        run_chunk(ctx, begin, end);
-      } catch (...) {
-        const std::lock_guard<std::mutex> lock(error_mutex);
-        if (!error) error = std::current_exception();
-        cursor.store(n, std::memory_order_relaxed);  // drain remaining work
-        break;
-      }
+    try {
+      participant(ctx, *this);
+    } catch (...) {
+      const std::lock_guard<std::mutex> lock(error_mutex);
+      if (!error) error = std::current_exception();
+      cursor.store(n, std::memory_order_relaxed);
     }
   }
 };
@@ -261,12 +270,14 @@ inline std::atomic<std::uint64_t>& inline_call_count() {
   return count;
 }
 
-/// Shared driver: dispatch [0, n) in chunks to `fn(ctx, begin, end)`.
-/// Serial path (single participant or nested call) walks the same chunk
-/// layout in chunk order, so reductions stay bit-identical.
-inline void run_chunked(std::size_t n, ParallelJob::ChunkFn fn, void* ctx) {
+/// The one driver behind every parallel_* call: run `fn(ctx, job)` once
+/// per participant over [0, n) in the chunk layout of `n`. The serial path
+/// (single participant or nested call) runs it once on the calling thread,
+/// which then claims every chunk in chunk order, so reductions stay
+/// bit-identical and exceptions propagate directly.
+inline void run_participants(std::size_t n, ParallelJob::ParticipantFn fn, void* ctx) {
   if (n == 0) return;
-  const std::size_t chunk = chunk_size_for(n);
+  ParallelJob job(fn, ctx, n, chunk_size_for(n));
   const std::size_t chunks = chunk_count_for(n);
   unsigned want = 0;  // participants, caller included
   {
@@ -277,22 +288,32 @@ inline void run_chunked(std::size_t n, ParallelJob::ChunkFn fn, void* ctx) {
   if (want <= 1 || in_parallel_region()) {
     inline_call_count().fetch_add(1, std::memory_order_relaxed);
     const RegionGuard region;
-    for (std::size_t begin = 0; begin < n; begin += chunk) {
-      fn(ctx, begin, begin + chunk < n ? begin + chunk : n);
-    }
+    fn(ctx, job);
     return;
   }
-  ParallelJob job(fn, ctx, n, chunk);
   WorkerPool::instance().run(job, want - 1);
   if (job.error) std::rethrow_exception(job.error);
 }
 
-template <typename Body>
-inline ParallelJob::ChunkFn make_index_trampoline() {
-  return [](void* ctx, std::size_t begin, std::size_t end) {
-    Body& body = *static_cast<Body*>(ctx);
-    for (std::size_t i = begin; i < end; ++i) body(i);
-  };
+/// Participant loop of `parallel_for_chunks<State>`: claim chunks until the
+/// cursor drains, building `State` only once a first chunk is claimed (a
+/// helper that arrives after the drain allocates nothing).
+template <typename State, typename Body>
+void run_participant(void* ctx, ParallelJob& job) {
+  Body& body = *static_cast<Body*>(ctx);
+  std::size_t begin = 0;
+  std::size_t end = 0;
+  if (!job.claim(begin, end)) return;
+  if constexpr (std::is_void_v<State>) {
+    do {
+      body(begin, end);
+    } while (job.claim(begin, end));
+  } else {
+    State state{};
+    do {
+      body(state, begin, end);
+    } while (job.claim(begin, end));
+  }
 }
 
 }  // namespace detail
@@ -336,30 +357,40 @@ inline void set_thread_count(unsigned n) {
   return out;
 }
 
+/// Invoke `body(begin, end)` for half-open chunks covering [0, n), in the
+/// deterministic chunk layout `chunk_layout(n)`. Use this when per-task
+/// state is worth hoisting out of the per-index loop.
+///
+/// With a `State` argument, `body(state, begin, end)` receives the working
+/// state of the participant running the chunk: scratch buffers a chunk
+/// needs but whose contents never reach the result (DESIGN.md §2.4), e.g.
+///
+///   parallel_for_chunks<DijkstraScratch>(
+///       n, [&](DijkstraScratch& s, std::size_t b, std::size_t e) { ... });
+///
+/// Each participant default-constructs one State on its first claimed chunk
+/// and reuses it for every later chunk it claims; the state is never shared
+/// between threads and dies when the call returns. At most thread_count()
+/// States are built per call — exactly one on the serial path. Which
+/// participant runs a chunk is scheduling-dependent, so results must not
+/// depend on what an earlier chunk left in the state; per-chunk *results*
+/// belong in slots indexed by `chunk_layout(n).index_of(begin)`.
+template <typename State = void, typename Body>
+void parallel_for_chunks(std::size_t n, Body&& body) {
+  using BodyT = std::remove_reference_t<Body>;
+  detail::run_participants(n, &detail::run_participant<State, BodyT>,
+                           const_cast<std::remove_const_t<BodyT>*>(std::addressof(body)));
+}
+
 /// Invoke `body(i)` for every i in [0, n). Order is unspecified; the call
 /// returns after all invocations complete. The first exception thrown by any
 /// task is rethrown in the caller. Safe to call from inside another parallel
 /// call (the nested loop runs inline on the calling worker).
 template <typename Body>
 void parallel_for(std::size_t n, Body&& body) {
-  using BodyT = std::remove_reference_t<Body>;
-  detail::run_chunked(n, detail::make_index_trampoline<BodyT>(),
-                      const_cast<std::remove_const_t<BodyT>*>(std::addressof(body)));
-}
-
-/// Invoke `body(begin, end)` for half-open chunks covering [0, n). Use this
-/// when per-task state (scratch buffers, RNG streams, partial accumulators)
-/// is worth hoisting out of the per-index loop. The chunk layout is the
-/// deterministic one used by `parallel_reduce`.
-template <typename Body>
-void parallel_for_chunks(std::size_t n, Body&& body) {
-  using BodyT = std::remove_reference_t<Body>;
-  detail::run_chunked(
-      n,
-      [](void* ctx, std::size_t begin, std::size_t end) {
-        (*static_cast<BodyT*>(ctx))(begin, end);
-      },
-      const_cast<std::remove_const_t<BodyT>*>(std::addressof(body)));
+  parallel_for_chunks(n, [&body](std::size_t begin, std::size_t end) {
+    for (std::size_t i = begin; i < end; ++i) body(i);
+  });
 }
 
 /// Deterministic map-reduce over [0, n): each chunk left-folds `map(i)` with
@@ -373,24 +404,13 @@ template <typename T, typename Map, typename Combine>
   static_assert(!std::is_same_v<T, bool>,
                 "parallel_reduce<bool> would race on std::vector<bool>'s packed storage; "
                 "reduce to an integer count instead");
-  if (n == 0) return init;
-  const std::size_t chunk = detail::chunk_size_for(n);
-  std::vector<T> partials(detail::chunk_count_for(n));
-  struct Ctx {
-    std::remove_reference_t<Map>* map;
-    std::remove_reference_t<Combine>* combine;
-    std::vector<T>* partials;
-    std::size_t chunk;
-  } ctx{std::addressof(map), std::addressof(combine), &partials, chunk};
-  detail::run_chunked(
-      n,
-      [](void* raw, std::size_t begin, std::size_t end) {
-        Ctx& c = *static_cast<Ctx*>(raw);
-        T acc = (*c.map)(begin);
-        for (std::size_t i = begin + 1; i < end; ++i) acc = (*c.combine)(std::move(acc), (*c.map)(i));
-        (*c.partials)[begin / c.chunk] = std::move(acc);
-      },
-      &ctx);
+  const ChunkLayout layout = chunk_layout(n);
+  std::vector<T> partials(layout.count);
+  parallel_for_chunks(n, [&](std::size_t begin, std::size_t end) {
+    T acc = map(begin);
+    for (std::size_t i = begin + 1; i < end; ++i) acc = combine(std::move(acc), map(i));
+    partials[layout.index_of(begin)] = std::move(acc);
+  });
   T total = std::move(init);
   for (T& p : partials) total = combine(std::move(total), std::move(p));
   return total;

@@ -5,6 +5,7 @@
 
 #include <cmath>
 #include <cstring>
+#include <stdexcept>
 #include <vector>
 
 #include "sens/geograph/point_set.hpp"
@@ -360,6 +361,35 @@ TEST(Dijkstra, ManyMatchesSerialAndBitIdenticalAcrossThreadCounts) {
     EXPECT_EQ(0, std::memcmp(batched.data(), serial.data(), serial.size() * sizeof(double)));
   }
   set_thread_count(0);
+}
+
+TEST(Dijkstra, ManyRejectsMisSizedOutput) {
+  // 3 sources over an n-vertex graph need 3n slots; an n-slot buffer would
+  // be written past its end, so the call throws before any row is written.
+  const CsrGraph g = path_graph(10);
+  const std::vector<double> w = g.arc_weights([](std::uint32_t, std::uint32_t) { return 1.0; });
+  const std::vector<std::uint32_t> sources = {0, 4, 9};
+  std::vector<double> out(g.num_vertices(), -1.0);
+  EXPECT_THROW(dijkstra_many_into(g, sources, w, out), std::invalid_argument);
+  EXPECT_EQ(out[0], -1.0);
+  std::vector<double> exact(sources.size() * g.num_vertices());
+  EXPECT_NO_THROW(dijkstra_many_into(g, sources, w, exact));
+}
+
+TEST(Dijkstra, ManyRejectsMisalignedWeights) {
+  const CsrGraph g = path_graph(4);  // 3 edges, 6 arcs
+  const std::vector<std::uint32_t> sources = {0, 3};
+  std::vector<double> out(sources.size() * g.num_vertices());
+  EXPECT_THROW(dijkstra_many_into(g, sources, std::vector<double>(2, 1.0), out),
+               std::invalid_argument);
+}
+
+TEST(Bfs, ManyRejectsMisSizedOutput) {
+  const CsrGraph g = path_graph(10);
+  const std::vector<std::uint32_t> sources = {0, 4, 9};
+  std::vector<std::uint32_t> out(g.num_vertices(), 7u);
+  EXPECT_THROW(bfs_many_into(g, sources, out), std::invalid_argument);
+  EXPECT_EQ(out[0], 7u);
 }
 
 TEST(Bfs, ScratchReuseAcrossSourcesOnDisconnectedGraph) {

@@ -2,7 +2,9 @@
 // QueryEngine (exact, estimated and route serving), and the §2.6 serving
 // contract — one shared engine, many concurrent callers, bit-identical
 // answers. The ServeConcurrency suite is the TSan-backed `concurrency`
-// ctest tier together with ParallelReentrancy in test_support.
+// ctest tier together with ParallelReentrancy in test_support; every Serve*
+// suite, ServeContract's buffer-size contract included, is the ASan-backed
+// `serve` tier.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -14,11 +16,13 @@
 
 #include "sens/core/sens_router.hpp"
 #include "sens/core/udg_sens.hpp"
+#include "sens/dynamic/dynamic_hng.hpp"
 #include "sens/graph/bfs.hpp"
 #include "sens/graph/csr.hpp"
 #include "sens/graph/dijkstra.hpp"
 #include "sens/obs/obs.hpp"
 #include "sens/rng/rng.hpp"
+#include "sens/serve/epoch_engine.hpp"
 #include "sens/serve/landmark_oracle.hpp"
 #include "sens/serve/query_engine.hpp"
 #include "sens/support/parallel.hpp"
@@ -300,6 +304,155 @@ TEST(ServeEstimate, OutOfRangeIdsAreStale) {
   for (std::size_t i = 1; i < qs.size(); ++i) EXPECT_EQ(verdicts[i], Verdict::kStale);
 }
 
+TEST(ServeEstimate, MixedVerdictBatchBitIdenticalAcrossThreadCounts) {
+  // One batch mixing every verdict path — certified brackets, Dijkstra
+  // fallbacks, disconnected pairs, stale ids and s == t — in 1000 chunks of
+  // three queries, so each participant's Dijkstra scratch is reused across
+  // chunks of all kinds. Bytes, verdicts and stats must not depend on how
+  // the chunks were spread over participants.
+  const TestGraph tg = make_graph(300, 150, 67, 12);
+  const QueryEngine engine(tg.graph, tg.weights,
+                           {.num_landmarks = 6, .max_stretch = 1.15, .seed = 67});
+  const auto n = static_cast<std::uint32_t>(tg.graph.num_vertices());
+  std::vector<Query> qs = make_queries(3000, n, 67);
+  for (std::size_t i = 0; i < qs.size(); i += 7) qs[i].dst = qs[i].src;  // s == t
+  for (std::size_t i = 3; i < qs.size(); i += 11) qs[i].src = n + static_cast<std::uint32_t>(i);
+  for (std::size_t i = 5; i < qs.size(); i += 13) qs[i] = {static_cast<std::uint32_t>(i % 300),
+                                                           300 + static_cast<std::uint32_t>(i % 12)};
+
+  struct Run {
+    std::vector<double> out;
+    std::vector<Verdict> verdicts;
+    ServeStats stats;
+  };
+  const auto serve = [&](unsigned threads) {
+    set_thread_count(threads);
+    Run r{std::vector<double>(qs.size()), std::vector<Verdict>(qs.size()), {}};
+    r.stats = serve_batch(engine.graph(), engine.arc_weights(), engine.oracle(),
+                          engine.max_stretch(), qs, r.out, r.verdicts);
+    set_thread_count(0);
+    return r;
+  };
+  const Run ref = serve(1);
+  std::size_t self = 0;
+  std::size_t fallbacks = 0;
+  for (const Query& q : qs) {
+    if (q.src >= n || q.dst >= n) continue;
+    self += q.src == q.dst;
+    const LandmarkOracle::Bounds b = engine.oracle().bounds(q.src, q.dst);
+    fallbacks += !b.exact() && !b.certifies(engine.max_stretch());
+  }
+  ASSERT_GT(self, 0u);
+  ASSERT_GT(fallbacks, 0u);
+  ASSERT_GT(ref.stats.certified, 0u);
+  ASSERT_GT(ref.stats.disconnected, 0u);
+  ASSERT_GT(ref.stats.stale, 0u);
+  for (const unsigned threads : {2u, 8u}) {
+    const Run got = serve(threads);
+    EXPECT_EQ(std::memcmp(got.out.data(), ref.out.data(), ref.out.size() * sizeof(double)), 0)
+        << "threads=" << threads;
+    EXPECT_EQ(got.verdicts, ref.verdicts) << "threads=" << threads;
+    EXPECT_EQ(got.stats.queries, ref.stats.queries) << "threads=" << threads;
+    EXPECT_EQ(got.stats.exact, ref.stats.exact) << "threads=" << threads;
+    EXPECT_EQ(got.stats.certified, ref.stats.certified) << "threads=" << threads;
+    EXPECT_EQ(got.stats.disconnected, ref.stats.disconnected) << "threads=" << threads;
+    EXPECT_EQ(got.stats.stale, ref.stats.stale) << "threads=" << threads;
+  }
+}
+
+// --- the batch buffers' input contract: a mis-sized buffer or weight array
+// throws std::invalid_argument before any dispatch, leaving `out` untouched.
+
+TEST(ServeContract, EstimateRejectsMisSizedOutput) {
+  const TestGraph tg = make_graph(40, 20, 71);
+  const QueryEngine engine(tg.graph, tg.weights, {.num_landmarks = 4, .seed = 71});
+  const auto qs = make_queries(64, 40, 71);
+  std::vector<double> out(4, -1.0);
+  EXPECT_THROW((void)engine.estimate_distances(qs, out), std::invalid_argument);
+  EXPECT_EQ(out[0], -1.0);
+  std::vector<double> long_out(65);
+  EXPECT_THROW((void)engine.estimate_distances(qs, long_out), std::invalid_argument);
+}
+
+TEST(ServeContract, BatchRejectsMisSizedVerdicts) {
+  const TestGraph tg = make_graph(40, 20, 73);
+  const QueryEngine engine(tg.graph, tg.weights, {.num_landmarks = 4, .seed = 73});
+  const auto qs = make_queries(64, 40, 73);
+  std::vector<double> out(qs.size(), -1.0);
+  std::vector<Verdict> verdicts(3);
+  EXPECT_THROW((void)serve_batch(engine.graph(), engine.arc_weights(), engine.oracle(),
+                                 engine.max_stretch(), qs, out, verdicts),
+               std::invalid_argument);
+  EXPECT_EQ(out[0], -1.0);
+  // Empty verdicts means "not wanted", never a size mismatch.
+  EXPECT_NO_THROW((void)serve_batch(engine.graph(), engine.arc_weights(), engine.oracle(),
+                                    engine.max_stretch(), qs, out, {}));
+  const std::vector<double> short_weights(2, 1.0);
+  EXPECT_THROW((void)serve_batch(engine.graph(), short_weights, engine.oracle(),
+                                 engine.max_stretch(), qs, out, {}),
+               std::invalid_argument);
+}
+
+TEST(ServeContract, EpochServeRejectsMisSizedBuffers) {
+  std::vector<Vec2> pts;
+  Rng rng = Rng::stream(79, 0x57a9, 2);
+  for (int i = 0; i < 120; ++i) pts.push_back({rng.uniform() * 6.0, rng.uniform() * 6.0});
+  const DynamicHng dyn(pts, HngParams{.promote_p = 0.25, .k = 3, .max_level = 48}, 79);
+  const EpochQueryEngine engine(dyn, EpochEngineParams{.num_landmarks = 4, .seed = 79});
+  const auto qs = make_queries(32, 120, 79);
+  std::vector<double> out(qs.size());
+  std::vector<Verdict> verdicts(qs.size());
+  std::vector<double> short_out(31);
+  std::vector<Verdict> short_verdicts(1);
+  EXPECT_THROW((void)engine.serve(qs, short_out, verdicts), std::invalid_argument);
+  EXPECT_THROW((void)engine.serve(qs, out, short_verdicts), std::invalid_argument);
+  EXPECT_NO_THROW((void)engine.serve(qs, out, verdicts));
+}
+
+TEST(ServeContract, ExactRejectsMisSizedOutput) {
+  const TestGraph tg = make_graph(40, 20, 83);
+  const QueryEngine engine(tg.graph, tg.weights, {.num_landmarks = 4, .seed = 83});
+  const auto qs = make_queries(16, 40, 83);
+  std::vector<double> out(15, -1.0);
+  EXPECT_THROW(engine.exact_distances(qs, out), std::invalid_argument);
+  EXPECT_EQ(out[0], -1.0);
+}
+
+TEST(ServeContract, HopsRejectsMisSizedOutput) {
+  const TestGraph tg = make_graph(40, 20, 89);
+  const QueryEngine engine(tg.graph, tg.weights, {.num_landmarks = 4, .seed = 89});
+  const auto qs = make_queries(16, 40, 89);
+  std::vector<std::uint32_t> out(8, 7u);
+  EXPECT_THROW(engine.hop_distances(qs, out), std::invalid_argument);
+  EXPECT_EQ(out[0], 7u);
+}
+
+TEST(ServeContract, OracleBuildRejectsMisalignedWeights) {
+  const TestGraph tg = make_graph(40, 20, 97);
+  const std::vector<double> short_weights(2, 1.0);
+  for (const LandmarkSelection sel :
+       {LandmarkSelection::kUniformRandom, LandmarkSelection::kFarthestPoint}) {
+    EXPECT_THROW((void)LandmarkOracle::build(tg.graph, short_weights,
+                                             {.num_landmarks = 4, .seed = 97, .selection = sel}),
+                 std::invalid_argument);
+  }
+  EXPECT_THROW((void)LandmarkOracle::build_with(tg.graph, short_weights, {0, 5}),
+               std::invalid_argument);
+}
+
+TEST(ServeContract, EngineRejectsMisalignedWeights) {
+  // 4 vertices on a path: 3 edges, 6 arcs, but only 2 weights.
+  const CsrGraph g = CsrGraph::from_edges(4, {{0, 1}, {1, 2}, {2, 3}});
+  ASSERT_EQ(g.num_arcs(), 6u);
+  for (const LandmarkSelection sel :
+       {LandmarkSelection::kUniformRandom, LandmarkSelection::kFarthestPoint}) {
+    EXPECT_THROW(QueryEngine(g, std::vector<double>(2, 1.0),
+                             {.num_landmarks = 2, .selection = sel}),
+                 std::invalid_argument);
+  }
+  EXPECT_NO_THROW(QueryEngine(g, g.arc_weights([](std::uint32_t, std::uint32_t) { return 1.0; })));
+}
+
 TEST(ServeExact, OutOfRangeIdsThrowBeforeAnyWork) {
   const TestGraph tg = make_graph(40, 20, 59);
   const QueryEngine engine(tg.graph, tg.weights, {.num_landmarks = 4, .seed = 59});
@@ -440,7 +593,8 @@ TEST(ServeConcurrency, ConcurrentRouteServingBitExact) {
 
 TEST(ServeConcurrency, SharedSensRouterBatchMatchesSequential) {
   // A real overlay: the immutable SensRouter is shared by route_batch
-  // (leased scratches) and compared with one-at-a-time caller-scratch runs.
+  // (per-participant scratches) and compared with one-at-a-time
+  // caller-scratch runs.
   const UdgSensResult r = build_udg_sens(UdgTileSpec::strict(), 25.0, 10, 10, 51);
   const SensRouter router(r.overlay);
   const auto reps = r.overlay.giant_rep_sites();

@@ -302,6 +302,122 @@ TEST(ParallelTest, MapPlacesResults) {
   EXPECT_EQ(out[63], 63 * 63);
 }
 
+// --- participant state (parallel_for_chunks<State>, DESIGN.md §2.4): one
+// State per participant, built on its first claimed chunk, never shared
+// between threads, gone when the call returns.
+
+/// Participant state that tallies its constructions and remembers the
+/// thread that built it, so a body can detect a State touched by a second
+/// thread.
+struct CountedState {
+  static inline std::atomic<int> constructed{0};
+  std::thread::id owner = std::this_thread::get_id();
+  CountedState() { constructed.fetch_add(1); }
+};
+
+/// Runs parallel_for_chunks<CountedState> over [0, n); returns the number of
+/// chunk bodies that saw a State built on another thread, and counts every
+/// index's visits into `hits`.
+int run_counted(std::size_t n, std::vector<std::atomic<int>>& hits) {
+  std::atomic<int> foreign{0};
+  parallel_for_chunks<CountedState>(n, [&](CountedState& state, std::size_t begin,
+                                           std::size_t end) {
+    if (state.owner != std::this_thread::get_id()) foreign.fetch_add(1);
+    for (std::size_t i = begin; i < end; ++i) hits[i].fetch_add(1);
+  });
+  return foreign.load();
+}
+
+TEST(ParallelState, SerialPathBuildsExactlyOneState) {
+  set_thread_count(1);
+  CountedState::constructed = 0;
+  std::vector<std::atomic<int>> hits(1024);
+  EXPECT_EQ(run_counted(hits.size(), hits), 0);
+  set_thread_count(0);
+  EXPECT_EQ(CountedState::constructed.load(), 1);
+  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
+}
+
+TEST(ParallelState, AtMostOneStatePerParticipantNeverShared) {
+  set_thread_count(4);
+  for (int round = 0; round < 20; ++round) {
+    CountedState::constructed = 0;
+    std::vector<std::atomic<int>> hits(1024);  // 1024 one-index chunks
+    EXPECT_EQ(run_counted(hits.size(), hits), 0) << "round " << round;
+    EXPECT_GE(CountedState::constructed.load(), 1) << "round " << round;
+    EXPECT_LE(CountedState::constructed.load(), 4) << "round " << round;
+    for (const auto& h : hits) ASSERT_EQ(h.load(), 1) << "round " << round;
+  }
+  set_thread_count(0);
+}
+
+TEST(ParallelState, NoStateForEmptyRange) {
+  CountedState::constructed = 0;
+  parallel_for_chunks<CountedState>(0, [](CountedState&, std::size_t, std::size_t) {});
+  EXPECT_EQ(CountedState::constructed.load(), 0);
+}
+
+struct ThrowingState {
+  ThrowingState() { throw std::runtime_error("state ctor"); }
+};
+
+TEST(ParallelState, ExceptionsFromStateAndBodyReachTheCaller) {
+  for (const unsigned threads : {1u, 4u}) {
+    set_thread_count(threads);
+    std::atomic<int> bodies{0};
+    const auto count_body = [&](ThrowingState&, std::size_t, std::size_t) { bodies.fetch_add(1); };
+    EXPECT_THROW(parallel_for_chunks<ThrowingState>(5000, count_body), std::runtime_error)
+        << "threads=" << threads;
+    EXPECT_EQ(bodies.load(), 0) << "threads=" << threads;
+    const auto throwing_body = [](CountedState&, std::size_t begin, std::size_t) {
+      if (begin >= 2500) throw std::logic_error("body");
+    };
+    EXPECT_THROW(parallel_for_chunks<CountedState>(5000, throwing_body), std::logic_error)
+        << "threads=" << threads;
+    // The pool stays usable after either exceptional job.
+    std::vector<std::atomic<int>> hits(3000);
+    EXPECT_EQ(run_counted(hits.size(), hits), 0);
+    for (const auto& h : hits) ASSERT_EQ(h.load(), 1) << "threads=" << threads;
+  }
+  set_thread_count(0);
+}
+
+TEST(ParallelState, NestedStatefulCallRunsInlineWithItsOwnState) {
+  struct Outer {
+    int id = 0;
+  };
+  struct Inner {
+    int id = 1;
+  };
+  set_thread_count(4);
+  CountedState::constructed = 0;
+  std::atomic<int> mismatches{0};
+  std::atomic<int> inner_calls{0};
+  parallel_for_chunks<Outer>(64, [&](Outer& outer, std::size_t begin, std::size_t end) {
+    for (std::size_t i = begin; i < end; ++i) {
+      const std::thread::id caller = std::this_thread::get_id();
+      std::size_t covered = 0;
+      const Inner* first = nullptr;
+      parallel_for_chunks<Inner>(2000, [&](Inner& inner, std::size_t b, std::size_t e) {
+        // Inline: same thread, one Inner for every chunk, distinct from
+        // the outer participant's state.
+        if (std::this_thread::get_id() != caller) mismatches.fetch_add(1);
+        if (first == nullptr) first = &inner;
+        if (first != &inner || inner.id != 1) mismatches.fetch_add(1);
+        if (static_cast<const void*>(&inner) == static_cast<const void*>(&outer)) {
+          mismatches.fetch_add(1);
+        }
+        covered += e - b;
+      });
+      if (covered != 2000 || outer.id != 0) mismatches.fetch_add(1);
+      inner_calls.fetch_add(1);
+    }
+  });
+  set_thread_count(0);
+  EXPECT_EQ(mismatches.load(), 0);
+  EXPECT_EQ(inner_calls.load(), 64);
+}
+
 TEST(ParallelTest, ThreadCountOverrideRoundTrip) {
   set_thread_count(3);
   EXPECT_EQ(thread_count(), 3u);
@@ -409,6 +525,38 @@ TEST(ParallelReentrancy, ManyCallersManyRoundsNoDeadlock) {
   for (auto& t : callers) t.join();
   set_thread_count(0);
   EXPECT_EQ(completed.load(), kCallers * 16);
+}
+
+TEST(ParallelReentrancy, ConcurrentStatefulCallersNeverShareState) {
+  // Several callers run stateful jobs at once on a shared pool: each job
+  // gets at most 4 participants, so at most 4 States per call, and no
+  // State is ever touched by a thread other than the one that built it.
+  set_thread_count(4);
+  constexpr std::size_t kCallers = 4;
+  constexpr int kRounds = 8;
+  CountedState::constructed = 0;
+  std::atomic<int> foreign{0};
+  std::atomic<int> miscovered{0};
+  std::vector<std::thread> callers;
+  callers.reserve(kCallers);
+  for (std::size_t c = 0; c < kCallers; ++c) {
+    callers.emplace_back([&] {
+      for (int round = 0; round < kRounds; ++round) {
+        std::vector<std::atomic<int>> hits(1024);
+        foreign.fetch_add(run_counted(hits.size(), hits));
+        for (const auto& h : hits) {
+          if (h.load() != 1) miscovered.fetch_add(1);
+        }
+      }
+    });
+  }
+  for (auto& t : callers) t.join();
+  set_thread_count(0);
+  EXPECT_EQ(foreign.load(), 0);
+  EXPECT_EQ(miscovered.load(), 0);
+  const int calls = static_cast<int>(kCallers) * kRounds;
+  EXPECT_GE(CountedState::constructed.load(), calls);
+  EXPECT_LE(CountedState::constructed.load(), 4 * calls);
 }
 
 TEST(TimerTest, MeasuresSomething) {
