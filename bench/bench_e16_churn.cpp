@@ -9,12 +9,15 @@
 // phase (degree, components, sampled length stretch), and whether the
 // incrementally maintained overlay is still *bit-identical* to a fresh
 // batch build over the survivors (it must be: DESIGN.md §2.7, the
-// `churn` test tier enforces it per event).
+// `churn` test tier enforces it per event). A size sweep (2k, 20k and 200k
+// nodes) shows the repair work per event, slots scanned included, staying
+// flat as the deployment grows.
 //
 // Wall-clock — amortized cost per event vs a full rebuild per event — is
 // printed as a table but kept out of the --json document, which must stay
 // byte-identical across runs and --threads values (the bench-json CI job
 // cmp's it). Measured runs are recorded in bench/BENCH_churn.json.
+#include <cmath>
 #include <string>
 #include <vector>
 
@@ -44,6 +47,7 @@ struct PhaseRun {
   std::size_t relinked = 0;
   std::size_t edges_added = 0;
   std::size_t edges_removed = 0;
+  std::size_t scanned = 0;
   double seconds = 0.0;
 };
 
@@ -68,6 +72,7 @@ PhaseRun run_phase(DynamicHng& dyn, const Box& window, const PhaseSpec& spec,
     run.relinked += dyn.last_event().relinked;
     run.edges_added += dyn.last_event().edges_added;
     run.edges_removed += dyn.last_event().edges_removed;
+    run.scanned += dyn.last_event().nodes_scanned;
   }
   run.seconds = timer.seconds();
   return run;
@@ -104,9 +109,42 @@ int main(int argc, char** argv) {
              "relink work orders of magnitude below a full rebuild, with the overlay "
              "bit-identical to batch construction throughout (arXiv:0903.0742)");
 
-  const Box window{{0.0, 0.0}, {20.0, 20.0}};
   const double lambda = 4.0;
   const HngParams params{.promote_p = 0.25, .k = 3, .max_level = 48};
+
+  // Size sweep: the same balanced trickle after adopting n nodes, for n two
+  // orders of magnitude apart. Local repair means per-event work — slots
+  // scanned, nodes relinked, edges flipped — stays flat in n. It runs
+  // first, and the obs registry is zeroed afterwards, so the work counter
+  // table below covers the churn phases alone.
+  Table sweep({"n target", "nodes", "events", "scanned/event", "relinked/event",
+               "edge delta/event"});
+  Table sweep_clock({"n target", "adoption us/node", "maintain us/event"});
+  const std::size_t sweep_events = 2000 * env.scale;
+  for (const std::size_t n : {std::size_t{2000}, std::size_t{20000}, std::size_t{200000}}) {
+    const double side = std::sqrt(static_cast<double>(n) / lambda);
+    const Box box{{0.0, 0.0}, {side, side}};
+    const PointSet sweep_ps = poisson_point_set(box, lambda, env.seed);
+    Timer adopt_timer;
+    DynamicHng sweep_dyn(sweep_ps.points, params, env.seed);
+    const double adopt_s = adopt_timer.seconds();
+    const PhaseRun run = run_phase(sweep_dyn, box, {"sweep", sweep_events, 0.5}, env.seed,
+                                   0x5EE0 + n);
+    const auto events = static_cast<double>(sweep_events);
+    const std::string label = Table::fmt_int(static_cast<long long>(n));
+    sweep.add_row({label, Table::fmt_int(static_cast<long long>(sweep_ps.size())),
+                   Table::fmt_int(static_cast<long long>(sweep_events)),
+                   Table::fmt(static_cast<double>(run.scanned) / events, 3),
+                   Table::fmt(static_cast<double>(run.relinked) / events, 3),
+                   Table::fmt(static_cast<double>(run.edges_added + run.edges_removed) / events,
+                              3)});
+    sweep_clock.add_row(
+        {label, Table::fmt(adopt_s * 1e6 / static_cast<double>(sweep_ps.size()), 3),
+         Table::fmt(run.seconds * 1e6 / events, 3)});
+  }
+  obs::CounterRegistry::global().reset();
+
+  const Box window{{0.0, 0.0}, {20.0, 20.0}};
   const PointSet ps = poisson_point_set(window, lambda, env.seed);
 
   Timer timer;
@@ -180,6 +218,9 @@ int main(int argc, char** argv) {
            "to a fresh batch build over the survivors; adoption check: " +
                std::string(adoption_identical ? "identical" : "DIVERGED") + ")",
            quality);
+  env.emit("size sweep at lambda = 4 (trickle, p_join = 0.5, after bulk adoption): per-event "
+           "repair work must not grow with the deployment",
+           sweep);
 
   // Wall-clock is deliberately *not* emitted: the --json document must be
   // byte-identical across runs and --threads values.
@@ -187,6 +228,9 @@ int main(int argc, char** argv) {
   clock.print(std::cout);
   std::cout << "\nnote: the rebuild/event ratio is the speedup of incremental maintenance over\n"
                "rebuilding from scratch at every event; BENCH_churn.json records measured runs.\n\n";
+  std::cout << "**size sweep wall clock (excluded from --json)**\n\n";
+  sweep_clock.print(std::cout);
+  std::cout << "\n";
   env.footer();
   return 0;
 }

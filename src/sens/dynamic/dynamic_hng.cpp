@@ -1,11 +1,47 @@
 #include "sens/dynamic/dynamic_hng.hpp"
 
 #include <algorithm>
+#include <cmath>
+#include <limits>
 #include <stdexcept>
+
+#include "sens/obs/obs.hpp"
+#include "sens/rng/rng.hpp"
 
 namespace sens {
 
 namespace {
+
+/// Reach classes of the reverse k-NN index (see the header): the finest
+/// cell side is 2^kMinReach, and linkers whose worst-pick distance
+/// overflowed to +inf take kWideReach, one bucket per level.
+constexpr std::int32_t kMinReach = -64;
+constexpr std::int32_t kWideReach = 0x7fff;
+constexpr std::int32_t kUnindexed = -0x8000;  ///< reach_ of a slot in no bucket
+
+/// Bucket coordinates are clamped here before the integer cast; clamping is
+/// monotone and 1-Lipschitz, so two points one cell apart stay at most one
+/// clamped cell apart.
+constexpr double kCellClamp = 4503599627370496.0;  // 2^52
+
+/// The smallest class c >= kMinReach with 4^c > r2.
+std::int32_t reach_class(double r2) {
+  if (!(r2 < std::numeric_limits<double>::infinity())) return kWideReach;
+  if (r2 < std::ldexp(1.0, 2 * kMinReach)) return kMinReach;
+  int ex = 0;
+  (void)std::frexp(r2, &ex);  // r2 < 2^ex, so any 2c >= ex will do
+  return std::max(ex > 0 ? (ex + 1) / 2 : -(-ex / 2), kMinReach);
+}
+
+/// floor(x / 2^c), clamped. Scaling by a power of two is exact unless it
+/// overflows (to an infinity the clamp absorbs) or lands below 1 in
+/// magnitude (where floors are -1 or 0 anyway), so points less than 2^c
+/// apart stay at most one cell apart.
+std::int64_t reach_cell(double x, std::int32_t c) {
+  if (c == kWideReach) return 0;
+  return static_cast<std::int64_t>(
+      std::clamp(std::floor(std::ldexp(x, -c)), -kCellClamp, kCellClamp));
+}
 
 void sorted_insert(std::vector<std::uint32_t>& v, std::uint32_t x) {
   v.insert(std::lower_bound(v.begin(), v.end(), x), x);
@@ -22,10 +58,18 @@ bool sorted_contains(const std::vector<std::uint32_t>& v, std::uint32_t x) {
 
 }  // namespace
 
+std::size_t DynamicHng::ReachKeyHash::operator()(const ReachKey& key) const noexcept {
+  const std::uint64_t tag = (static_cast<std::uint64_t>(key.level) << 32) |
+                            static_cast<std::uint32_t>(key.reach);
+  return static_cast<std::size_t>(mix_seed(
+      mix_seed(static_cast<std::uint64_t>(key.x), static_cast<std::uint64_t>(key.y)), tag));
+}
+
 DynamicHng::DynamicHng(const HngParams& params, std::uint64_t seed)
     : params_(params),
       seed_(seed),
-      level_count_(static_cast<std::size_t>(params.max_level) + 1, 0),
+      cohort_(static_cast<std::size_t>(params.max_level) + 1),
+      reach_classes_(static_cast<std::size_t>(params.max_level) + 1),
       pyramid_(std::span<const Vec2>{}, std::span<const GridKnnPyramid::LevelSpec>{}) {
   validate_hng_params(params_);
 }
@@ -74,15 +118,19 @@ void DynamicHng::compute_selection(std::uint32_t u, std::vector<std::uint32_t>& 
   out.clear();
   const std::uint32_t l = level_[u];
   if (top_ < 2) {
+    last_.nodes_scanned += alive_.size();
     for (std::uint32_t x = 0; x < alive_.size(); ++x) {
       if (alive_[x] && x != u) out.push_back(x);
     }
     return;
   }
   if (l == top_) {
-    for (std::uint32_t x = 0; x < alive_.size(); ++x) {
-      if (alive_[x] && x != u && level_[x] == top_) out.push_back(x);
+    const std::vector<std::uint32_t>& top = cohort_[top_];
+    last_.nodes_scanned += top.size();
+    for (const std::uint32_t x : top) {
+      if (x != u) out.push_back(x);
     }
+    std::sort(out.begin(), out.end());
     return;
   }
   hng_link_node(pyramid_.level(l - 1), points_[u], u, params_.k, scratch_, found_);
@@ -95,6 +143,7 @@ void DynamicHng::set_selection(std::uint32_t u, const std::vector<std::uint32_t>
   for (const std::uint32_t x : sel_[u]) sorted_erase(selectors_[x], u);
   sel_[u].assign(fresh.begin(), fresh.end());
   for (const std::uint32_t x : sel_[u]) sorted_insert(selectors_[x], u);
+  reindex(u);
 }
 
 /// Join repair for a regular node w (exact level l < top, l <= L-1): u just
@@ -108,6 +157,7 @@ void DynamicHng::maybe_enter(std::uint32_t w, std::uint32_t u) {
     touch(w);
     sorted_insert(s, u);
     sorted_insert(selectors_[u], w);
+    reindex(w);
     return;
   }
   std::uint32_t worst = s[0];
@@ -126,7 +176,110 @@ void DynamicHng::maybe_enter(std::uint32_t w, std::uint32_t u) {
     sorted_erase(selectors_[worst], w);
     sorted_insert(s, u);
     sorted_insert(selectors_[u], w);
+    reindex(w);
   }
+}
+
+/// Join repair for every regular node whose linking target u just entered:
+/// exact levels l <= min(L-1, top-1). A level whose target held fewer than
+/// k nodes before the join is under-full throughout (every selection there
+/// was all of S_{l+1}), so its whole cohort admits u. Otherwise every
+/// linker there is full and indexed, and only those in the 3x3 buckets
+/// around u of each reach class can admit it: a linker w admits u only if
+/// d2(w, u) <= its worst-pick d2 < 4^c, and an IEEE d2 >= 4^c whenever
+/// either coordinate differs by more than 2^c. Candidates are collected
+/// per level before any admission, since an admission can move a linker
+/// into a bucket this lookup has yet to visit.
+void DynamicHng::join_repair(std::uint32_t u) {
+  const std::uint32_t level = level_[u];
+  const Vec2 p = points_[u];
+  std::size_t target = 0;  // |S_{l+1}|, u included
+  for (std::uint32_t l = top_ - 1; l >= 1; --l) {
+    target += cohort_[l + 1].size();
+    if (l >= level) continue;
+    if (target - 1 < params_.k) {
+      last_.nodes_scanned += cohort_[l].size();
+      for (const std::uint32_t w : cohort_[l]) {
+        if (!in_recompute_[w]) maybe_enter(w, u);
+      }
+      continue;
+    }
+    reach_found_.clear();
+    for (const auto& [reach, members] : reach_classes_[l]) {
+      const std::int64_t cx = reach_cell(p.x, reach);
+      const std::int64_t cy = reach_cell(p.y, reach);
+      const std::int64_t span = reach == kWideReach ? 0 : 1;
+      for (std::int64_t y = cy - span; y <= cy + span; ++y) {
+        for (std::int64_t x = cx - span; x <= cx + span; ++x) {
+          const auto it = reach_cells_.find({x, y, l, reach});
+          if (it != reach_cells_.end()) {
+            reach_found_.insert(reach_found_.end(), it->second.begin(), it->second.end());
+          }
+        }
+      }
+    }
+    last_.nodes_scanned += reach_found_.size();
+    for (const std::uint32_t w : reach_found_) {
+      if (!in_recompute_[w]) maybe_enter(w, u);
+    }
+  }
+}
+
+void DynamicHng::cohort_add(std::uint32_t w) {
+  std::vector<std::uint32_t>& cohort = cohort_[level_[w]];
+  cohort_pos_[w] = static_cast<std::uint32_t>(cohort.size());
+  cohort.push_back(w);
+}
+
+void DynamicHng::cohort_drop(std::uint32_t w) {
+  std::vector<std::uint32_t>& cohort = cohort_[level_[w]];
+  const std::uint32_t moved = cohort.back();
+  cohort[cohort_pos_[w]] = moved;
+  cohort_pos_[moved] = cohort_pos_[w];
+  cohort.pop_back();
+}
+
+/// Bring w's reverse-index entry in line with its current selection: a
+/// live regular node with a full selection sits in the bucket of its
+/// reach class; anyone else is unindexed. Called after every selection
+/// change; top transitions reach it through the cohort recompute.
+void DynamicHng::reindex(std::uint32_t w) {
+  std::int32_t reach = kUnindexed;
+  if (alive_[w] && level_[w] < top_ && sel_[w].size() == params_.k) {
+    double r2 = 0.0;
+    for (const std::uint32_t x : sel_[w]) r2 = std::max(r2, dist2(w, x));
+    reach = reach_class(r2);
+  }
+  if (reach == reach_[w]) return;
+  if (reach_[w] != kUnindexed) reach_erase(w);
+  if (reach == kUnindexed) return;
+  reach_[w] = reach;
+  const Vec2 p = points_[w];
+  std::vector<std::uint32_t>& bucket =
+      reach_cells_[{reach_cell(p.x, reach), reach_cell(p.y, reach), level_[w], reach}];
+  reach_pos_[w] = static_cast<std::uint32_t>(bucket.size());
+  bucket.push_back(w);
+  auto& classes = reach_classes_[level_[w]];
+  auto it = std::lower_bound(classes.begin(), classes.end(), std::pair{reach, 0u});
+  if (it == classes.end() || it->first != reach) it = classes.insert(it, {reach, 0u});
+  ++it->second;
+}
+
+void DynamicHng::reach_erase(std::uint32_t w) {
+  const std::int32_t reach = reach_[w];
+  const Vec2 p = points_[w];
+  const auto it =
+      reach_cells_.find({reach_cell(p.x, reach), reach_cell(p.y, reach), level_[w], reach});
+  std::vector<std::uint32_t>& bucket = it->second;
+  const std::uint32_t moved = bucket.back();
+  bucket[reach_pos_[w]] = moved;
+  reach_pos_[moved] = reach_pos_[w];
+  bucket.pop_back();
+  if (bucket.empty()) reach_cells_.erase(it);
+  auto& classes = reach_classes_[level_[w]];
+  const auto c = std::lower_bound(classes.begin(), classes.end(), std::pair{reach, 0u});
+  if (--c->second == 0) classes.erase(c);
+  reach_[w] = kUnindexed;
 }
 
 /// Bring slot `id` to life at point p: draw its level from stream id, index
@@ -142,6 +295,9 @@ void DynamicHng::insert_slot(std::uint32_t id, Vec2 p) {
     in_recompute_.push_back(0);
     sel_.emplace_back();
     selectors_.emplace_back();
+    cohort_pos_.push_back(0);
+    reach_.push_back(kUnindexed);
+    reach_pos_.push_back(0);
   } else {
     points_[id] = p;
   }
@@ -154,7 +310,7 @@ void DynamicHng::insert_slot(std::uint32_t id, Vec2 p) {
   ++live_n_;
   const std::uint32_t level = hng_promotion_level(seed_, id, params_);
   level_[id] = level;
-  ++level_count_[level];
+  cohort_add(id);
 
   const std::uint32_t old_top = top_;
   const std::uint32_t new_top = std::max(old_top, level);
@@ -171,34 +327,25 @@ void DynamicHng::insert_slot(std::uint32_t id, Vec2 p) {
 
   if (new_top > old_top) {
     // The old top cohort loses its clique and relinks as regular nodes.
-    for (std::uint32_t w = 0; w < alive_.size(); ++w) {
-      if (alive_[w] && w != id && level_[w] == old_top) mark_recompute(w);
-    }
+    last_.nodes_scanned += cohort_[old_top].size();
+    for (const std::uint32_t w : cohort_[old_top]) mark_recompute(w);
     top_ = new_top;
   } else if (level == old_top) {
     // u joins the existing clique; members just gain u (exact — a clique
     // selection is "everyone else up here").
-    for (std::uint32_t w = 0; w < alive_.size(); ++w) {
-      if (alive_[w] && w != id && level_[w] == old_top) {
-        touch(w);
-        sorted_insert(sel_[w], id);
-        sorted_insert(selectors_[id], w);
-      }
+    last_.nodes_scanned += cohort_[old_top].size();
+    for (const std::uint32_t w : cohort_[old_top]) {
+      if (w == id) continue;
+      touch(w);
+      sorted_insert(sel_[w], id);
+      sorted_insert(selectors_[id], w);
     }
   }
 
-  // Regular nodes of exact level <= L-1 see u enter their linking target.
   // A level-1 joiner is a member of S_1 only, and linkers select from
-  // S_{l+1} with l >= 1, so nobody can select it — skip the scan outright
-  // (p = 3/4 of joins under the default promote_p).
-  if (level >= 2) {
-    for (std::uint32_t w = 0; w < alive_.size(); ++w) {
-      if (!alive_[w] || w == id || in_recompute_[w]) continue;
-      const std::uint32_t l = level_[w];
-      if (l >= top_ || l + 1 > level) continue;  // clique node / u not in S_{l+1}
-      maybe_enter(w, id);
-    }
-  }
+  // S_{l+1} with l >= 1, so nobody can select it (p = 3/4 of joins under
+  // the default promote_p).
+  if (level >= 2) join_repair(id);
 
   mark_recompute(id);
   flush_recompute();
@@ -214,22 +361,22 @@ void DynamicHng::remove_slot(std::uint32_t r) {
 
   alive_[r] = 0;
   --live_n_;
-  --level_count_[level_[r]];
+  cohort_drop(r);
   for (std::uint32_t l = 2; l <= level_[r]; ++l) pyramid_.erase(l - 2, r);
 
   const std::uint32_t old_top = top_;
   std::uint32_t t = old_top;
-  while (t > 0 && level_count_[t] == 0) --t;
+  while (t > 0 && cohort_[t].empty()) --t;
   top_ = t;
 
   touch(r);
   for (const std::uint32_t x : sel_[r]) sorted_erase(selectors_[x], r);
   sel_[r].clear();
+  reindex(r);
 
   if (top_ != old_top && live_n_ > 0) {
-    for (std::uint32_t w = 0; w < alive_.size(); ++w) {
-      if (alive_[w] && level_[w] == top_) mark_recompute(w);
-    }
+    last_.nodes_scanned += cohort_[top_].size();
+    for (const std::uint32_t w : cohort_[top_]) mark_recompute(w);
   }
   flush_recompute();
 }
@@ -285,6 +432,7 @@ void DynamicHng::finalize_event() {
   }
   for (const auto& [w, old] : dirty_old_) dirty_flag_[w] = 0;
   dirty_old_.clear();
+  SENS_OBS(obs::add(obs::Counter::kDynamicNodesScanned, last_.nodes_scanned);)
 }
 
 /// Bring the overlay cache up to date: diff every pending pair's stale
@@ -339,6 +487,11 @@ void DynamicHng::trim_overlay_journal(std::uint64_t upto) {
 }
 
 std::uint32_t DynamicHng::insert(Vec2 p) {
+  // A non-finite coordinate would reach the grid cell casts of the k-NN
+  // pyramid and the reverse index; reject it before anything changes.
+  if (!std::isfinite(p.x) || !std::isfinite(p.y)) {
+    throw std::invalid_argument("DynamicHng: insert of a non-finite point");
+  }
   begin_event();
   const auto id = static_cast<std::uint32_t>(points_.size());
   insert_slot(id, p);
@@ -367,6 +520,9 @@ void DynamicHng::remove(std::uint32_t i) {
   in_recompute_.pop_back();
   sel_.pop_back();
   selectors_.pop_back();
+  cohort_pos_.pop_back();
+  reach_.pop_back();
+  reach_pos_.pop_back();
 }
 
 }  // namespace sens

@@ -22,15 +22,24 @@
 // enforced at every prefix of randomized traces by tests/test_dynamic.cpp
 // (`churn` ctest label).
 //
-// Repair sets are bounded and exact (DESIGN.md §2.7):
+// Repair sets are bounded and exact, and so is the work that finds them
+// (DESIGN.md §2.7) — no event scans all slots unless its output is every
+// node (the top < 2 everyone-clique):
 //  * join u at level L: u's own selection is one pyramid query per the
 //    batch rule; an existing regular node w of exact level l <= L-1 sees u
 //    enter S_{l+1}, and its new k-NN selection follows from its old one
 //    without a re-query — admit u iff w is under-full or u beats w's
-//    current (distance, index)-worst pick; a top-level rise dissolves the
-//    old clique cohort, which relinks by re-query.
+//    current (distance, index)-worst pick. The candidates w come from a
+//    reverse k-NN index: each full linker sits in a hash-grid bucket whose
+//    cell side exceeds its worst-pick distance, so every w that could admit
+//    u lies in the 3x3 buckets around u. A level whose target held fewer
+//    than k nodes is under-full throughout and admits u via its member
+//    list. A top-level rise dissolves the old clique cohort, which relinks
+//    by re-query.
 //  * leave r: exactly the nodes that selected r (a maintained reverse
 //    index) re-query; a top-level drop forms the new top cohort's clique.
+// Top-level transitions read per-level member lists (cohorts), never the
+// slot range.
 // The overlay CSR is patched with `CsrGraph::apply_edge_delta` over the
 // touched vertex pairs — never rebuilt or re-sorted. Materialization is
 // deferred: each event appends its net-changed pairs to a pending list,
@@ -48,6 +57,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <span>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -76,6 +86,9 @@ struct DynamicHngStats {
   std::size_t relinked = 0;       ///< nodes whose selection list changed
   std::size_t edges_added = 0;    ///< overlay edge delta of the event
   std::size_t edges_removed = 0;
+  /// Slots the repair visited to find its repair set: cohort members plus
+  /// reverse k-NN candidates (the `dynamic_nodes_scanned` obs counter).
+  std::size_t nodes_scanned = 0;
 };
 
 class DynamicHng {
@@ -85,7 +98,8 @@ class DynamicHng {
   DynamicHng(const HngParams& params, std::uint64_t seed);
 
   /// Bulk adoption: equivalent to (and implemented as) inserting `points`
-  /// one by one in order.
+  /// one by one in order. Throws std::invalid_argument if any point has a
+  /// non-finite coordinate.
   DynamicHng(std::span<const Vec2> points, const HngParams& params, std::uint64_t seed);
 
   DynamicHng(DynamicHng&&) noexcept = default;
@@ -95,7 +109,8 @@ class DynamicHng {
 
   /// Join: the new node takes slot size(), draws its level from stream
   /// (seed, "HNG", slot), links itself, and repairs the bounded set of
-  /// selections it enters. Returns the slot.
+  /// selections it enters. Returns the slot. Throws std::invalid_argument
+  /// on a non-finite coordinate, before any state changes.
   std::uint32_t insert(Vec2 p);
 
   /// Leave: node `i` departs. Unless i was the last slot, the last slot's
@@ -164,6 +179,11 @@ class DynamicHng {
   void compute_selection(std::uint32_t u, std::vector<std::uint32_t>& out);
   void set_selection(std::uint32_t u, const std::vector<std::uint32_t>& fresh);
   void maybe_enter(std::uint32_t w, std::uint32_t u);
+  void join_repair(std::uint32_t u);
+  void cohort_add(std::uint32_t w);
+  void cohort_drop(std::uint32_t w);
+  void reindex(std::uint32_t w);
+  void reach_erase(std::uint32_t w);
   void insert_slot(std::uint32_t id, Vec2 p);
   void remove_slot(std::uint32_t r);
   void begin_event();
@@ -184,8 +204,32 @@ class DynamicHng {
   std::vector<std::vector<std::uint32_t>> selectors_;  ///< reverse index, ascending ids
   std::size_t live_n_ = 0;
 
-  std::vector<std::uint32_t> level_count_;  ///< exact-level histogram [0, max_level]
+  std::vector<std::vector<std::uint32_t>> cohort_;  ///< live slots per exact level [0, max_level]
+  std::vector<std::uint32_t> cohort_pos_;           ///< slot -> index in its cohort
   std::uint32_t top_ = 0;
+
+  // Reverse k-NN index over the full linkers (exact level < top, k picks).
+  // Linker w with worst-pick squared distance r2 has reach class c, the
+  // smallest exponent (>= kMinReach) with 4^c > r2, and sits in the bucket
+  // of cell floor(p / 2^c) at (level, c). A joiner that w admits lies
+  // within sqrt(r2) < 2^c of it, so one cell away at most per axis.
+  // Linkers whose r2 overflowed to +inf share one bucket that every
+  // lookup at their level visits.
+  struct ReachKey {
+    std::int64_t x = 0;
+    std::int64_t y = 0;
+    std::uint32_t level = 0;
+    std::int32_t reach = 0;
+    bool operator==(const ReachKey&) const = default;
+  };
+  struct ReachKeyHash {
+    std::size_t operator()(const ReachKey& key) const noexcept;
+  };
+  std::unordered_map<ReachKey, std::vector<std::uint32_t>, ReachKeyHash> reach_cells_;
+  /// Per level: the occupied reach classes and their member counts, ascending.
+  std::vector<std::vector<std::pair<std::int32_t, std::uint32_t>>> reach_classes_;
+  std::vector<std::int32_t> reach_;       ///< slot -> reach class, or unindexed
+  std::vector<std::uint32_t> reach_pos_;  ///< slot -> index in its bucket
   GridKnnPyramid pyramid_;  ///< level index l holds S_{l+2}
   DynamicHngStats last_;
 
@@ -210,6 +254,7 @@ class DynamicHng {
   std::vector<std::pair<std::uint32_t, std::uint32_t>> touched_;
   std::vector<std::uint32_t> found_;
   std::vector<std::uint32_t> fresh_sel_;
+  std::vector<std::uint32_t> reach_found_;
   GridKnn::QueryScratch scratch_;
 };
 

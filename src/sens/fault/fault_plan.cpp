@@ -1,11 +1,34 @@
 #include "sens/fault/fault_plan.hpp"
 
+#include <cmath>
+#include <stdexcept>
+#include <utility>
+
 #include "sens/graph/flat_adjacency.hpp"
 #include "sens/obs/obs.hpp"
 #include "sens/support/checked.hpp"
 #include "sens/support/parallel.hpp"
 
 namespace sens {
+
+FaultInjector::FaultInjector(FaultPlan plan) : plan_(std::move(plan)) {
+  // The negated range tests also reject NaN.
+  if (!(plan_.node_crash >= 0.0 && plan_.node_crash <= 1.0)) {
+    throw std::invalid_argument("FaultInjector: node_crash must be in [0, 1]");
+  }
+  if (!(plan_.link_failure >= 0.0 && plan_.link_failure <= 1.0)) {
+    throw std::invalid_argument("FaultInjector: link_failure must be in [0, 1]");
+  }
+  for (const Box& b : plan_.blackouts) {
+    if (!std::isfinite(b.lo.x) || !std::isfinite(b.lo.y) || !std::isfinite(b.hi.x) ||
+        !std::isfinite(b.hi.y)) {
+      throw std::invalid_argument("FaultInjector: blackout corners must be finite");
+    }
+    if (!(b.lo.x <= b.hi.x && b.lo.y <= b.hi.y)) {
+      throw std::invalid_argument("FaultInjector: blackout box must have lo <= hi");
+    }
+  }
+}
 
 std::vector<std::uint8_t> FaultInjector::alive_mask(std::span<const Vec2> points) const {
   std::vector<std::uint8_t> alive(points.size());

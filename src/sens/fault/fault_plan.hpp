@@ -49,7 +49,10 @@ struct FaultPlan {
 /// stateless; concurrent calls are safe and order-independent.
 class FaultInjector {
  public:
-  explicit FaultInjector(FaultPlan plan) : plan_(std::move(plan)) {}
+  /// Throws std::invalid_argument unless both probabilities are finite
+  /// and in [0, 1] and every blackout box has finite corners with
+  /// lo <= hi on both axes (a NaN or inverted box would black out nothing).
+  explicit FaultInjector(FaultPlan plan);
 
   /// Bernoulli crash draw of node `id` — stream (seed, kCrash, id).
   [[nodiscard]] bool node_crashes(std::uint32_t id) const {

@@ -27,6 +27,7 @@ const char* counter_name(Counter c) noexcept {
     case Counter::kFaultNodesFailed: return "fault_nodes_failed";
     case Counter::kFaultEdgesLostEndpoint: return "fault_edges_lost_endpoint";
     case Counter::kFaultEdgesLostLink: return "fault_edges_lost_link";
+    case Counter::kDynamicNodesScanned: return "dynamic_nodes_scanned";
     case Counter::kCount: break;
   }
   return "unknown";

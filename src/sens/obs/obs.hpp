@@ -66,6 +66,7 @@ enum class Counter : std::uint32_t {
   kFaultNodesFailed,        ///< nodes killed by apply_faults
   kFaultEdgesLostEndpoint,  ///< edges lost to a dead endpoint
   kFaultEdgesLostLink,      ///< edges lost to targeted link failure
+  kDynamicNodesScanned,     ///< slots a DynamicHng repair visited (cohorts + reverse k-NN)
   kCount
 };
 

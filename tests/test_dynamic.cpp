@@ -8,7 +8,9 @@
 // traces and checks that full-rebuild oracle after EVERY prefix.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
+#include <limits>
 #include <stdexcept>
 #include <vector>
 
@@ -91,6 +93,24 @@ void apply(DynamicHng& dyn, const Event& e) {
   }
 }
 
+/// Replay `trace` (leave slots taken modulo the live size; a leave on an
+/// empty structure is skipped) with the full-rebuild oracle after EVERY
+/// event.
+::testing::AssertionResult replay_with_oracle(DynamicHng& dyn, const std::vector<Event>& trace) {
+  for (std::size_t e = 0; e < trace.size(); ++e) {
+    Event ev = trace[e];
+    if (!ev.join) {
+      if (dyn.size() == 0) continue;
+      ev.slot %= static_cast<std::uint32_t>(dyn.size());
+    }
+    apply(dyn, ev);
+    if (::testing::AssertionResult ok = matches_oracle(dyn); !ok) {
+      return ok << " (after event " << e << ", n=" << dyn.size() << ")";
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
 TEST(DynamicHng, RejectsInvalidParams) {
   EXPECT_THROW(DynamicHng({.promote_p = 0.0}, 1), std::invalid_argument);
   EXPECT_THROW(DynamicHng({.promote_p = 1.0}, 1), std::invalid_argument);
@@ -169,6 +189,179 @@ TEST(DynamicHng, RemoveUntilEmptyThenReinsert) {
     ASSERT_TRUE(matches_oracle(dyn)) << "re-inserting slot " << id;
   }
   EXPECT_EQ(dyn.size(), ps.size());
+}
+
+// Non-finite coordinates would reach the grid cell casts of the k-NN
+// pyramid and the reverse index: rejected before any state changes, in
+// either coordinate, and the structure keeps working afterwards.
+TEST(DynamicHng, NonFiniteInsertThrowsAndLeavesStateIntact) {
+  const PointSet ps = poisson_point_set(Box{{0.0, 0.0}, {6.0, 6.0}}, 2.0, 0xBAD);
+  DynamicHng dyn(ps.points, {.promote_p = 0.3, .k = 3}, 0xBAD);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  double x = 0.25;
+  for (const double bad : {nan, inf, -inf}) {
+    for (const Vec2 p : {Vec2{bad, 1.0}, Vec2{1.0, bad}, Vec2{bad, bad}}) {
+      const std::size_t n = dyn.size();
+      const std::uint64_t generation = dyn.overlay_generation();
+      const DynamicHngStats last = dyn.last_event();
+      EXPECT_THROW(dyn.insert(p), std::invalid_argument);
+      EXPECT_EQ(dyn.size(), n);
+      EXPECT_EQ(dyn.overlay_generation(), generation);
+      EXPECT_EQ(dyn.last_event().relinked, last.relinked);
+      EXPECT_EQ(dyn.last_event().edges_added, last.edges_added);
+      ASSERT_TRUE(matches_oracle(dyn)) << "after rejecting (" << p.x << ", " << p.y << ")";
+      dyn.insert({x, 5.0 - x});
+      x += 0.5;
+      ASSERT_TRUE(matches_oracle(dyn)) << "insert after a rejected point";
+    }
+  }
+  std::vector<Vec2> poisoned = ps.points;
+  poisoned[poisoned.size() / 2].y = nan;
+  EXPECT_THROW(DynamicHng(poisoned, {.promote_p = 0.3, .k = 3}, 0xBAD), std::invalid_argument);
+}
+
+// --- adversarial traces for the reverse k-NN join repair ---------------
+//
+// A joiner of level L >= 2 repairs exactly the linkers whose selection it
+// enters; they are found through reach buckets and per-level cohorts, not
+// by scanning slots. Each trace below aims at one way that lookup could
+// miss or double-count a linker, with the full-rebuild oracle at every
+// prefix.
+
+// Lattice coordinates and duplicates: equal distances everywhere, so
+// admission is decided by the (d2, id) tie-break — including a joiner at
+// exactly a linker's worst distance whose lower id (a swap-remove rename)
+// displaces the worst pick.
+TEST(DynamicHng, AdversarialLatticeTiesMatchOracle) {
+  Rng rng = Rng::stream(0x1A7, 0, 0);
+  std::vector<Event> trace;
+  for (int e = 0; e < 900; ++e) {
+    if (e < 150 || rng.bernoulli(0.5)) {
+      const double step = rng.bernoulli(0.7) ? 1.0 : 0.5;
+      trace.push_back({.join = true,
+                       .p = {step * static_cast<double>(rng.uniform_index(8)),
+                             step * static_cast<double>(rng.uniform_index(8))},
+                       .slot = 0});
+    } else {
+      trace.push_back({.join = false, .p = {}, .slot = static_cast<std::uint32_t>(rng.next_u64())});
+    }
+  }
+  DynamicHng dyn({.promote_p = 0.3, .k = 3}, 0x1A7);
+  EXPECT_TRUE(replay_with_oracle(dyn, trace));
+}
+
+// Joiners far outside the current bounding box (up to 1e9 away) and
+// tight clusters (offsets down to 1e-12): reach classes far apart from the
+// bulk, buckets far from every other bucket.
+TEST(DynamicHng, AdversarialFarJoinersAndTightClustersMatchOracle) {
+  const PointSet warm = poisson_point_set(Box{{0.0, 0.0}, {4.0, 4.0}}, 3.0, 0xFA4);
+  DynamicHng dyn(warm.points, {.promote_p = 0.3, .k = 3}, 0xFA4);
+  ASSERT_TRUE(matches_oracle(dyn));
+  Rng rng = Rng::stream(0xFA4, 0, 0);
+  std::vector<Event> trace;
+  for (int e = 0; e < 700; ++e) {
+    if (!rng.bernoulli(0.6)) {
+      trace.push_back({.join = false, .p = {}, .slot = static_cast<std::uint32_t>(rng.next_u64())});
+      continue;
+    }
+    Vec2 p{rng.uniform(0.0, 4.0), rng.uniform(0.0, 4.0)};
+    const double kind = rng.uniform();
+    if (kind < 0.25) {
+      const double far = std::pow(10.0, rng.uniform(3.0, 9.0));
+      p = {far * rng.uniform(-1.0, 1.0), far * rng.uniform(-1.0, 1.0)};
+    } else if (kind < 0.6) {
+      const double spread = rng.bernoulli(0.5) ? 1e-12 : 1e-6;
+      p = {2.0 + spread * rng.uniform(), 2.0 + spread * rng.uniform()};
+    }
+    trace.push_back({.join = true, .p = p, .slot = 0});
+  }
+  EXPECT_TRUE(replay_with_oracle(dyn, trace));
+}
+
+// Two clusters at diagonally opposite corners near +-1e155: distances
+// between them square to +inf, so a linker picking across drops into the
+// overflow reach class that every lookup at its level visits. (Diagonal
+// corners keep every level's grid box square, so the k-NN pyramid's own
+// cell arithmetic stays finite.)
+TEST(DynamicHng, AdversarialOverflowingDistancesMatchOracle) {
+  Rng rng = Rng::stream(0x1E155, 0, 0);
+  std::vector<Event> trace;
+  for (int e = 0; e < 400; ++e) {
+    if (e < 40 || rng.bernoulli(0.55)) {
+      const double corner = rng.bernoulli(0.8) ? 1e155 : -1e155;
+      trace.push_back(
+          {.join = true, .p = {corner + rng.uniform(), corner + rng.uniform()}, .slot = 0});
+    } else {
+      trace.push_back({.join = false, .p = {}, .slot = static_cast<std::uint32_t>(rng.next_u64())});
+    }
+  }
+  DynamicHng dyn({.promote_p = 0.3, .k = 3}, 0x1E155);
+  EXPECT_TRUE(replay_with_oracle(dyn, trace));
+}
+
+// promote_p = 0.75 on a few hundred nodes, grown and drained four
+// times: the top level rises and drops constantly, and the seed makes
+// slots 0-2 level-1 nodes, so every drain passes through the top < 2
+// everyone-clique.
+TEST(DynamicHng, AdversarialTopTransitionsMatchOracle) {
+  const HngParams params{.promote_p = 0.75, .k = 3};
+  std::uint64_t seed = 0x75;
+  while (hng_promotion_level(seed, 0, params) != 1 || hng_promotion_level(seed, 1, params) != 1 ||
+         hng_promotion_level(seed, 2, params) != 1) {
+    ++seed;
+  }
+  DynamicHng dyn(params, seed);
+  Rng rng = Rng::stream(seed, 0x7C, 0);
+  std::size_t rises = 0;
+  std::size_t drops = 0;
+  std::size_t everyone_cliques = 0;
+  for (int cycle = 0; cycle < 4; ++cycle) {
+    for (const bool grow : {true, false}) {
+      while (grow ? dyn.size() < 220 : dyn.size() > 0) {
+        const std::uint32_t top = dyn.top_level();
+        if (dyn.size() == 0 || rng.bernoulli(grow ? 0.8 : 0.2)) {
+          dyn.insert({rng.uniform(0.0, 10.0), rng.uniform(0.0, 10.0)});
+        } else {
+          dyn.remove(static_cast<std::uint32_t>(rng.uniform_index(dyn.size())));
+        }
+        if (dyn.top_level() > top) ++rises;
+        if (dyn.top_level() < top && dyn.size() > 0) ++drops;
+        if (dyn.top_level() == 1 && dyn.size() >= 2) ++everyone_cliques;
+        ASSERT_TRUE(matches_oracle(dyn)) << "cycle " << cycle << ", n=" << dyn.size();
+      }
+    }
+  }
+  EXPECT_GE(rises, 10u);
+  EXPECT_GE(drops, 10u);
+  EXPECT_GE(everyone_cliques, 8u);
+}
+
+// k larger than the upper-level populations: whole levels are
+// under-full (every selection there is all of S_{l+1}), so a joiner is
+// admitted through the cohort list rather than the reach buckets.
+TEST(DynamicHng, AdversarialUnderFullLevelsMatchOracle) {
+  for (const std::size_t k : {std::size_t{6}, std::size_t{40}}) {
+    const PointSet warm = poisson_point_set(Box{{0.0, 0.0}, {6.0, 6.0}}, 2.0, 0xD0 + k);
+    DynamicHng dyn(warm.points, {.promote_p = 0.25, .k = k}, 0xD0 + k);
+    ASSERT_TRUE(matches_oracle(dyn));
+    std::size_t under_full = 0;
+    const std::vector<Event> trace = make_trace(0xD0 + k, 400, 0.5);
+    for (std::size_t e = 0; e < trace.size(); ++e) {
+      Event ev = trace[e];
+      if (!ev.join) ev.slot %= static_cast<std::uint32_t>(dyn.size());
+      apply(dyn, ev);
+      ASSERT_TRUE(matches_oracle(dyn)) << "k=" << k << ", event " << e;
+      for (std::uint32_t w = 0; w < dyn.size(); ++w) {
+        if (dyn.level(w) >= 2 && dyn.level(w) < dyn.top_level() &&
+            dyn.selection(w).size() < k) {
+          ++under_full;
+          break;
+        }
+      }
+    }
+    EXPECT_GT(under_full, 0u) << "k=" << k;
+  }
 }
 
 // The headline property suite: seed-sharded randomized traces, the

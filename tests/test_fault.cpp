@@ -11,6 +11,8 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <limits>
+#include <stdexcept>
 #include <vector>
 
 #include "sens/dynamic/dynamic_hng.hpp"
@@ -119,6 +121,67 @@ TEST(FaultInjector, TotalCrashLeavesNothing) {
   EXPECT_EQ(faulted.geo.graph.num_vertices(), 0u);
   EXPECT_EQ(faulted.nodes_failed, geo.size());
   EXPECT_EQ(faulted.edges_lost_endpoint, geo.graph.num_edges());
+}
+
+// --- plan validation: a meaningless plan throws at construction --------
+
+constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
+constexpr double kInf = std::numeric_limits<double>::infinity();
+
+TEST(FaultInjector, RejectsNodeCrashOutsideUnitInterval) {
+  for (const double p : {kNan, kInf, -kInf, -0.1, 1.5}) {
+    FaultPlan plan;
+    plan.node_crash = p;
+    EXPECT_THROW(FaultInjector{plan}, std::invalid_argument) << "node_crash " << p;
+  }
+}
+
+TEST(FaultInjector, RejectsLinkFailureOutsideUnitInterval) {
+  for (const double p : {kNan, kInf, -kInf, -1e-9, 1.0000001}) {
+    FaultPlan plan;
+    plan.link_failure = p;
+    EXPECT_THROW(FaultInjector{plan}, std::invalid_argument) << "link_failure " << p;
+  }
+}
+
+TEST(FaultInjector, RejectsNonFiniteBlackoutCorners) {
+  for (const double bad : {kNan, kInf, -kInf}) {
+    for (int corner = 0; corner < 4; ++corner) {
+      Box box{{1.0, 1.0}, {2.0, 2.0}};
+      double* coords[] = {&box.lo.x, &box.lo.y, &box.hi.x, &box.hi.y};
+      *coords[corner] = bad;
+      FaultPlan plan;
+      plan.blackouts = {Box{{0.0, 0.0}, {1.0, 1.0}}, box};
+      EXPECT_THROW(FaultInjector{plan}, std::invalid_argument)
+          << "corner " << corner << " = " << bad;
+    }
+  }
+}
+
+TEST(FaultInjector, RejectsInvertedBlackoutBox) {
+  for (const Box& box : {Box{{3.0, 1.0}, {2.0, 2.0}}, Box{{1.0, 3.0}, {2.0, 2.0}}}) {
+    FaultPlan plan;
+    plan.blackouts = {box};
+    EXPECT_THROW(FaultInjector{plan}, std::invalid_argument);
+  }
+}
+
+// The closed ends of the ranges stay legal, as do the plans the benches
+// build: certain death, a zero-area box, and E19's compound plan.
+TEST(FaultInjector, AcceptsBoundaryPlans) {
+  FaultPlan plan;
+  plan.node_crash = 1.0;
+  plan.link_failure = 0.0;
+  plan.blackouts = {Box{{2.0, 2.0}, {2.0, 2.0}}, Box{{-5.0, -1.0}, {5.0, 21.0}}};
+  EXPECT_NO_THROW(FaultInjector{plan});
+  plan.node_crash = 0.0;
+  plan.link_failure = 1.0;
+  EXPECT_NO_THROW(FaultInjector{plan});
+  FaultPlan compound;
+  compound.node_crash = 0.05;
+  compound.link_failure = 0.15;
+  compound.blackouts = {Box{{8.0, -1.0}, {12.0, 21.0}}};
+  EXPECT_NO_THROW(FaultInjector{compound});
 }
 
 TEST(FaultOracle, MatchesFreshRebuildOverSurvivors) {
