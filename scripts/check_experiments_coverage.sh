@@ -1,5 +1,7 @@
 #!/usr/bin/env bash
-# Docs check: every bench_* source must be named in EXPERIMENTS.md.
+# Docs check: every bench_* source must be named in EXPERIMENTS.md, and
+# every BM_* kernel recorded in bench/BENCH_*.json must still be defined by
+# a BENCHMARK( line in bench/bench_micro.cpp.
 # Run from anywhere; CI runs it in the docs-check job and ctest as
 # `docs.experiments_coverage`.
 set -u
@@ -15,7 +17,18 @@ for f in bench/bench_*.cpp; do
   fi
 done
 
+# Recorded names carry benchmark arguments (BM_Foo/16/0); the kernel is
+# the part before the first slash.
+for name in $(grep -ho '"name": "BM_[A-Za-z0-9_]*' bench/BENCH_*.json | sed 's/.*"BM_/BM_/' | sort -u); do
+  if ! grep -q "BENCHMARK($name)" bench/bench_micro.cpp; then
+    for f in $(grep -l "\"name\": \"$name[/\"]" bench/BENCH_*.json); do
+      echo "::error file=$f::recorded kernel $name is not defined in bench/bench_micro.cpp"
+    done
+    missing=1
+  fi
+done
+
 if [ "$missing" -eq 0 ]; then
-  echo "check_experiments_coverage: every bench binary is documented"
+  echo "check_experiments_coverage: every bench binary is documented and every recorded kernel exists"
 fi
 exit $missing

@@ -1,9 +1,11 @@
 #include "sens/core/coverage.hpp"
 
 #include <algorithm>
+#include <cmath>
+#include <stdexcept>
 
 #include "sens/rng/rng.hpp"
-#include "sens/spatial/grid_index.hpp"
+#include "sens/spatial/grid_knn.hpp"
 
 namespace sens {
 
@@ -49,6 +51,9 @@ std::vector<double> empty_block_probability(const Overlay& overlay,
 
 Proportion empty_box_probability(const Overlay& overlay, double ell, std::size_t trials,
                                  std::uint64_t seed) {
+  if (!(std::isfinite(ell) && ell > 0.0)) {
+    throw std::invalid_argument("empty_box_probability: ell must be finite and > 0");
+  }
   // Giant-component overlay node positions, spatially indexed for the
   // emptiness queries.
   std::vector<Vec2> giant_points;
@@ -63,7 +68,7 @@ Proportion empty_box_probability(const Overlay& overlay, double ell, std::size_t
     result.successes = trials;
     return result;
   }
-  const GridIndex index(giant_points, bounds, std::max(ell, overlay.tile_side));
+  const GridKnn index = GridKnn::for_radius(giant_points, std::max(ell, overlay.tile_side));
 
   Rng rng = Rng::stream(seed, 0xb0c5);
   const double span_x = bounds.width() - ell;
@@ -78,7 +83,7 @@ Proportion empty_box_probability(const Overlay& overlay, double ell, std::size_t
     // Any giant node in the box? Query the circumscribed radius, filter, and
     // stop the scan at the first hit (the visitor template inlines; no
     // std::function in the trial loop).
-    const bool occupied = index.for_each_in_radius_until(
+    const bool occupied = index.for_each_in_radius(
         box.center(), ell * 0.7071067811865476 + 1e-9,
         [&](std::uint32_t j) { return box.contains(giant_points[j]); });
     if (!occupied) ++result.successes;

@@ -27,7 +27,8 @@ namespace sens {
 
 /// Monte-Carlo estimate of P(|B(l) ∩ SENS| = 0) with axis-aligned side-l
 /// boxes placed uniformly inside the overlay window (margin keeps boxes
-/// fully interior).
+/// fully interior). Throws std::invalid_argument unless `ell` is finite
+/// and > 0.
 [[nodiscard]] Proportion empty_box_probability(const Overlay& overlay, double ell,
                                                std::size_t trials, std::uint64_t seed);
 

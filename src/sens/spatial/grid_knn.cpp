@@ -13,6 +13,12 @@ namespace sens {
 namespace {
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
+bool is_finite(Vec2 p) { return std::isfinite(p.x) && std::isfinite(p.y); }
+
+void require_finite_point(Vec2 p) {
+  if (!is_finite(p)) throw std::invalid_argument("GridKnn: point coordinates must be finite");
+}
+
 #if SENS_OBS_ENABLED
 /// Stack-local work tally for one k-NN query, flushed to the obs registry
 /// on scope exit. Per-query cell/candidate counts are pure functions of
@@ -43,10 +49,18 @@ void finish_large(std::size_t k, std::vector<GridKnn::QueryScratch::Candidate>& 
 }  // namespace
 
 GridKnn::GridKnn(std::span<const Vec2> points, std::size_t expected_k)
-    : owned_points_(points.begin(), points.end()), points_(owned_points_) {
+    : GridKnn(points, expected_k, 0.0) {}
+
+GridKnn::GridKnn(std::span<const Vec2> points, std::size_t expected_k, double cell_side)
+    : owned_points_(points.begin(), points.end()), points_(owned_points_), fixed_cell_(cell_side) {
   std::vector<std::uint32_t> all(owned_points_.size());
   std::iota(all.begin(), all.end(), 0u);
   build(all, expected_k);
+}
+
+GridKnn GridKnn::for_radius(std::span<const Vec2> points, double radius) {
+  check_radius(radius);
+  return GridKnn(points, 1, radius);
 }
 
 GridKnn::GridKnn(std::span<const Vec2> shared_points, std::span<const std::uint32_t> members,
@@ -56,14 +70,32 @@ GridKnn::GridKnn(std::span<const Vec2> shared_points, std::span<const std::uint3
 }
 
 /// Index the points named by `members` (ids into `points_`): grid geometry
-/// tuned to the members' bounding box and density, bucket arrays over
-/// member ids only. The search kernels never look at non-member points —
-/// they only walk `order_`.
+/// from the members' bounding box (cell side from density and `expected_k`,
+/// or `fixed_cell_`), bucket arrays over member ids only. The search
+/// kernels never look at non-member points — they only walk `order_`.
 void GridKnn::build(std::span<const std::uint32_t> members, std::size_t expected_k) {
   // Ids are std::uint32_t with npos reserved as the tombstone marker, so the
   // shared store must stay strictly below npos (DESIGN.md §2.8).
   if (points_.size() >= npos) {
     throw std::overflow_error("GridKnn: point store exceeds the 32-bit id space");
+  }
+  // Validated before the buckets are touched, so a rejected (re)build
+  // leaves the index as it was.
+  Vec2 lo{kInf, kInf};
+  Vec2 hi{-kInf, -kInf};
+  for (const std::uint32_t m : members) {
+    const Vec2 p = points_[m];
+    require_finite_point(p);
+    lo.x = std::min(lo.x, p.x);
+    lo.y = std::min(lo.y, p.y);
+    hi.x = std::max(hi.x, p.x);
+    hi.y = std::max(hi.y, p.y);
+  }
+  const double w = std::max(hi.x - lo.x, 1e-9);
+  const double h = std::max(hi.y - lo.y, 1e-9);
+  // Finite points can still span more than a double (e.g. -1e308 .. 1e308).
+  if (!(std::isfinite(w) && std::isfinite(h))) {
+    throw std::invalid_argument("GridKnn: point extent must be finite");
   }
   offsets_.clear();
   order_.clear();
@@ -72,34 +104,30 @@ void GridKnn::build(std::span<const std::uint32_t> members, std::size_t expected
   live_ = members.size();
   dead_ = 0;
   if (members.empty()) return;
-  Vec2 hi = points_[members[0]];
-  lo_ = points_[members[0]];
-  for (const std::uint32_t m : members) {
-    const Vec2 p = points_[m];
-    lo_.x = std::min(lo_.x, p.x);
-    lo_.y = std::min(lo_.y, p.y);
-    hi.x = std::max(hi.x, p.x);
-    hi.y = std::max(hi.y, p.y);
-  }
-  const double w = std::max(hi.x - lo_.x, 1e-9);
-  const double h = std::max(hi.y - lo_.y, 1e-9);
+  lo_ = lo;
   const double density = static_cast<double>(members.size()) / (w * h);
   // Target ~k/4 (streaming) or ~k/16 (selection) points per cell, floored
   // so the grid never exceeds ~4n cells (degenerate aspect-ratio guard).
   const double per_cell =
       static_cast<double>(std::max<std::size_t>(expected_k, 1)) /
       (expected_k > kStreamingMaxK ? 16.0 : 4.0);
-  cell_ = std::max(1e-9, std::sqrt(per_cell / density));
-  nx_ = std::max(1L, static_cast<long>(std::ceil(w / cell_)));
-  ny_ = std::max(1L, static_cast<long>(std::ceil(h / cell_)));
+  cell_ = fixed_cell_ > 0.0 ? fixed_cell_ : std::max(1e-9, std::sqrt(per_cell / density));
   // Cap the grid at ~4n cells. The per-axis ceil makes this a doubling loop
   // rather than a closed form: a degenerate aspect ratio (e.g. collinear
-  // points) floors one axis at a single cell while the other explodes.
+  // points) floors one axis at a single cell while the other explodes. An
+  // axis count is capped in double before the cast; past max_cells it is
+  // doubled away anyway.
   const long max_cells = 4 * static_cast<long>(members.size()) + 8;
-  while (nx_ * ny_ > max_cells) {
+  const double axis_cap = static_cast<double>(max_cells) + 1.0;
+  auto axis_cells = [&](double extent) {
+    return std::max(1L, static_cast<long>(std::min(std::ceil(extent / cell_), axis_cap)));
+  };
+  nx_ = axis_cells(w);
+  ny_ = axis_cells(h);
+  while (nx_ > max_cells / ny_) {
     cell_ *= 2.0;
-    nx_ = std::max(1L, static_cast<long>(std::ceil(w / cell_)));
-    ny_ = std::max(1L, static_cast<long>(std::ceil(h / cell_)));
+    nx_ = axis_cells(w);
+    ny_ = axis_cells(h);
   }
 
   const std::size_t cells = static_cast<std::size_t>(nx_) * static_cast<std::size_t>(ny_);
@@ -112,15 +140,27 @@ void GridKnn::build(std::span<const std::uint32_t> members, std::size_t expected
   for (const std::uint32_t m : members) order_[cursor[cell_index(points_[m])]++] = m;
 }
 
+void GridKnn::check_query(Vec2 q) {
+  if (!is_finite(q)) throw std::invalid_argument("GridKnn: query point must be finite");
+}
+
+// Negated so NaN fails too.
+void GridKnn::check_radius(double r) {
+  if (!(std::isfinite(r) && r > 0.0)) {
+    throw std::invalid_argument("GridKnn: radius must be finite and > 0");
+  }
+}
+
 std::size_t GridKnn::cell_index(Vec2 p) const {
-  const long ix = std::clamp(static_cast<long>(std::floor((p.x - lo_.x) / cell_)), 0L, nx_ - 1);
-  const long iy = std::clamp(static_cast<long>(std::floor((p.y - lo_.y) / cell_)), 0L, ny_ - 1);
-  return static_cast<std::size_t>(iy) * static_cast<std::size_t>(nx_) +
-         static_cast<std::size_t>(ix);
+  return static_cast<std::size_t>(cell_coord(p.y - lo_.y, ny_)) * static_cast<std::size_t>(nx_) +
+         static_cast<std::size_t>(cell_coord(p.x - lo_.x, nx_));
 }
 
 void GridKnn::insert_member(std::uint32_t id) {
   if (id >= points_.size()) throw std::out_of_range("GridKnn: member id out of range");
+  // A spilled point is bucketed by the next compaction; reject it now
+  // rather than from that unrelated later call.
+  require_finite_point(points_[id]);
   spill_.push_back(id);
   ++live_;
   maybe_compact();
@@ -216,10 +256,8 @@ std::size_t GridKnn::collect_small(Vec2 q, std::size_t k, std::uint32_t exclude,
   for (const std::uint32_t idx : spill_) offer(idx);
   if (offsets_.empty()) return cnt;
 
-  const long cx =
-      std::clamp(static_cast<long>(std::floor((q.x - lo_.x) / cell_)), 0L, nx_ - 1);
-  const long cy =
-      std::clamp(static_cast<long>(std::floor((q.y - lo_.y) / cell_)), 0L, ny_ - 1);
+  const long cx = cell_coord(q.x - lo_.x, nx_);
+  const long cy = cell_coord(q.y - lo_.y, ny_);
   const long max_ring = std::max(std::max(cx, nx_ - 1 - cx), std::max(cy, ny_ - 1 - cy));
 
   /// One row of cells [xa, xb] at row y: a single contiguous bucket span.
@@ -312,10 +350,8 @@ void GridKnn::collect_large(Vec2 q, std::size_t k, std::uint32_t exclude,
     return;
   }
 
-  const long cx =
-      std::clamp(static_cast<long>(std::floor((q.x - lo_.x) / cell_)), 0L, nx_ - 1);
-  const long cy =
-      std::clamp(static_cast<long>(std::floor((q.y - lo_.y) / cell_)), 0L, ny_ - 1);
+  const long cx = cell_coord(q.x - lo_.x, nx_);
+  const long cy = cell_coord(q.y - lo_.y, ny_);
   const long max_ring = std::max(std::max(cx, nx_ - 1 - cx), std::max(cy, ny_ - 1 - cy));
 
   auto scan_cell = [&](long x, long y) {
@@ -374,6 +410,7 @@ void GridKnn::collect_large(Vec2 q, std::size_t k, std::uint32_t exclude,
 
 std::size_t GridKnn::nearest_into(Vec2 q, std::size_t k, std::uint32_t exclude,
                                   QueryScratch& scratch, std::vector<std::uint32_t>& out) const {
+  check_query(q);
   out.clear();
   if (live_ == 0 || k == 0) return 0;
   if (k <= kStreamingMaxK) {

@@ -1,4 +1,4 @@
-// Exact k-nearest-neighbor queries over a uniform grid (expanding rings).
+// Exact k-nearest-neighbor and radius queries over one uniform bucket grid.
 //
 // The batched k-NN selection workload — every point of a Poisson set asks
 // for its k nearest — is better served by a bucket grid than a kd-tree: the
@@ -11,11 +11,21 @@
 // `GridKnnParamTest.MatchesKdTreeOracle`). `knn_selections_flat` drives it
 // chunk-parallel with one scratch per chunk (DESIGN.md §2.3).
 //
-// Cell size is tuned at construction for an expected query size k; queries
-// with other k values stay exact, only ring granularity is off-tune. A
-// second constructor indexes a *subset* of a shared point store without
-// copying coordinates — the per-level building block of `GridKnnPyramid`
+// The same buckets answer fixed-radius queries (`for_each_in_radius`, the
+// unit-disk graph builder and the coverage estimator): `for_radius` builds
+// cells of side r, so a radius-r query is a 3x3 block of row spans.
+//
+// Cell size is tuned at construction for an expected query size k (or set
+// to the radius by `for_radius`); queries of any k or radius stay exact,
+// only ring granularity is off-tune. A second constructor indexes a
+// *subset* of a shared point store without copying coordinates — the
+// per-level building block of `GridKnnPyramid`
 // (spatial/grid_knn_pyramid.hpp).
+//
+// Input contract: every indexed coordinate and every query point must be
+// finite and every radius finite and > 0, else std::invalid_argument. Cell
+// coordinates are clamped in double before the integer cast, so a finite
+// query point of any magnitude is defined.
 //
 // Membership is mutable after construction (`insert_member` /
 // `erase_member`, the churn substrate of sens/dynamic): admissions land on
@@ -28,6 +38,8 @@
 // over it (asserted by `GridKnnMutation.*` / `GridKnnPyramidMutation.*`).
 #pragma once
 
+#include <algorithm>
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <span>
@@ -55,6 +67,12 @@ class GridKnn {
   GridKnn(std::span<const Vec2> shared_points, std::span<const std::uint32_t> members,
           std::size_t expected_k);
 
+  /// Radius-query grid over `points`: cells of side `radius`, so a query
+  /// of that radius scans a 3x3 block of cells. Same build as the k-tuned
+  /// constructor, including its ~4n cell cap; k-NN queries on it stay
+  /// exact. Throws std::invalid_argument unless `radius` is finite and > 0.
+  static GridKnn for_radius(std::span<const Vec2> points, double radius);
+
   GridKnn(GridKnn&&) noexcept = default;
   GridKnn& operator=(GridKnn&&) noexcept = default;
   // Copying is deleted: the owning constructor's `points_` span refers to
@@ -81,8 +99,46 @@ class GridKnn {
   /// (npos = exclude nothing), sorted by (distance, index), written into
   /// `out` (cleared first; capacity reused). Returns the count written.
   /// Identical results to `KdTree::nearest_into` on the same points.
+  /// Throws std::invalid_argument on a non-finite `q`.
   std::size_t nearest_into(Vec2 q, std::size_t k, std::uint32_t exclude, QueryScratch& scratch,
                            std::vector<std::uint32_t>& out) const;
+
+  /// Invoke `visit(j)` for every live point j with dist(points[j], q) <= r;
+  /// `visit` returns true to stop the scan. Returns true when a visitor
+  /// stopped it, false when the scan ran to completion. Exhaustive for any
+  /// radius: the spill list first, then ceil(r / cell) rings of cells around
+  /// q's cell as contiguous row spans, skipping tombstones. Visit order is
+  /// not part of the contract. Counts no obs work counters. Throws
+  /// std::invalid_argument unless `q` is finite and `r` finite and > 0.
+  template <typename Visitor>
+  bool for_each_in_radius(Vec2 q, double r, Visitor&& visit) const {
+    check_query(q);
+    check_radius(r);
+    const double r2 = r * r;
+    auto offer = [&](std::uint32_t j) { return dist2(points_[j], q) <= r2 && visit(j); };
+    for (const std::uint32_t j : spill_) {
+      if (offer(j)) return true;
+    }
+    if (offsets_.empty()) return false;
+    // Capped in double at the grid extent, so a huge finite radius cannot
+    // overflow the cast; at the cap every cell is in reach.
+    const long reach = static_cast<long>(
+        std::clamp(std::ceil(r / cell_), 1.0, static_cast<double>(std::max(nx_, ny_))));
+    const long cx = cell_coord(q.x - lo_.x, nx_);
+    const long cy = cell_coord(q.y - lo_.y, ny_);
+    const auto x_lo = static_cast<std::size_t>(std::max(cx - reach, 0L));
+    const auto x_end = static_cast<std::size_t>(std::min(cx + reach, nx_ - 1)) + 1;
+    const long y_hi = std::min(cy + reach, ny_ - 1);
+    for (long y = std::max(cy - reach, 0L); y <= y_hi; ++y) {
+      const std::size_t row = static_cast<std::size_t>(y) * static_cast<std::size_t>(nx_);
+      const std::uint32_t t1 = offsets_[row + x_end];
+      for (std::uint32_t t = offsets_[row + x_lo]; t < t1; ++t) {
+        const std::uint32_t j = order_[t];
+        if (j != npos && offer(j)) return true;
+      }
+    }
+    return false;
+  }
 
   /// Number of *live* indexed points (the member count for a subset view;
   /// tombstoned members do not count).
@@ -93,7 +149,8 @@ class GridKnn {
 
   /// Admit point `id` (an index into the shared store). The coordinates of
   /// a member must not change while it is indexed. Throws std::out_of_range
-  /// on an id outside the store; admitting an id twice is undefined.
+  /// on an id outside the store and std::invalid_argument on a non-finite
+  /// point; admitting an id twice is undefined.
   void insert_member(std::uint32_t id);
 
   /// Retire member `id`. Throws std::invalid_argument if `id` is not
@@ -122,8 +179,19 @@ class GridKnn {
   void rebind(std::span<const Vec2> shared_points) { points_ = shared_points; }
 
  private:
+  GridKnn(std::span<const Vec2> points, std::size_t expected_k, double cell_side);
   void build(std::span<const std::uint32_t> members, std::size_t expected_k);
+  static void check_query(Vec2 q);
+  static void check_radius(double r);
   [[nodiscard]] std::size_t cell_index(Vec2 p) const;
+
+  /// Cell coordinate along one axis of `n` cells for offset `d` from the
+  /// grid origin. The clamp to [0, n-1] happens in double before the
+  /// integer cast, so any non-NaN offset (huge or infinite) is defined.
+  [[nodiscard]] long cell_coord(double d, long n) const {
+    return static_cast<long>(std::clamp(std::floor(d / cell_), 0.0, static_cast<double>(n - 1)));
+  }
+
   void maybe_compact();
   std::size_t collect_small(Vec2 q, std::size_t k, std::uint32_t exclude,
                             QueryScratch::Candidate* best) const;
@@ -134,6 +202,7 @@ class GridKnn {
   std::span<const Vec2> points_;       ///< what the kernel reads (shared or owned)
   Vec2 lo_{0.0, 0.0};
   double cell_ = 1.0;
+  double fixed_cell_ = 0.0;  ///< cell side from `for_radius`; 0 = tune for expected_k_
   long nx_ = 1;
   long ny_ = 1;
   std::vector<std::uint32_t> offsets_;  // nx*ny + 1

@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <stdexcept>
 
 #include "sens/core/coverage.hpp"
 #include "sens/core/metrics.hpp"
@@ -133,6 +135,14 @@ TEST(UdgSens, EmptyBoxProbabilityEuclid) {
   const Proportion big_box = empty_box_probability(r.overlay, 4.0, 2000, 4);
   EXPECT_GT(small_box.estimate(), big_box.estimate());
   EXPECT_LT(big_box.estimate(), 0.1);
+}
+
+TEST(UdgSens, EmptyBoxRejectsBadSide) {
+  const UdgSensResult r = small_build(9, 8);
+  for (const double bad : {0.0, -1.0, std::nan(""), HUGE_VAL}) {
+    EXPECT_THROW((void)empty_box_probability(r.overlay, bad, 10, 1), std::invalid_argument)
+        << bad;
+  }
 }
 
 TEST(UdgSensRouter, RoutesWithinGiantAndPathValid) {

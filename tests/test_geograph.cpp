@@ -100,7 +100,7 @@ TEST(Udg, CustomRadius) {
   for (const double bad : {std::nan(""), HUGE_VAL, -HUGE_VAL}) {
     EXPECT_THROW((void)build_udg(pts, Box{{0, 0}, {4, 1}}, bad), std::invalid_argument) << bad;
   }
-  // Non-finite points are refused by the grid index the builder runs on.
+  // Non-finite points are refused by the grid the builder runs on.
   for (const double bad : {std::nan(""), HUGE_VAL, -HUGE_VAL}) {
     for (const Vec2 p : {Vec2{bad, 0.5}, Vec2{0.5, bad}}) {
       std::vector<Vec2> with_bad = pts;
@@ -109,6 +109,20 @@ TEST(Udg, CustomRadius) {
           << bad;
     }
   }
+}
+
+// `bounds` does not limit the grid: points outside it still get every edge.
+TEST(Udg, PointsOutsideBoundsGetEveryEdge) {
+  const std::vector<Vec2> pts{{-5.0, -5.0}, {-5.5, -5.2}, {15.0, 15.0}, {14.2, 15.3}, {5.0, 5.0}};
+  const GeoGraph g = build_udg(pts, Box{{0, 0}, {10, 10}}, 1.0);
+  for (std::uint32_t i = 0; i < pts.size(); ++i) {
+    for (std::uint32_t j = 0; j < pts.size(); ++j) {
+      if (i == j) continue;
+      EXPECT_EQ(g.graph.has_edge(i, j), dist(pts[i], pts[j]) <= 1.0) << i << "-" << j;
+    }
+  }
+  EXPECT_TRUE(g.graph.has_edge(0, 1));
+  EXPECT_TRUE(g.graph.has_edge(2, 3));
 }
 
 TEST(Udg, MeanDegreeNearTheory) {

@@ -1,17 +1,17 @@
-// Tests for sens/spatial: grid index, kd-tree and grid k-NN against
-// brute-force oracles and against each other (the engines must agree
-// bit-for-bit, including (distance, index) tie-breaks).
+// Tests for sens/spatial: the bucket grid's radius and k-NN queries and the
+// kd-tree, against brute-force oracles and against each other (the k-NN
+// engines must agree bit-for-bit, including (distance, index) tie-breaks).
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
 #include <span>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "sens/geometry/vec2.hpp"
 #include "sens/rng/rng.hpp"
-#include "sens/spatial/grid_index.hpp"
 #include "sens/spatial/grid_knn.hpp"
 #include "sens/spatial/grid_knn_pyramid.hpp"
 #include "sens/spatial/kdtree.hpp"
@@ -37,9 +37,12 @@ std::vector<std::uint32_t> brute_radius(const std::vector<Vec2>& pts, Vec2 q, do
 
 /// Every index within `r` of q, collected through the radius visitor and
 /// sorted (the visitor's own order is the scan order, not index order).
-std::vector<std::uint32_t> grid_radius(const GridIndex& index, Vec2 q, double r) {
+std::vector<std::uint32_t> grid_radius(const GridKnn& index, Vec2 q, double r) {
   std::vector<std::uint32_t> out;
-  index.for_each_in_radius(q, r, [&](std::uint32_t j) { out.push_back(j); });
+  index.for_each_in_radius(q, r, [&](std::uint32_t j) {
+    out.push_back(j);
+    return false;
+  });
   std::sort(out.begin(), out.end());
   return out;
 }
@@ -53,12 +56,13 @@ std::vector<std::uint32_t> kd_nearest(const KdTree& tree, Vec2 q, std::size_t k,
   return out;
 }
 
-class GridIndexParamTest : public ::testing::TestWithParam<std::uint64_t> {};
+// --- GridKnn radius queries ---------------------------------------------
 
-TEST_P(GridIndexParamTest, RadiusQueryMatchesBruteForce) {
+class GridKnnRadiusParamTest : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(GridKnnRadiusParamTest, RadiusQueryMatchesBruteForce) {
   const auto pts = random_points(400, GetParam());
-  const Box bounds{{0.0, 0.0}, {10.0, 10.0}};
-  const GridIndex index(pts, bounds, 1.0);
+  const GridKnn index = GridKnn::for_radius(pts, 1.0);
   Rng rng(GetParam() + 999);
   for (int t = 0; t < 50; ++t) {
     const Vec2 q{rng.uniform(-1.0, 11.0), rng.uniform(-1.0, 11.0)};
@@ -67,69 +71,176 @@ TEST_P(GridIndexParamTest, RadiusQueryMatchesBruteForce) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(Seeds, GridIndexParamTest, ::testing::Range<std::uint64_t>(1, 9));
+INSTANTIATE_TEST_SUITE_P(Seeds, GridKnnRadiusParamTest, ::testing::Range<std::uint64_t>(1, 9));
 
-TEST(GridIndex, LargerRadiusThanCellStillExact) {
+TEST(GridKnnRadius, LargerRadiusThanCellStillExact) {
   const auto pts = random_points(300, 42);
-  const GridIndex index(pts, Box{{0.0, 0.0}, {10.0, 10.0}}, 0.5);
+  const GridKnn index = GridKnn::for_radius(pts, 0.5);
   EXPECT_EQ(grid_radius(index, {5.0, 5.0}, 3.0), brute_radius(pts, {5.0, 5.0}, 3.0));
 }
 
-// The scan widens to ceil(radius / cell_size) rings, so any radius is
+// The scan widens to ceil(radius / cell) rings, so any radius is
 // exhaustive — including one covering the whole grid from a corner.
-TEST(GridIndex, RadiusSweepsBeyondCellAreExhaustive) {
+TEST(GridKnnRadius, RadiusSweepsBeyondCellAreExhaustive) {
   const auto pts = random_points(250, 77);
-  const GridIndex index(pts, Box{{0.0, 0.0}, {10.0, 10.0}}, 1.0);
+  const GridKnn index = GridKnn::for_radius(pts, 1.0);
   Rng rng(770);
   for (int t = 0; t < 40; ++t) {
     const Vec2 q{rng.uniform(-2.0, 12.0), rng.uniform(-2.0, 12.0)};
-    const double r = rng.uniform(1.0, 6.0);  // always > cell_size
+    const double r = rng.uniform(1.0, 6.0);  // always > the cell side
     EXPECT_EQ(grid_radius(index, q, r), brute_radius(pts, q, r));
   }
   EXPECT_EQ(grid_radius(index, {0.0, 0.0}, 20.0).size(), pts.size());
+  // A radius far beyond the grid caps its ring reach at the grid extent.
+  EXPECT_EQ(grid_radius(index, {0.0, 0.0}, 1e300).size(), pts.size());
 }
 
-TEST(GridIndex, ForEachUntilStopsEarly) {
+// A radius tiny against the point spread keeps the ~4n cell cap: the grid
+// coarsens instead of allocating ~10^18 cells, and stays exact.
+TEST(GridKnnRadius, TinyRadiusKeepsCellCap) {
+  const std::vector<Vec2> pts{{0.0, 0.0}, {1e6, 1e6}, {1e6 + 1e-4, 1e6}, {3.0, 1e6}};
+  const GridKnn index = GridKnn::for_radius(pts, 1e-3);
+  for (const Vec2 q : pts) EXPECT_EQ(grid_radius(index, q, 1e-3), brute_radius(pts, q, 1e-3));
+}
+
+TEST(GridKnnRadius, VisitorStopsEarly) {
   const auto pts = random_points(300, 5);
-  const GridIndex index(pts, Box{{0.0, 0.0}, {10.0, 10.0}}, 1.0);
+  const GridKnn index = GridKnn::for_radius(pts, 1.0);
   int visits = 0;
-  const bool hit = index.for_each_in_radius_until({5.0, 5.0}, 4.0, [&](std::uint32_t) {
+  const bool hit = index.for_each_in_radius({5.0, 5.0}, 4.0, [&](std::uint32_t) {
     ++visits;
     return true;  // stop at the first point
   });
   EXPECT_TRUE(hit);
   EXPECT_EQ(visits, 1);
-  const bool none = index.for_each_in_radius_until({5.0, 5.0}, 4.0,
-                                                   [](std::uint32_t) { return false; });
+  const bool none =
+      index.for_each_in_radius({5.0, 5.0}, 4.0, [](std::uint32_t) { return false; });
   EXPECT_FALSE(none);
 }
 
-TEST(GridIndex, PointsOutsideBoundsAreClamped) {
-  std::vector<Vec2> pts{{-5.0, -5.0}, {15.0, 15.0}, {5.0, 5.0}};
-  const GridIndex index(pts, Box{{0.0, 0.0}, {10.0, 10.0}}, 1.0);
-  EXPECT_EQ(grid_radius(index, {-5.0, -5.0}, 0.5), std::vector<std::uint32_t>{0});
-  EXPECT_EQ(index.size(), 3u);
+// Spill entries (admitted since the last build, possibly outside the grid
+// box) and tombstones must be invisible: the visitor answers exactly the
+// live member set.
+TEST(GridKnnRadius, MutatedGridMatchesLiveMembers) {
+  auto pts = random_points(300, 61);
+  pts.push_back({-3.0, 14.0});  // outside the members' bounding box
+  pts.push_back({-3.2, 14.1});
+  std::vector<std::uint32_t> members;
+  for (std::uint32_t i = 0; i < 300; i += 2) members.push_back(i);
+  GridKnn grid(pts, members, 4);
+  for (std::uint32_t i = 0; i < 30; i += 3) grid.erase_member(i * 2);
+  grid.insert_member(300);
+  grid.insert_member(301);
+  for (std::uint32_t i = 1; i < 9; i += 2) grid.insert_member(i);
+  ASSERT_GT(grid.pending(), 0u);
+  const std::vector<std::uint32_t> live = grid.live_members();
+  Rng rng(610);
+  for (int t = 0; t < 60; ++t) {
+    const Vec2 q{rng.uniform(-4.0, 12.0), rng.uniform(-2.0, 15.0)};
+    const double r = rng.uniform(0.2, 3.0);
+    std::vector<std::uint32_t> want;
+    for (const std::uint32_t m : live)
+      if (dist2(pts[m], q) <= r * r) want.push_back(m);
+    EXPECT_EQ(grid_radius(grid, q, r), want) << "t=" << t;
+  }
+  EXPECT_EQ(grid_radius(grid, {-3.1, 14.0}, 0.5), (std::vector<std::uint32_t>{300, 301}));
 }
 
-TEST(GridIndex, InvalidInputThrows) {
+TEST(GridKnnRadius, InvalidInputThrows) {
   std::vector<Vec2> pts{{0.0, 0.0}};
   for (const double bad : {0.0, -1.0, std::nan(""), HUGE_VAL, -HUGE_VAL}) {
-    EXPECT_THROW(GridIndex(pts, Box{{0.0, 0.0}, {1.0, 1.0}}, bad), std::invalid_argument) << bad;
+    EXPECT_THROW((void)GridKnn::for_radius(pts, bad), std::invalid_argument) << bad;
   }
-  // A non-finite point has no cell (the cast before the clamp would be UB).
+  // A non-finite point has no cell (the cast behind the clamp would be UB).
   for (const double bad : {std::nan(""), HUGE_VAL, -HUGE_VAL}) {
     for (const Vec2 p : {Vec2{bad, 0.5}, Vec2{0.5, bad}}) {
       const std::vector<Vec2> with_bad{{0.2, 0.2}, p};
-      EXPECT_THROW(GridIndex(with_bad, Box{{0.0, 0.0}, {1.0, 1.0}}, 1.0), std::invalid_argument)
-          << bad;
+      EXPECT_THROW((void)GridKnn::for_radius(with_bad, 1.0), std::invalid_argument) << bad;
     }
   }
 }
 
-TEST(GridIndex, EmptyInput) {
+TEST(GridKnnRadius, EmptyInput) {
   std::vector<Vec2> pts;
-  const GridIndex index(pts, Box{{0.0, 0.0}, {1.0, 1.0}}, 1.0);
+  const GridKnn index = GridKnn::for_radius(pts, 1.0);
   EXPECT_TRUE(grid_radius(index, {0.5, 0.5}, 10.0).empty());
+}
+
+// --- GridKnn input contract ----------------------------------------------
+
+/// The k nearest by the kernels' own (d2, index) order, computed naively.
+std::vector<std::uint32_t> brute_nearest(const std::vector<Vec2>& pts, Vec2 q, std::size_t k) {
+  std::vector<std::pair<double, std::uint32_t>> all;
+  for (std::uint32_t i = 0; i < pts.size(); ++i) all.push_back({dist2(pts[i], q), i});
+  std::sort(all.begin(), all.end());
+  std::vector<std::uint32_t> out;
+  for (std::size_t i = 0; i < std::min(k, all.size()); ++i) out.push_back(all[i].second);
+  return out;
+}
+
+TEST(GridKnnContract, NonFinitePointsThrow) {
+  const auto pts = random_points(20, 8);
+  for (const double bad : {std::nan(""), HUGE_VAL, -HUGE_VAL}) {
+    for (const Vec2 p : {Vec2{bad, 0.5}, Vec2{0.5, bad}}) {
+      std::vector<Vec2> with_bad = pts;
+      with_bad[7] = p;
+      EXPECT_THROW(GridKnn(with_bad, 4), std::invalid_argument) << bad;
+      EXPECT_THROW(GridKnn(with_bad, std::vector<std::uint32_t>{3, 7}, 4), std::invalid_argument)
+          << bad;
+      // Admitting it is refused up front, leaving the grid unchanged.
+      GridKnn grid(with_bad, std::vector<std::uint32_t>{1, 2, 3}, 2);
+      EXPECT_THROW(grid.insert_member(7), std::invalid_argument) << bad;
+      EXPECT_EQ(grid.live_members(), (std::vector<std::uint32_t>{1, 2, 3}));
+    }
+  }
+  // Finite points whose bounding box spans more than a double.
+  const std::vector<Vec2> wide{{-1e308, 0.0}, {1e308, 0.0}};
+  EXPECT_THROW(GridKnn(wide, 1), std::invalid_argument);
+  EXPECT_THROW((void)GridKnn::for_radius(wide, 1.0), std::invalid_argument);
+}
+
+TEST(GridKnnContract, NonFiniteQueryAndBadRadiusThrow) {
+  const auto pts = random_points(50, 4);
+  const GridKnn grid(pts, 4);
+  const GridKnn radius_grid = GridKnn::for_radius(pts, 1.0);
+  GridKnn::QueryScratch scratch;
+  std::vector<std::uint32_t> out;
+  auto none = [](std::uint32_t) { return false; };
+  for (const double bad : {std::nan(""), HUGE_VAL, -HUGE_VAL}) {
+    for (const Vec2 q : {Vec2{bad, 0.5}, Vec2{0.5, bad}}) {
+      for (const std::size_t k : {std::size_t{3}, std::size_t{60}}) {
+        EXPECT_THROW(grid.nearest_into(q, k, GridKnn::npos, scratch, out), std::invalid_argument)
+            << bad;
+      }
+      EXPECT_THROW(radius_grid.for_each_in_radius(q, 1.0, none), std::invalid_argument) << bad;
+    }
+  }
+  for (const double bad : {0.0, -1.0, std::nan(""), HUGE_VAL, -HUGE_VAL}) {
+    EXPECT_THROW(radius_grid.for_each_in_radius({5.0, 5.0}, bad, none), std::invalid_argument)
+        << bad;
+    EXPECT_THROW(grid.for_each_in_radius({5.0, 5.0}, bad, none), std::invalid_argument) << bad;
+  }
+}
+
+// Query points far outside the grid, beyond 2^63 cells: the cell
+// coordinate is clamped before the integer cast, so both query kinds stay
+// defined and exact.
+TEST(GridKnnContract, HugeQueryPointsAreExact) {
+  const auto pts = random_points(120, 13);
+  const GridKnn radius_grid = GridKnn::for_radius(pts, 1.0);
+  GridKnn::QueryScratch scratch;
+  std::vector<std::uint32_t> out;
+  for (const double big : {1e20, -1e20, 1e300, -1e300}) {
+    for (const Vec2 q : {Vec2{big, 5.0}, Vec2{5.0, big}, Vec2{big, big}}) {
+      for (const std::size_t k : {std::size_t{1}, std::size_t{5}, std::size_t{60}}) {
+        const GridKnn grid(pts, k);
+        grid.nearest_into(q, k, GridKnn::npos, scratch, out);
+        EXPECT_EQ(out, brute_nearest(pts, q, k)) << big << " k=" << k;
+      }
+      EXPECT_TRUE(grid_radius(radius_grid, q, 1.0).empty()) << big;
+      EXPECT_EQ(grid_radius(radius_grid, q, 1e301), brute_radius(pts, q, 1e301)) << big;
+    }
+  }
 }
 
 class KdTreeParamTest : public ::testing::TestWithParam<std::uint64_t> {};
