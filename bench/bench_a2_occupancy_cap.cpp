@@ -39,8 +39,7 @@ int main(int argc, char** argv) {
   NnClassification loose = classify_nn(uncapped_spec, capped.points.points,
                                        capped.classification.window);
   loose.k = spec.k();  // realize edges against the real k = 188 graph
-  const KdTree tree(capped.points.points);
-  const Overlay loose_overlay = build_nn_overlay(loose, capped.points.points, tree);
+  const Overlay loose_overlay = build_nn_overlay(loose, capped.points.points);
 
   Table g({"variant", "good tiles", "edges expected", "edges missing", "claim paths realized"});
   const ClaimCheck c_capped = check_adjacent_tile_paths(capped.overlay);

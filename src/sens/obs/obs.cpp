@@ -28,6 +28,7 @@ const char* counter_name(Counter c) noexcept {
     case Counter::kFaultEdgesLostEndpoint: return "fault_edges_lost_endpoint";
     case Counter::kFaultEdgesLostLink: return "fault_edges_lost_link";
     case Counter::kDynamicNodesScanned: return "dynamic_nodes_scanned";
+    case Counter::kNnLinkPointsCounted: return "nn_link_points_counted";
     case Counter::kCount: break;
   }
   return "unknown";

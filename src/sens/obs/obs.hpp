@@ -67,6 +67,7 @@ enum class Counter : std::uint32_t {
   kFaultEdgesLostEndpoint,  ///< edges lost to a dead endpoint
   kFaultEdgesLostLink,      ///< edges lost to targeted link failure
   kDynamicNodesScanned,     ///< slots a DynamicHng repair visited (cohorts + reverse k-NN)
+  kNnLinkPointsCounted,     ///< points offered to the NN-SENS link-test visitor (knn_selects)
   kCount
 };
 

@@ -1,5 +1,6 @@
 #include "sens/serve/landmark_oracle.hpp"
 
+#include <algorithm>
 #include <numeric>
 
 #include "sens/rng/rng.hpp"
@@ -86,18 +87,25 @@ LandmarkOracle LandmarkOracle::build_with(const CsrGraph& g, std::span<const dou
   oracle.landmarks_ = std::move(landmarks);
   const std::size_t num = oracle.landmarks_.size();
 
-  // One batched sweep: row l holds the distances from landmark l
-  // (landmark-major). Queries read all landmarks of one vertex at once, so
-  // transpose into node-major labels (each slot written exactly once —
-  // bit-identical at any thread count).
-  std::vector<double> rows(num * n);
-  dijkstra_many_into(g, oracle.landmarks_, arc_weights, rows);
+  // Landmarks are swept in blocks of kLabelBlock: one batched sweep fills
+  // the block's landmark-major rows, which are then transposed into the
+  // node-major labels (queries read all landmarks of one vertex at once)
+  // before the next block reuses the buffer. Peak memory is the labels plus
+  // one block, not a second num x n copy. Each label slot is written
+  // exactly once — bit-identical at any thread count.
+  constexpr std::size_t kLabelBlock = 8;
+  std::vector<double> rows(std::min(num, kLabelBlock) * n);
   oracle.labels_.resize(n * num);
-  parallel_for(n, [&](std::size_t v) {
-    for (std::size_t l = 0; l < num; ++l) {
-      oracle.labels_[v * num + l] = rows[l * n + v];
-    }
-  });
+  const std::span<const std::uint32_t> all = oracle.landmarks_;
+  for (std::size_t first = 0; first < num; first += kLabelBlock) {
+    const std::size_t width = std::min(kLabelBlock, num - first);
+    const std::span<double> block(rows.data(), width * n);
+    dijkstra_many_into(g, all.subspan(first, width), arc_weights, block);
+    parallel_for(n, [&](std::size_t v) {
+      double* label = oracle.labels_.data() + v * num + first;
+      for (std::size_t l = 0; l < width; ++l) label[l] = block[l * n + v];
+    });
+  }
   return oracle;
 }
 

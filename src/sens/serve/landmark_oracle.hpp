@@ -16,9 +16,10 @@
 // policy; the fault audit reuses the same rule).
 //
 // Determinism: landmarks are drawn from the seeded rng stream, the label
-// sweep is one batched `dijkstra_many_into` call (bit-identical at any
-// thread count, §2.4), and `bounds` is a pure function of the labels — so
-// every oracle answer is a pure function of (graph, weights, params, query).
+// sweep is batched `dijkstra_many_into` calls over blocks of 8 landmarks
+// (bit-identical at any thread count, §2.4), and `bounds` is a pure
+// function of the labels — so every oracle answer is a pure function of
+// (graph, weights, params, query).
 //
 // Disconnected pairs are detected exactly whenever some landmark reaches one
 // endpoint but not the other (the pair then straddles two components):
@@ -78,8 +79,8 @@ class LandmarkOracle {
   LandmarkOracle() = default;
 
   /// Pick landmarks deterministically from the seeded rng stream and label
-  /// every vertex with its exact distance to each landmark (one batched
-  /// `dijkstra_many_into` sweep). `arc_weights` must be aligned with the arcs of
+  /// every vertex with its exact distance to each landmark (batched
+  /// `dijkstra_many_into` sweeps). `arc_weights` must be aligned with the arcs of
   /// `g` (CsrGraph::arc_weights); a size mismatch throws
   /// std::invalid_argument, as it does in `build_with`.
   [[nodiscard]] static LandmarkOracle build(const CsrGraph& g,

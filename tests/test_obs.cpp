@@ -18,6 +18,7 @@
 #include <thread>
 #include <vector>
 
+#include "sens/core/nn_sens.hpp"
 #include "sens/dynamic/dynamic_hng.hpp"
 #include "sens/geograph/knn.hpp"
 #include "sens/geograph/point_set.hpp"
@@ -213,6 +214,19 @@ TEST(ObsCounters, GridKnnBatchIsThreadInvariant) {
   const PointSet ps = poisson_point_set(window, 5.0, kSeed);
   expect_thread_invariant(
       [&] { (void)knn_selections_flat(ps.points, 6); }, /*expect_nonzero=*/true);
+}
+
+TEST(ObsCounters, NnLinkTestIsThreadInvariant) {
+  // The NN-SENS link test counts the points its visitor is offered; each
+  // prescribed pair's count depends only on the data, so the chunk-parallel
+  // pass over the pairs must tally the same total at any thread count.
+  const NnSensResult r = build_nn_sens(NnTileSpec::paper(), 6, 6, kSeed);
+  expect_thread_invariant(
+      [&] { (void)build_nn_overlay(r.classification, r.points.points); },
+      /*expect_nonzero=*/true);
+#if SENS_OBS_ENABLED
+  EXPECT_GT(obs::CounterRegistry::global().value(obs::Counter::kNnLinkPointsCounted), 0u);
+#endif
 }
 
 TEST(ObsCounters, EpochChurnReplayIsThreadInvariant) {

@@ -108,6 +108,38 @@ TEST(ServeOracle, BoundsBracketExactDistance) {
   }
 }
 
+TEST(ServeOracle, BlockedLabelSweepMatchesPerLandmarkDijkstra) {
+  // build_with sweeps landmarks in blocks of 8: counts below, at, just
+  // above and at a multiple of the block must all label every vertex with
+  // the bit-exact per-landmark distance (the island makes some labels
+  // infinite), at any thread count.
+  const TestGraph tg = make_graph(300, 150, 21, /*island=*/12);
+  const std::size_t n = tg.graph.num_vertices();
+  std::vector<std::uint32_t> order(n);
+  for (std::uint32_t v = 0; v < n; ++v) order[v] = (v * 37u + 5u) % static_cast<std::uint32_t>(n);
+  DijkstraScratch scratch;
+  std::vector<double> row(n);
+  for (const std::size_t num : {1u, 7u, 8u, 9u, 64u}) {
+    const std::vector<std::uint32_t> picks(order.begin(),
+                                           order.begin() + static_cast<std::ptrdiff_t>(num));
+    for (const unsigned threads : {1u, 2u, 8u}) {
+      set_thread_count(threads);
+      const LandmarkOracle oracle = LandmarkOracle::build_with(tg.graph, tg.weights, picks);
+      ASSERT_EQ(oracle.num_landmarks(), num);
+      for (std::size_t l = 0; l < num; ++l) {
+        dijkstra_costs_into(tg.graph, picks[l], tg.weights, scratch, row);
+        for (std::uint32_t v = 0; v < n; ++v) {
+          const double got = oracle.label(v, l);
+          ASSERT_EQ(std::memcmp(&got, &row[v], sizeof(double)), 0)
+              << "landmark " << l << " of " << num << ", vertex " << v << ", " << threads
+              << " threads";
+        }
+      }
+    }
+  }
+  set_thread_count(0);
+}
+
 TEST(ServeOracle, LandmarksClampedAndDistinct) {
   const TestGraph tg = make_graph(20, 10, 3);
   // k >= n: every vertex becomes a landmark, exactly once.
