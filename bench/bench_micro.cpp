@@ -19,7 +19,6 @@
 #include "sens/perc/mesh_router.hpp"
 #include "sens/spatial/grid_knn.hpp"
 #include "sens/rng/rng.hpp"
-#include "sens/spatial/grid_knn_pyramid.hpp"
 #include "sens/spatial/reorder.hpp"
 #include "sens/support/parallel.hpp"
 #include "sens/tiles/classify.hpp"
@@ -292,7 +291,7 @@ void BM_BfsMany(benchmark::State& state) {
 BENCHMARK(BM_BfsMany)->Arg(64);
 
 // The full hierarchical-neighbor-graph construction (DESIGN.md §2.5):
-// p-thinning levels, pyramid build, per-level k-NN linking, CSR
+// p-thinning levels, per-level grid build, per-level k-NN linking, CSR
 // symmetrization. Baseline recorded in bench/BENCH_hng.json.
 void BM_HngBuild(benchmark::State& state) {
   const double side = static_cast<double>(state.range(0));
@@ -307,36 +306,37 @@ void BM_HngBuild(benchmark::State& state) {
 }
 BENCHMARK(BM_HngBuild)->Arg(16)->Arg(48);
 
-// The multi-resolution pyramid kernel in isolation: build per-level
-// density-tuned grids over p-thinned nested subsets of one shared store,
-// then run the HNG linking workload (each member of level l queries k
-// into level l+1).
+// The per-level HNG k-NN kernel in isolation (named as the rows of
+// bench/BENCH_hng.json): build one density-tuned GridKnn subset view per
+// p-thinned nested level of one shared store, then run the HNG linking
+// workload (each member of level l queries k into level l+1).
 void BM_HngKnnPyramid(benchmark::State& state) {
   const Box w{{0.0, 0.0}, {32.0, 32.0}};
   const PointSet ps = poisson_point_set(w, 4.0, 7);
   const std::size_t k = static_cast<std::size_t>(state.range(0));
   // Levels from the real construction (one source of truth, outside the
-  // timed loop); spec l indexes the population with level >= l + 2.
+  // timed loop); members[l] is the population with level >= l + 2.
   const HngResult hng = build_hng(ps.points, {}, 7);
-  std::vector<GridKnnPyramid::LevelSpec> specs(hng.top_level >= 2 ? hng.top_level - 1 : 0);
+  std::vector<std::vector<std::uint32_t>> members(hng.top_level >= 2 ? hng.top_level - 1 : 0);
   for (std::uint32_t u = 0; u < hng.level.size(); ++u) {
-    for (std::uint32_t l = 2; l <= hng.level[u]; ++l) specs[l - 2].members.push_back(u);
+    for (std::uint32_t l = 2; l <= hng.level[u]; ++l) members[l - 2].push_back(u);
   }
-  for (auto& spec : specs) spec.expected_k = std::min(k, spec.members.size());
   GridKnn::QueryScratch scratch;
   std::vector<std::uint32_t> found;
   for (auto _ : state) {
-    const GridKnnPyramid pyramid(ps.points, specs);
+    std::vector<GridKnn> levels;
+    levels.reserve(members.size());
+    for (const auto& m : members) levels.emplace_back(ps.points, m, std::min(k, m.size()));
     std::size_t touched = 0;
     // Members of the population *below* grid l query into grid l.
-    for (std::size_t l = 0; l < pyramid.num_levels(); ++l) {
+    for (std::size_t l = 0; l < levels.size(); ++l) {
       if (l == 0) {
         for (std::uint32_t q = 0; q < ps.size(); ++q) {
-          touched += pyramid.level(0).nearest_into(ps.points[q], k, q, scratch, found);
+          touched += levels[0].nearest_into(ps.points[q], k, q, scratch, found);
         }
       } else {
-        for (const std::uint32_t q : specs[l - 1].members) {
-          touched += pyramid.level(l).nearest_into(ps.points[q], k, q, scratch, found);
+        for (const std::uint32_t q : members[l - 1]) {
+          touched += levels[l].nearest_into(ps.points[q], k, q, scratch, found);
         }
       }
     }

@@ -2,7 +2,6 @@
 
 #include <cmath>
 #include <limits>
-#include <stdexcept>
 #include <utility>
 
 #include "sens/obs/obs.hpp"
@@ -31,13 +30,9 @@ bool knn_selects(const GridKnn& grid, std::size_t k, std::uint32_t from, std::ui
 }
 
 Overlay build_nn_overlay(const NnClassification& cls, std::span<const Vec2> points) {
-  OverlaySkeleton skeleton = overlay_skeleton(cls, 10.0 * cls.a, /*e_relays=*/true);
+  OverlaySkeleton skeleton =
+      overlay_skeleton(cls, points.size(), 10.0 * cls.a, /*e_relays=*/true);
   const std::vector<std::uint32_t>& base = skeleton.overlay.base_index;
-  for (const std::uint32_t p : base) {
-    if (p >= points.size()) {
-      throw std::invalid_argument("build_nn_overlay: classification leader index out of range");
-    }
-  }
   const GridKnn grid(points, cls.k);
   parallel_for(skeleton.edges.size(), [&](std::size_t i) {
     PrescribedEdge& e = skeleton.edges[i];

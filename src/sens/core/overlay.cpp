@@ -1,5 +1,6 @@
 #include "sens/core/overlay.hpp"
 
+#include <stdexcept>
 #include <unordered_map>
 #include <utility>
 
@@ -40,7 +41,8 @@ void Overlay::append_tile_hop(Site from, Site to, std::vector<std::uint32_t>& pa
   push(rep_node[b]);
 }
 
-OverlaySkeleton overlay_skeleton(const TileClassification& cls, double tile_side, bool e_relays) {
+OverlaySkeleton overlay_skeleton(const TileClassification& cls, std::size_t num_points,
+                                 double tile_side, bool e_relays) {
   OverlaySkeleton out;
   Overlay& ov = out.overlay;
   ov.window = cls.window;
@@ -53,6 +55,9 @@ OverlaySkeleton overlay_skeleton(const TileClassification& cls, double tile_side
   // two adjacent directions when the lenses overlap).
   std::unordered_map<std::uint32_t, std::uint32_t> node_of_point;
   auto overlay_node = [&](std::uint32_t point_idx) {
+    if (point_idx >= num_points) {
+      throw std::invalid_argument("overlay_skeleton: classification leader index out of range");
+    }
     auto [it, inserted] = node_of_point.try_emplace(
         point_idx, static_cast<std::uint32_t>(ov.base_index.size()));
     if (inserted) ov.base_index.push_back(point_idx);

@@ -17,6 +17,7 @@
 #pragma once
 
 #include <array>
+#include <cstddef>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -108,7 +109,13 @@ struct OverlaySkeleton {
 /// facing-relay pair of every adjacent good pair (+x, +y). The chain toward
 /// dir is TileLeaders slot {dir+1} (UDG), or {dir+5, dir+1} with
 /// `e_relays` (NN). Pairs of one node with itself are not prescribed.
-[[nodiscard]] OverlaySkeleton overlay_skeleton(const TileClassification& cls, double tile_side,
+/// Throws std::invalid_argument if a leader indexes past `num_points`, the
+/// size of the point set the link test will read — so a classification
+/// built on more points than it is given fails here, before any link test
+/// runs (`UdgSens.OverlayRejectsLeaderOutOfRange`,
+/// `NnLinkTest.OverlayRejectsLeaderOutOfRange`).
+[[nodiscard]] OverlaySkeleton overlay_skeleton(const TileClassification& cls,
+                                               std::size_t num_points, double tile_side,
                                                bool e_relays);
 
 /// Count and insert the linked edges, attach the node points and label

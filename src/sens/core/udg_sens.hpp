@@ -22,7 +22,8 @@
 namespace sens {
 
 /// Overlay from an existing classification (points in the same indexing the
-/// classification was built from).
+/// classification was built from). Throws std::invalid_argument when a
+/// leader index of a good tile is >= points.size().
 [[nodiscard]] Overlay build_udg_overlay(const UdgClassification& cls,
                                         std::span<const Vec2> points);
 

@@ -69,8 +69,7 @@ DynamicHng::DynamicHng(const HngParams& params, std::uint64_t seed)
     : params_(params),
       seed_(seed),
       cohort_(static_cast<std::size_t>(params.max_level) + 1),
-      reach_classes_(static_cast<std::size_t>(params.max_level) + 1),
-      pyramid_(std::span<const Vec2>{}, std::span<const GridKnnPyramid::LevelSpec>{}) {
+      reach_classes_(static_cast<std::size_t>(params.max_level) + 1) {
   validate_hng_params(params_);
 }
 
@@ -133,7 +132,7 @@ void DynamicHng::compute_selection(std::uint32_t u, std::vector<std::uint32_t>& 
     std::sort(out.begin(), out.end());
     return;
   }
-  hng_link_node(pyramid_.level(l - 1), points_[u], u, params_.k, scratch_, found_);
+  levels_[l - 1].nearest_into(points_[u], params_.k, u, scratch_, found_);
   out.assign(found_.begin(), found_.end());
   std::sort(out.begin(), out.end());
 }
@@ -289,6 +288,9 @@ void DynamicHng::reach_erase(std::uint32_t w) {
 void DynamicHng::insert_slot(std::uint32_t id, Vec2 p) {
   if (id == points_.size()) {
     points_.push_back(p);
+    // A reallocation preserves contents and grid buckets depend only on
+    // member coordinates, so repointing every level is all they need.
+    for (GridKnn& lvl : levels_) lvl.rebind(points_);
     level_.push_back(0);
     alive_.push_back(0);
     dirty_flag_.push_back(0);
@@ -299,12 +301,7 @@ void DynamicHng::insert_slot(std::uint32_t id, Vec2 p) {
     reach_.push_back(kUnindexed);
     reach_pos_.push_back(0);
   } else {
-    points_[id] = p;
-  }
-  if (id == pyramid_.store_size()) {
-    pyramid_.append_point(p);
-  } else {
-    pyramid_.set_point(id, p);  // vacated slot: no level indexes it now
+    points_[id] = p;  // vacated slot: no level indexes it now
   }
   alive_[id] = 1;
   ++live_n_;
@@ -314,10 +311,12 @@ void DynamicHng::insert_slot(std::uint32_t id, Vec2 p) {
 
   const std::uint32_t old_top = top_;
   const std::uint32_t new_top = std::max(old_top, level);
-  // Pyramid level index l holds S_{l+2}: queries need indexes up to
-  // new_top - 2 (the top cohort's own linking target S_top).
-  while (pyramid_.num_levels() + 1 < new_top) pyramid_.push_level(params_.k);
-  for (std::uint32_t l = 2; l <= level; ++l) pyramid_.insert(l - 2, id);
+  // levels_[l] holds S_{l+2}: queries need indexes up to new_top - 2 (the
+  // top cohort's own linking target S_top).
+  while (levels_.size() + 1 < new_top) {
+    levels_.emplace_back(points_, std::span<const std::uint32_t>{}, params_.k);
+  }
+  for (std::uint32_t l = 2; l <= level; ++l) levels_[l - 2].insert_member(id);
 
   if (live_n_ == 1) {
     top_ = new_top;
@@ -362,7 +361,7 @@ void DynamicHng::remove_slot(std::uint32_t r) {
   alive_[r] = 0;
   --live_n_;
   cohort_drop(r);
-  for (std::uint32_t l = 2; l <= level_[r]; ++l) pyramid_.erase(l - 2, r);
+  for (std::uint32_t l = 2; l <= level_[r]; ++l) levels_[l - 2].erase_member(r);
 
   const std::uint32_t old_top = top_;
   std::uint32_t t = old_top;
@@ -488,7 +487,7 @@ void DynamicHng::trim_overlay_journal(std::uint64_t upto) {
 
 std::uint32_t DynamicHng::insert(Vec2 p) {
   // A non-finite coordinate would reach the grid cell casts of the k-NN
-  // pyramid and the reverse index; reject it before anything changes.
+  // levels and the reverse index; reject it before anything changes.
   if (!std::isfinite(p.x) || !std::isfinite(p.y)) {
     throw std::invalid_argument("DynamicHng: insert of a non-finite point");
   }

@@ -25,7 +25,7 @@
 // Repair sets are bounded and exact, and so is the work that finds them
 // (DESIGN.md §2.7) — no event scans all slots unless its output is every
 // node (the top < 2 everyone-clique):
-//  * join u at level L: u's own selection is one pyramid query per the
+//  * join u at level L: u's own selection is one k-NN query per the
 //    batch rule; an existing regular node w of exact level l <= L-1 sees u
 //    enter S_{l+1}, and its new k-NN selection follows from its old one
 //    without a re-query — admit u iff w is under-full or u beats w's
@@ -65,7 +65,6 @@
 #include "sens/graph/csr.hpp"
 #include "sens/hng/hng.hpp"
 #include "sens/spatial/grid_knn.hpp"
-#include "sens/spatial/grid_knn_pyramid.hpp"
 
 namespace sens {
 
@@ -230,7 +229,9 @@ class DynamicHng {
   std::vector<std::vector<std::pair<std::int32_t, std::uint32_t>>> reach_classes_;
   std::vector<std::int32_t> reach_;       ///< slot -> reach class, or unindexed
   std::vector<std::uint32_t> reach_pos_;  ///< slot -> index in its bucket
-  GridKnnPyramid pyramid_;  ///< level index l holds S_{l+2}
+  /// Subset views over points_, rebound whenever it grows; levels_[l]
+  /// holds S_{l+2}.
+  std::vector<GridKnn> levels_;
   DynamicHngStats last_;
 
   // Lazily materialized overlay cache (see overlay()). `pending_` holds

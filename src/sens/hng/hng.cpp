@@ -7,7 +7,7 @@
 
 #include "sens/graph/csr.hpp"
 #include "sens/rng/rng.hpp"
-#include "sens/spatial/grid_knn_pyramid.hpp"
+#include "sens/spatial/grid_knn.hpp"
 #include "sens/support/checked.hpp"
 #include "sens/support/parallel.hpp"
 
@@ -37,11 +37,6 @@ std::uint32_t hng_promotion_level(std::uint64_t seed, std::uint64_t node,
   return level;
 }
 
-std::size_t hng_link_node(const GridKnn& upper, Vec2 p, std::uint32_t self, std::size_t k,
-                          GridKnn::QueryScratch& scratch, std::vector<std::uint32_t>& out) {
-  return upper.nearest_into(p, k, self, scratch, out);
-}
-
 HngResult build_hng(std::span<const Vec2> points, const HngParams& params, std::uint64_t seed) {
   validate_hng_params(params);
 
@@ -63,10 +58,9 @@ HngResult build_hng(std::span<const Vec2> points, const HngParams& params, std::
   r.top_level = *std::max_element(r.level.begin(), r.level.end());
 
   // Population lists S_2 ⊇ ... ⊇ S_top (S_1 is the whole input and is
-  // never queried), built straight into the pyramid specs — one ascending
-  // pass over the level vector, no intermediate copies. One density-tuned
-  // grid per linking target, all subset views over one shared store.
-  std::vector<GridKnnPyramid::LevelSpec> specs(r.top_level >= 2 ? r.top_level - 1 : 0);
+  // never queried) — one ascending pass over the level vector, no
+  // intermediate copies. members[i] holds S_(i+2).
+  std::vector<std::vector<std::uint32_t>> members(r.top_level >= 2 ? r.top_level - 1 : 0);
   {
     // Count-then-fill: a node of level l appears in S_2..S_l, so one
     // histogram over the level vector plus a suffix sum yields every
@@ -77,28 +71,33 @@ HngResult build_hng(std::span<const Vec2> points, const HngParams& params, std::
     std::size_t above = 0;
     for (std::uint32_t l = r.top_level; l >= 2; --l) {
       above += at_level[l];
-      specs[l - 2].members.reserve(above);
+      members[l - 2].reserve(above);
     }
     for (std::uint32_t u = 0; u < n; ++u) {
       for (std::uint32_t l = 2; l <= r.level[u]; ++l) {
-        specs[l - 2].members.push_back(u);
+        members[l - 2].push_back(u);
       }
     }
   }
-  for (auto& spec : specs) spec.expected_k = std::min(params.k, spec.members.size());
   r.cumulative_size.resize(r.top_level);
   r.cumulative_size[0] = static_cast<std::uint32_t>(n);
   for (std::uint32_t l = 2; l <= r.top_level; ++l) {
-    r.cumulative_size[l - 1] = static_cast<std::uint32_t>(specs[l - 2].members.size());
+    r.cumulative_size[l - 1] = static_cast<std::uint32_t>(members[l - 2].size());
   }
-  const GridKnnPyramid pyramid(points, specs);
+  // One density-tuned grid per linking target, each a subset view over the
+  // caller's `points` — no coordinate copy.
+  std::vector<GridKnn> levels;
+  levels.reserve(members.size());
+  for (const std::vector<std::uint32_t>& m : members) {
+    levels.emplace_back(points, m, std::min(params.k, m.size()));
+  }
 
   // Directed selections: a node of exact level l < top links to its
   // min(k, |S_{l+1}|) nearest neighbors in S_{l+1}; the top-level nodes are
   // mutually interconnected (the paper's top clique — expected O(1) nodes).
   // Degrees are a pure function of the level vector, so the offsets are
   // fixed up front and every node fills its own disjoint slice.
-  // S_top lives in the last spec when the hierarchy has >= 2 levels;
+  // S_top is the last member list when the hierarchy has >= 2 levels;
   // otherwise (nobody promoted — astronomically rare beyond tiny n) it is
   // every node.
   std::vector<std::uint32_t> everyone;
@@ -106,8 +105,7 @@ HngResult build_hng(std::span<const Vec2> points, const HngParams& params, std::
     everyone.resize(n);
     std::iota(everyone.begin(), everyone.end(), 0u);
   }
-  const std::vector<std::uint32_t>& top =
-      r.top_level >= 2 ? specs[r.top_level - 2].members : everyone;
+  const std::vector<std::uint32_t>& top = r.top_level >= 2 ? members.back() : everyone;
   FlatAdjacency sel;
   sel.offsets.assign(n + 1, 0);
   std::uint64_t total = 0;
@@ -138,8 +136,8 @@ HngResult build_hng(std::span<const Vec2> points, const HngParams& params, std::
         }
         continue;
       }
-      hng_link_node(pyramid.level(l - 1), points[u], static_cast<std::uint32_t>(u), params.k,
-                    scratch.grid, scratch.found);
+      levels[l - 1].nearest_into(points[u], params.k, static_cast<std::uint32_t>(u), scratch.grid,
+                                 scratch.found);
       std::copy(scratch.found.begin(), scratch.found.end(), slot);
     }
   });

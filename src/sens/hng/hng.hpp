@@ -14,9 +14,10 @@
 //
 // Determinism: promotion draws come from the per-node seeded stream
 // (seed, kHngLevelStream, node) of the rng layer, and the per-level k-NN
-// linking runs on the exact GridKnnPyramid, each node writing its own
-// disjoint selection slice — so the overlay is bit-identical at any
-// `--threads` value (construction contract: DESIGN.md §2.5).
+// linking runs on exact GridKnn subset views (one per level, over the
+// caller's points), each node writing its own disjoint selection slice —
+// so the overlay is bit-identical at any `--threads` value (construction
+// contract: DESIGN.md §2.5).
 #pragma once
 
 #include <cstdint>
@@ -25,7 +26,6 @@
 
 #include "sens/geograph/geo_graph.hpp"
 #include "sens/geometry/vec2.hpp"
-#include "sens/spatial/grid_knn.hpp"
 
 namespace sens {
 
@@ -60,9 +60,12 @@ struct HngResult {
 
 // --- per-node kernels, shared with the incremental maintainer ---
 // (sens/dynamic). `build_hng` is exactly: draw every node's level with
-// `hng_promotion_level`, then link every node with `hng_link_node` /
-// the top clique rule — so an incremental structure using the same
-// kernels agrees with the batch build bit for bit (DESIGN.md §2.7).
+// `hng_promotion_level`, then link every node of exact level l < top to
+// its min(k, |S_{l+1}|) nearest members of S_{l+1}, excluding itself
+// (`GridKnn::nearest_into` on a subset view of S_{l+1}, (distance, index)
+// order), and the top cohort by the clique rule — so an incremental
+// structure using the same kernels agrees with the batch build bit for bit
+// (DESIGN.md §2.7).
 
 /// Validate `params` (same rules as build_hng); throws
 /// std::invalid_argument on violation.
@@ -74,12 +77,5 @@ void validate_hng_params(const HngParams& params);
 /// joined, which is what makes incremental maintenance exact.
 [[nodiscard]] std::uint32_t hng_promotion_level(std::uint64_t seed, std::uint64_t node,
                                                 const HngParams& params);
-
-/// The linking kernel for a single node of exact level l < top: its
-/// min(k, |S_{l+1}|) nearest members of `upper` — which must index
-/// S_{l+1} — excluding `self`, in (distance, index) order. Returns the
-/// count written into `out`.
-std::size_t hng_link_node(const GridKnn& upper, Vec2 p, std::uint32_t self, std::size_t k,
-                          GridKnn::QueryScratch& scratch, std::vector<std::uint32_t>& out);
 
 }  // namespace sens

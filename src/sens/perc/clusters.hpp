@@ -19,9 +19,6 @@ class ClusterLabels {
   /// Cluster id of an open site; kClosed for closed sites.
   [[nodiscard]] std::int32_t label(Site s) const { return labels_[grid_->index(s)]; }
   [[nodiscard]] std::size_t cluster_count() const { return sizes_.size(); }
-  [[nodiscard]] std::size_t cluster_size(std::int32_t id) const {
-    return sizes_.at(static_cast<std::size_t>(id));
-  }
 
   [[nodiscard]] std::int32_t largest_cluster() const { return largest_; }
   [[nodiscard]] std::size_t largest_cluster_size() const {

@@ -12,6 +12,10 @@ namespace {
 /// Rng stream tag of pivot replacement draws (one tag per consumer).
 constexpr std::uint64_t kDemoteStream = 0xe90cde40ULL;
 
+/// Seeded replacement draws per demoted/missing pivot before the engine
+/// accepts a smaller pivot set.
+constexpr std::size_t kDemoteRetries = 8;
+
 }  // namespace
 
 EpochQueryEngine::EpochQueryEngine(const DynamicHng& dyn, const EpochEngineParams& params)
@@ -69,7 +73,7 @@ EpochRefreshStats EpochQueryEngine::refresh() {
     Rng rng = Rng::stream(params_.seed, kDemoteStream, generation_);
     const std::size_t missing = want - landmarks_.size();
     for (std::size_t k = 0; k < missing; ++k) {
-      for (std::size_t attempt = 0; attempt < params_.demote_retries; ++attempt) {
+      for (std::size_t attempt = 0; attempt < kDemoteRetries; ++attempt) {
         const auto pick = static_cast<std::uint32_t>(rng.uniform_index(n));
         if (std::find(landmarks_.begin(), landmarks_.end(), pick) == landmarks_.end()) {
           landmarks_.push_back(pick);

@@ -53,9 +53,6 @@ struct EpochEngineParams {
   double max_stretch = 1.1;  ///< certification budget (query_engine.hpp)
   std::uint64_t seed = 0x5eed5eed5eedULL;
   LandmarkSelection selection = LandmarkSelection::kUniformRandom;
-  /// Seeded replacement draws per demoted/missing pivot before the engine
-  /// accepts a smaller pivot set.
-  std::size_t demote_retries = 8;
 };
 
 /// What one refresh() did.

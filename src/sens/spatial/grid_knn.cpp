@@ -84,6 +84,7 @@ void GridKnn::build(std::span<const std::uint32_t> members, std::size_t expected
   Vec2 lo{kInf, kInf};
   Vec2 hi{-kInf, -kInf};
   for (const std::uint32_t m : members) {
+    if (m >= points_.size()) throw std::out_of_range("GridKnn: member id out of range");
     const Vec2 p = points_[m];
     require_finite_point(p);
     lo.x = std::min(lo.x, p.x);
@@ -167,6 +168,7 @@ void GridKnn::insert_member(std::uint32_t id) {
 }
 
 void GridKnn::erase_member(std::uint32_t id) {
+  if (id >= points_.size()) throw std::out_of_range("GridKnn: member id out of range");
   const auto it = std::find(spill_.begin(), spill_.end(), id);
   if (it != spill_.end()) {
     spill_.erase(it);

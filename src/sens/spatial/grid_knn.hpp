@@ -18,9 +18,9 @@
 // Cell size is tuned at construction for an expected query size k (or set
 // to the radius by `for_radius`); queries of any k or radius stay exact,
 // only ring granularity is off-tune. A second constructor indexes a
-// *subset* of a shared point store without copying coordinates — the
-// per-level building block of `GridKnnPyramid`
-// (spatial/grid_knn_pyramid.hpp).
+// *subset* of a shared point store without copying coordinates: each level
+// of the hierarchical neighbor graph (sens/hng, sens/dynamic) is one such
+// view over its builder's point array, tuned for that level's density.
 //
 // Input contract: every indexed coordinate and every query point must be
 // finite and every radius finite and > 0, else std::invalid_argument. Cell
@@ -35,7 +35,7 @@
 // Once tombstones + spill outgrow a fraction of the live set the grid is
 // rebuilt from the live members (ascending id). Query results are a pure
 // function of the live member set, identical to a freshly built GridKnn
-// over it (asserted by `GridKnnMutation.*` / `GridKnnPyramidMutation.*`).
+// over it (asserted by `GridKnnMutation.*` / `GridKnnSubsetMutation.*`).
 #pragma once
 
 #include <algorithm>
@@ -60,10 +60,11 @@ class GridKnn {
   /// Queries return those global ids, with the same (distance, index)
   /// tie-break as the owning constructor — equivalent to a fresh GridKnn
   /// over the compacted subset with ids mapped back (asserted by
-  /// `GridKnnPyramidParamTest.LevelsMatchFreshGridKnnOracle`). The caller
+  /// `GridKnnSubsetParamTest.LevelsMatchFreshGridKnnOracle`). The caller
   /// must keep `shared_points` alive and unmoved for the lifetime of this
-  /// index; the grid geometry is tuned to the *subset's* bounding box and
-  /// density.
+  /// index (or `rebind` it); the grid geometry is tuned to the *subset's*
+  /// bounding box and density. Throws std::out_of_range on a member id
+  /// outside `shared_points` (`GridKnnContract.SubsetRejectsOutOfRangeMembers`).
   GridKnn(std::span<const Vec2> shared_points, std::span<const std::uint32_t> members,
           std::size_t expected_k);
 
@@ -153,8 +154,8 @@ class GridKnn {
   /// point; admitting an id twice is undefined.
   void insert_member(std::uint32_t id);
 
-  /// Retire member `id`. Throws std::invalid_argument if `id` is not
-  /// currently a member.
+  /// Retire member `id`. Throws std::out_of_range on an id outside the
+  /// store and std::invalid_argument if `id` is not currently a member.
   void erase_member(std::uint32_t id);
 
   /// Rebuild the bucket grid from the live member set now (ascending id) —
@@ -175,7 +176,7 @@ class GridKnn {
   /// present every member id at unchanged coordinates — e.g. the owning
   /// store grew (possibly reallocating, contents preserved). Grid geometry
   /// and buckets depend only on member coordinates, so no rebuild is
-  /// needed. Used by `GridKnnPyramid` when its store grows.
+  /// needed. `DynamicHng` rebinds its levels whenever its store grows.
   void rebind(std::span<const Vec2> shared_points) { points_ = shared_points; }
 
  private:

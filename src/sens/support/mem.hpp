@@ -1,12 +1,12 @@
 // Process memory probes for the scale benches (DESIGN.md §2.8).
 //
 // Linux exposes the peak resident set size as the VmHWM line of
-// /proc/self/status (and the current one as VmRSS); on other platforms the
-// probes return 0 and callers print nothing. Two caveats the consumers must
-// respect: VmHWM is monotone over the process lifetime — a per-stage
-// reading is the cumulative high-water mark, not that stage's footprint —
-// and residency is an OS decision, so the numbers are measurements, never
-// part of a deterministic (--json) document.
+// /proc/self/status; on other platforms the probe returns 0 and callers
+// print nothing. Two caveats the consumers must respect: VmHWM is monotone
+// over the process lifetime — a per-stage reading is the cumulative
+// high-water mark, not that stage's footprint — and residency is an OS
+// decision, so the numbers are measurements, never part of a
+// deterministic (--json) document.
 #pragma once
 
 #include <cstddef>
@@ -39,8 +39,5 @@ namespace sens {
 /// Peak resident set size (VmHWM) in bytes; 0 when unavailable. Monotone
 /// over the process lifetime.
 [[nodiscard]] inline std::size_t peak_rss_bytes() { return proc_status_bytes("VmHWM"); }
-
-/// Current resident set size (VmRSS) in bytes; 0 when unavailable.
-[[nodiscard]] inline std::size_t current_rss_bytes() { return proc_status_bytes("VmRSS"); }
 
 }  // namespace sens

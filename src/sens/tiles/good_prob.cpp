@@ -81,35 +81,4 @@ std::size_t NnGoodCurve::threshold_k(double target) const {
   return lo;
 }
 
-double optimize_nn_a(std::size_t k, std::size_t trials, std::uint64_t seed, double a_lo,
-                     double a_hi, int steps) {
-  auto value = [&](double a, int step) {
-    return NnGoodCurve(a, trials, mix_seed(seed, static_cast<std::uint64_t>(step)))
-        .probability_at(k)
-        .estimate();
-  };
-  const double gr = 0.6180339887498949;
-  double a = a_lo, b = a_hi;
-  double x1 = b - gr * (b - a);
-  double x2 = a + gr * (b - a);
-  double f1 = value(x1, 0);
-  double f2 = value(x2, 1);
-  for (int s = 2; s < steps; ++s) {
-    if (f1 > f2) {  // maximize
-      b = x2;
-      x2 = x1;
-      f2 = f1;
-      x1 = b - gr * (b - a);
-      f1 = value(x1, s);
-    } else {
-      a = x1;
-      x1 = x2;
-      f1 = f2;
-      x2 = a + gr * (b - a);
-      f2 = value(x2, s);
-    }
-  }
-  return (a + b) / 2.0;
-}
-
 }  // namespace sens

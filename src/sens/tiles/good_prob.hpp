@@ -61,8 +61,4 @@ class NnGoodCurve {
   std::vector<NnTileTrial> trials_;
 };
 
-/// Golden-section search for the tile scale a maximizing P(good) at fixed k.
-[[nodiscard]] double optimize_nn_a(std::size_t k, std::size_t trials, std::uint64_t seed,
-                                   double a_lo = 0.4, double a_hi = 2.0, int steps = 18);
-
 }  // namespace sens

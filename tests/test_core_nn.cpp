@@ -219,7 +219,8 @@ TEST(NnLinkTest, OverlayLinksMatchSelectionsAtAnyThreadCount) {
     NnClassification cls =
         classify_nn(NnTileSpec(0.893, 1u << 20), pts, capped.classification.window);
     cls.k = k;
-    const OverlaySkeleton skeleton = overlay_skeleton(cls, 10.0 * cls.a, /*e_relays=*/true);
+    const OverlaySkeleton skeleton =
+        overlay_skeleton(cls, pts.size(), 10.0 * cls.a, /*e_relays=*/true);
     const std::vector<std::uint32_t>& base = skeleton.overlay.base_index;
     const GridKnn grid(pts, k);
     GridKnn::QueryScratch scratch;

@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <span>
 #include <stdexcept>
 
 #include "sens/core/coverage.hpp"
@@ -190,6 +191,25 @@ TEST(UdgSens, PaperSpecReportsClaimGap) {
   EXPECT_LE(r.overlay.edges_missing, r.overlay.edges_expected);
   EXPECT_LE(r.overlay.geo.graph.num_edges() + r.overlay.edges_missing,
             r.overlay.edges_expected);
+}
+
+// A classification built on more points than the overlay is given: the
+// good tiles' highest leader falls outside the truncated span, so the
+// skeleton must throw before any link test reads past it.
+TEST(UdgSens, OverlayRejectsLeaderOutOfRange) {
+  const UdgSensResult r = small_build(1);
+  const UdgClassification& cls = r.classification;
+  std::uint32_t max_leader = 0;
+  for (std::size_t t = 0; t < cls.good.size(); ++t) {
+    if (!cls.good[t]) continue;
+    for (std::size_t slot = 0; slot < 5; ++slot) {
+      max_leader = std::max(max_leader, cls.leaders[t][slot]);
+    }
+  }
+  ASSERT_GT(max_leader, 0u);
+  const std::span<const Vec2> pts(r.points.points);
+  EXPECT_THROW((void)build_udg_overlay(cls, pts.first(max_leader)), std::invalid_argument);
+  EXPECT_NO_THROW((void)build_udg_overlay(cls, pts.first(max_leader + 1)));
 }
 
 }  // namespace

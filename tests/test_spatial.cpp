@@ -13,7 +13,6 @@
 #include "sens/geometry/vec2.hpp"
 #include "sens/rng/rng.hpp"
 #include "sens/spatial/grid_knn.hpp"
-#include "sens/spatial/grid_knn_pyramid.hpp"
 #include "sens/spatial/kdtree.hpp"
 
 namespace sens {
@@ -199,6 +198,18 @@ TEST(GridKnnContract, NonFinitePointsThrow) {
   EXPECT_THROW((void)GridKnn::for_radius(wide, 1.0), std::invalid_argument);
 }
 
+// A member id past the shared store is rejected by the build, before any
+// coordinate is read — for the constructor and for a later admission or
+// retirement alike.
+TEST(GridKnnContract, SubsetRejectsOutOfRangeMembers) {
+  const auto pts = random_points(10, 4);
+  EXPECT_THROW(GridKnn(pts, std::vector<std::uint32_t>{3, 10}, 1), std::out_of_range);
+  GridKnn grid(pts, std::vector<std::uint32_t>{3, 9}, 1);
+  EXPECT_THROW(grid.insert_member(10), std::out_of_range);
+  EXPECT_THROW(grid.erase_member(10), std::out_of_range);
+  EXPECT_EQ(grid.live_members(), (std::vector<std::uint32_t>{3, 9}));
+}
+
 TEST(GridKnnContract, NonFiniteQueryAndBadRadiusThrow) {
   const auto pts = random_points(50, 4);
   const GridKnn grid(pts, 4);
@@ -378,42 +389,40 @@ TEST(GridKnn, DuplicatePointsAndDegenerateInputs) {
   EXPECT_EQ(out, std::vector<std::uint32_t>{0});
 }
 
-// --- GridKnnPyramid: per-level subset views over one shared store --------
+// --- GridKnn subset views: per-level indexes over one shared store -------
 
-class GridKnnPyramidParamTest : public ::testing::TestWithParam<std::uint64_t> {};
+class GridKnnSubsetParamTest : public ::testing::TestWithParam<std::uint64_t> {};
 
-// Every pyramid level must agree bit-for-bit with a *fresh* single-level
-// GridKnn built over the compacted subset coordinates (local ids mapped
-// back through the member list) — same neighbors, same order, same
+// Every subset view must agree bit-for-bit with a *fresh* owning GridKnn
+// built over the compacted subset coordinates (local ids mapped back
+// through the member list) — same neighbors, same order, same
 // (distance, index) tie-breaks. Member lists are ascending, so local-id
 // tie-break order equals global-id tie-break order. Mirrors
-// GridKnnParamTest.MatchesKdTreeOracle for the multi-resolution engine.
-TEST_P(GridKnnPyramidParamTest, LevelsMatchFreshGridKnnOracle) {
+// GridKnnParamTest.MatchesKdTreeOracle for the per-level HNG engine.
+TEST_P(GridKnnSubsetParamTest, LevelsMatchFreshGridKnnOracle) {
   const auto pts = random_points(420, GetParam() * 23 + 1);
-  // Nested thinned subsets (keep every 2nd/4th/8th point), one grid each,
-  // tuned for very different k — the HNG workload shape.
-  std::vector<GridKnnPyramid::LevelSpec> specs;
+  // Nested thinned subsets (keep every 2nd/4th/8th point), one view each
+  // over the same store, tuned for very different k — the HNG workload
+  // shape.
+  std::vector<std::vector<std::uint32_t>> member_lists(3);
+  std::vector<GridKnn> levels;
   const std::size_t ks[] = {4, 48, 120};
   for (std::size_t l = 0; l < 3; ++l) {
-    GridKnnPyramid::LevelSpec spec;
-    for (std::uint32_t i = 0; i < pts.size(); i += (1u << (l + 1))) spec.members.push_back(i);
-    spec.expected_k = ks[l];
-    specs.push_back(std::move(spec));
+    for (std::uint32_t i = 0; i < pts.size(); i += (1u << (l + 1))) member_lists[l].push_back(i);
+    levels.emplace_back(pts, member_lists[l], ks[l]);
   }
-  const GridKnnPyramid pyramid(pts, specs);
-  ASSERT_EQ(pyramid.num_levels(), 3u);
 
   GridKnn::QueryScratch scratch;
   GridKnn::QueryScratch oracle_scratch;
   std::vector<std::uint32_t> got;
   std::vector<std::uint32_t> oracle_local;
   for (std::size_t l = 0; l < 3; ++l) {
-    const auto& members = specs[l].members;
+    const auto& members = member_lists[l];
     std::vector<Vec2> subset;
     subset.reserve(members.size());
     for (const std::uint32_t m : members) subset.push_back(pts[m]);
     const GridKnn fresh(subset, ks[l]);
-    EXPECT_EQ(pyramid.level(l).size(), members.size());
+    EXPECT_EQ(levels[l].size(), members.size());
 
     Rng rng(GetParam() + 31 * l);
     for (int t = 0; t < 20; ++t) {
@@ -421,7 +430,7 @@ TEST_P(GridKnnPyramidParamTest, LevelsMatchFreshGridKnnOracle) {
       // Query both off-tune (k != expected_k) and on-tune to cross the
       // streaming/selection strategy threshold on shared scratches.
       for (const std::size_t k : {std::size_t{1}, ks[l], std::size_t{200}}) {
-        pyramid.level(l).nearest_into(q, k, GridKnn::npos, scratch, got);
+        levels[l].nearest_into(q, k, GridKnn::npos, scratch, got);
         fresh.nearest_into(q, k, GridKnn::npos, oracle_scratch, oracle_local);
         std::vector<std::uint32_t> want(oracle_local.size());
         for (std::size_t i = 0; i < oracle_local.size(); ++i) want[i] = members[oracle_local[i]];
@@ -431,7 +440,7 @@ TEST_P(GridKnnPyramidParamTest, LevelsMatchFreshGridKnnOracle) {
     // Member self-queries with exclusion — the HNG linking workload.
     for (std::size_t i = 0; i < members.size(); i += 7) {
       const std::uint32_t m = members[i];
-      pyramid.level(l).nearest_into(pts[m], ks[l], m, scratch, got);
+      levels[l].nearest_into(pts[m], ks[l], m, scratch, got);
       fresh.nearest_into(pts[m], ks[l], static_cast<std::uint32_t>(i), oracle_scratch,
                          oracle_local);
       std::vector<std::uint32_t> want(oracle_local.size());
@@ -441,49 +450,36 @@ TEST_P(GridKnnPyramidParamTest, LevelsMatchFreshGridKnnOracle) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(Seeds, GridKnnPyramidParamTest, ::testing::Range<std::uint64_t>(1, 7));
+INSTANTIATE_TEST_SUITE_P(Seeds, GridKnnSubsetParamTest, ::testing::Range<std::uint64_t>(1, 7));
 
-TEST(GridKnnPyramid, DuplicatePointsTieBreakByGlobalIndex) {
-  // Six coincident points; the level indexes the odd-id half. Ties must
+TEST(GridKnnSubset, DuplicatePointsTieBreakByGlobalIndex) {
+  // Six coincident points; the view indexes the odd-id half. Ties must
   // resolve by ascending *global* id within the membership.
   std::vector<Vec2> pts(6, Vec2{3.0, 3.0});
-  std::vector<GridKnnPyramid::LevelSpec> specs(1);
-  specs[0].members = {1, 3, 5};
-  specs[0].expected_k = 2;
-  const GridKnnPyramid pyramid(pts, specs);
+  const GridKnn level(pts, std::vector<std::uint32_t>{1, 3, 5}, 2);
   GridKnn::QueryScratch scratch;
   std::vector<std::uint32_t> out;
-  pyramid.level(0).nearest_into({3.0, 3.0}, 2, GridKnn::npos, scratch, out);
+  level.nearest_into({3.0, 3.0}, 2, GridKnn::npos, scratch, out);
   EXPECT_EQ(out, (std::vector<std::uint32_t>{1, 3}));
-  pyramid.level(0).nearest_into({3.0, 3.0}, 2, 3, scratch, out);
+  level.nearest_into({3.0, 3.0}, 2, 3, scratch, out);
   EXPECT_EQ(out, (std::vector<std::uint32_t>{1, 5}));
 }
 
-TEST(GridKnnPyramid, KAtLeastLevelSizeAndEmptyLevels) {
+TEST(GridKnnSubset, KAtLeastLevelSizeAndEmptyLevels) {
   const auto pts = random_points(60, 12);
-  std::vector<GridKnnPyramid::LevelSpec> specs(2);
-  specs[0].members = {2, 11, 29, 47};
-  specs[0].expected_k = 9;  // > |members|
-  specs[1].members = {};    // empty level: queries must return 0
-  specs[1].expected_k = 3;
-  const GridKnnPyramid pyramid(pts, specs);
+  const std::vector<std::uint32_t> members{2, 11, 29, 47};
+  const GridKnn level(pts, members, 9);  // expected_k > |members|
+  const GridKnn empty(pts, std::span<const std::uint32_t>{}, 3);  // queries must return 0
   GridKnn::QueryScratch scratch;
   std::vector<std::uint32_t> out;
   // k >= n collects the whole membership, sorted by (distance, id).
-  EXPECT_EQ(pyramid.level(0).nearest_into({5.0, 5.0}, 9, GridKnn::npos, scratch, out), 4u);
+  EXPECT_EQ(level.nearest_into({5.0, 5.0}, 9, GridKnn::npos, scratch, out), 4u);
   std::vector<std::uint32_t> sorted = out;
   std::sort(sorted.begin(), sorted.end());
-  EXPECT_EQ(sorted, specs[0].members);
-  EXPECT_EQ(pyramid.level(0).nearest_into({5.0, 5.0}, 9, 29, scratch, out), 3u);
-  EXPECT_EQ(pyramid.level(1).nearest_into({5.0, 5.0}, 3, GridKnn::npos, scratch, out), 0u);
-  EXPECT_EQ(pyramid.level(1).size(), 0u);
-}
-
-TEST(GridKnnPyramid, RejectsOutOfRangeMembers) {
-  const auto pts = random_points(10, 4);
-  std::vector<GridKnnPyramid::LevelSpec> specs(1);
-  specs[0].members = {3, 10};
-  EXPECT_THROW(GridKnnPyramid(pts, specs), std::out_of_range);
+  EXPECT_EQ(sorted, members);
+  EXPECT_EQ(level.nearest_into({5.0, 5.0}, 9, 29, scratch, out), 3u);
+  EXPECT_EQ(empty.nearest_into({5.0, 5.0}, 3, GridKnn::npos, scratch, out), 0u);
+  EXPECT_EQ(empty.size(), 0u);
 }
 
 // --- mutable membership: the churn substrate of sens/dynamic -------------
@@ -594,47 +590,49 @@ TEST(GridKnnMutation, EraseNonMemberThrowsInsertOutOfRangeThrows) {
   EXPECT_THROW(grid.insert_member(20), std::out_of_range);
 }
 
-// Pyramid mutation: grow the store, append levels, drain and repopulate a
-// level, recycle a vacated slot with new coordinates — after all of it,
-// every level must match a fresh pyramid built from the current state.
-TEST(GridKnnPyramidMutation, GrowDrainRepopulateMatchesFreshPyramid) {
-  const auto pts = random_points(40, 21);
-  std::vector<GridKnnPyramid::LevelSpec> specs(1);
-  for (std::uint32_t i = 1; i < pts.size(); i += 2) specs[0].members.push_back(i);
-  specs[0].expected_k = 3;
-  GridKnnPyramid pyramid(pts, specs);
+// Subset views over a growing store, the DynamicHng pattern: grow the
+// vector past its capacity (rebinding every view), append a view, drain and
+// repopulate it, recycle a vacated slot with new coordinates — after all of
+// it, every view must match a fresh view built from the current state.
+TEST(GridKnnSubsetMutation, GrowDrainRepopulateMatchesFreshViews) {
+  std::vector<Vec2> store = random_points(40, 21);
+  std::vector<std::uint32_t> odd;
+  for (std::uint32_t i = 1; i < store.size(); i += 2) odd.push_back(i);
+  std::vector<GridKnn> levels;
+  levels.emplace_back(store, odd, 3);
 
-  // Store growth (with reallocation) + admissions of brand-new ids.
+  // Store growth (the first push_back reallocates) + admissions of
+  // brand-new ids.
+  ASSERT_EQ(store.capacity(), store.size());
   Rng rng(0x9E4);
   for (int i = 0; i < 20; ++i) {
-    const auto id = pyramid.append_point({rng.uniform(0.0, 10.0), rng.uniform(0.0, 10.0)});
-    if (i % 2 == 0) pyramid.insert(0, id);
+    const auto id = static_cast<std::uint32_t>(store.size());
+    store.push_back({rng.uniform(0.0, 10.0), rng.uniform(0.0, 10.0)});
+    for (GridKnn& level : levels) level.rebind(store);
+    if (i % 2 == 0) levels[0].insert_member(id);
   }
-  pyramid.push_level(2);
-  ASSERT_EQ(pyramid.num_levels(), 2u);
-  for (const std::uint32_t id : {41u, 45u, 49u}) pyramid.insert(1, id);
+  levels.emplace_back(store, std::span<const std::uint32_t>{}, 2);
+  for (const std::uint32_t id : {41u, 45u, 49u}) levels[1].insert_member(id);
 
-  // Drain level 1 to empty, then repopulate it differently.
-  for (const std::uint32_t id : {41u, 45u, 49u}) pyramid.erase(1, id);
+  // Drain view 1 to empty, then repopulate it differently.
+  for (const std::uint32_t id : {41u, 45u, 49u}) levels[1].erase_member(id);
   GridKnn::QueryScratch scratch;
   std::vector<std::uint32_t> out;
-  EXPECT_EQ(pyramid.level(1).nearest_into({5.0, 5.0}, 2, GridKnn::npos, scratch, out), 0u);
-  for (const std::uint32_t id : {2u, 40u, 58u}) pyramid.insert(1, id);
+  EXPECT_EQ(levels[1].nearest_into({5.0, 5.0}, 2, GridKnn::npos, scratch, out), 0u);
+  for (const std::uint32_t id : {2u, 40u, 58u}) levels[1].insert_member(id);
 
   // Recycle a vacated slot at new coordinates.
-  pyramid.erase(0, 1);
-  pyramid.set_point(1, {9.5, 0.25});
-  pyramid.insert(0, 1);
+  levels[0].erase_member(1);
+  store[1] = {9.5, 0.25};
+  levels[0].insert_member(1);
 
-  const std::span<const Vec2> store = pyramid.points();
   EXPECT_EQ(store.size(), 60u);
   const std::size_t ks[] = {3, 2};
   for (std::size_t l = 0; l < 2; ++l) {
-    expect_matches_fresh(pyramid.level(l), store, ks[l], 0x9E5 + l);
+    expect_matches_fresh(levels[l], store, ks[l], 0x9E5 + l);
   }
-  EXPECT_THROW(pyramid.set_point(60, {0.0, 0.0}), std::out_of_range);
-  EXPECT_THROW(pyramid.insert(2, 0), std::out_of_range);
-  EXPECT_THROW(pyramid.erase(0, 60), std::out_of_range);
+  EXPECT_THROW(levels[0].insert_member(60), std::out_of_range);
+  EXPECT_THROW(levels[0].erase_member(60), std::out_of_range);
 }
 
 // Collinear points: a degenerate (zero-height) bounding box must not break
