@@ -152,7 +152,7 @@ int main(int argc, char** argv) {
     Timer timer;
     PointSet ps = [&] {
       const ScopedSpan span("e18/generate");
-      return poisson_point_set_ordered(window, lambda, env.seed);
+      return poisson_point_set(window, lambda, env.seed);
     }();
     const double gen_s = timer.seconds();
     const std::size_t n = ps.size();

@@ -134,7 +134,7 @@ const GeoGraph& scale_udg(std::int64_t n_target, bool hilbert) {
   if (it == cache.end()) {
     const double side = std::sqrt(static_cast<double>(n_target) / 4.0);
     const Box w{{0.0, 0.0}, {side, side}};
-    PointSet ps = poisson_point_set_ordered(w, 4.0, 21);
+    PointSet ps = poisson_point_set(w, 4.0, 21);
     Rng shuffle = Rng::stream(21, 0xB16, static_cast<std::uint64_t>(n_target));
     for (std::size_t i = ps.size(); i > 1; --i) {
       std::swap(ps.points[i - 1], ps.points[shuffle.uniform_index(i)]);

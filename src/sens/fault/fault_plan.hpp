@@ -4,7 +4,8 @@
 // claims: individual nodes crash (battery death, arXiv:cs/0411040's
 // lifetime horizon), whole regions black out (weather, jamming, a crushed
 // corridor), and individual links fade below usability while both
-// endpoints stay up (the quasi-UDG concern of ROADMAP direction 4). A
+// endpoints stay up (the quasi-unit-disk-graph concern: a link inside the
+// radio range need not be usable). A
 // `FaultPlan` describes one such failure scenario; a `FaultInjector`
 // evaluates it as a *pure function* of the plan — every draw comes from a
 // dedicated per-entity rng stream (seed, kind, id), never from a shared

@@ -22,10 +22,9 @@ FlatAdjacency knn_selections_flat(std::span<const Vec2> points, std::size_t k) {
   adj.neighbors.resize(n * deg);
   if (deg == 0) return adj;
 
-  // GridKnn returns the same neighbor lists as KdTree::nearest_into (same
-  // (distance, index) tie-break) and wins on the batched self-query
-  // workload; one scratch per participant keeps the hot path
-  // allocation-free.
+  // GridKnn returns the exact (distance, index)-ordered neighbor lists
+  // (`GridKnnParamTest.MatchesBruteForceOracle`); one scratch per
+  // participant keeps the hot path allocation-free.
   const GridKnn index(points, k);
   struct FillScratch {
     GridKnn::QueryScratch grid;

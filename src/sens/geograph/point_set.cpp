@@ -11,10 +11,9 @@ namespace sens {
 
 namespace {
 
-/// The deterministic stream of unit cell (ix, iy): one source of truth for
-/// both generation paths — the cell-consistency contract says a cell's
-/// points depend only on (seed, ix, iy), never on the window or the order
-/// cells are visited in.
+/// The deterministic stream of unit cell (ix, iy), read by both passes —
+/// the cell-consistency contract says a cell's points depend only on
+/// (seed, ix, iy), never on the window or the order cells are visited in.
 Rng cell_rng(std::uint64_t seed, long ix, long iy) {
   return Rng::stream(seed, static_cast<std::uint64_t>(ix) * 0x9E3779B9ULL + 0x12345,
                      static_cast<std::uint64_t>(iy) * 0x85EBCA6BULL + 0x6789A);
@@ -44,44 +43,20 @@ PointSet poisson_point_set(Box window, double lambda, std::uint64_t seed) {
   if (lambda == 0.0 || window.area() <= 0.0) return ps;
 
   const CellRange range = cell_range(window);
-
-  // Expected points per unit cell is lambda; reserve generously.
-  ps.points.reserve(static_cast<std::size_t>(lambda * window.area() * 1.2) + 16);
-
-  for (long iy = range.iy0; iy < range.iy0 + static_cast<long>(range.ny); ++iy) {
-    for (long ix = range.ix0; ix < range.ix0 + static_cast<long>(range.nx); ++ix) {
-      Rng rng = cell_rng(seed, ix, iy);
-      const std::uint64_t n = rng.poisson(lambda);
-      for (std::uint64_t i = 0; i < n; ++i) {
-        const Vec2 p{static_cast<double>(ix) + rng.uniform(),
-                     static_cast<double>(iy) + rng.uniform()};
-        if (window.contains(p)) ps.points.push_back(p);
-      }
-    }
-  }
-  return ps;
-}
-
-PointSet poisson_point_set_ordered(Box window, double lambda, std::uint64_t seed) {
-  if (lambda < 0.0) throw std::invalid_argument("poisson_point_set_ordered: lambda < 0");
-  PointSet ps;
-  ps.window = window;
-  ps.intensity = lambda;
-  if (lambda == 0.0 || window.area() <= 0.0) return ps;
-
-  const CellRange range = cell_range(window);
   const std::size_t cells = range.cells();
   const auto cell_xy = [&](std::size_t c) {
     return std::pair<long, long>{range.ix0 + static_cast<long>(c % range.nx),
                                  range.iy0 + static_cast<long>(c / range.nx)};
   };
-  // A cell strictly inside the window keeps every generated point (points of
-  // (ix, iy) lie in [ix, ix+1) x [iy, iy+1) and containment is half-open),
-  // so the count pass only draws positions for boundary cells.
+  // A cell strictly inside the window keeps every generated point, so the
+  // count pass only draws positions for boundary cells. The upper tests are
+  // strict: ix + u (u < 1) rounds up to ix + 1 once the spacing of doubles
+  // at ix exceeds 2^-52, and such a point lies on hi.x when ix + 1 == hi.x,
+  // outside the half-open window.
   const auto interior = [&](long ix, long iy) {
     return static_cast<double>(ix) >= window.lo.x &&
-           static_cast<double>(ix + 1) <= window.hi.x &&
-           static_cast<double>(iy) >= window.lo.y && static_cast<double>(iy + 1) <= window.hi.y;
+           static_cast<double>(ix + 1) < window.hi.x && static_cast<double>(iy) >= window.lo.y &&
+           static_cast<double>(iy + 1) < window.hi.y;
   };
 
   // Pass 1: per-cell kept-point counts (each cell re-derives its own stream,
@@ -109,8 +84,7 @@ PointSet poisson_point_set_ordered(Box window, double lambda, std::uint64_t seed
   ps.points.resize(static_cast<std::size_t>(offsets[cells]));  // exact, final
 
   // Pass 2: redraw each cell's stream from the top and fill its disjoint
-  // slice — grid-major order by construction, bit-identical to the serial
-  // append loop above.
+  // slice — grid-major order by construction.
   parallel_for(cells, [&](std::size_t c) {
     const auto [ix, iy] = cell_xy(c);
     Rng rng = cell_rng(seed, ix, iy);
@@ -124,6 +98,10 @@ PointSet poisson_point_set_ordered(Box window, double lambda, std::uint64_t seed
     }
   });
   return ps;
+}
+
+PointSet poisson_point_set_ordered(Box window, double lambda, std::uint64_t seed) {
+  return poisson_point_set(window, lambda, seed);
 }
 
 std::vector<Vec2> poisson_points_in_box(Box box, double lambda, std::uint64_t seed,

@@ -24,17 +24,18 @@ struct PointSet {
   [[nodiscard]] std::size_t size() const { return points.size(); }
 };
 
-/// Sample PPP(lambda) restricted to `window` from `seed` (cell consistent).
+/// Sample PPP(lambda) restricted to `window` from `seed` (cell consistent),
+/// in grid-major order (unit cells row-major, each cell's points in stream
+/// order). The one generator (DESIGN.md §2.8): a two-pass count-then-fill
+/// sweep over the per-cell streams, so the store is allocated exactly once
+/// at its final size and both passes run chunk-parallel over cells, each
+/// cell writing its own disjoint slice. Because every cell re-derives its
+/// stream (seed, ix, iy) independently, the result is identical at any
+/// `--threads` value. Every point lies in the half-open `window`, at any
+/// coordinate magnitude. Throws std::invalid_argument when lambda < 0.
 [[nodiscard]] PointSet poisson_point_set(Box window, double lambda, std::uint64_t seed);
 
-/// The scale-tier generation path (DESIGN.md §2.8): same point set as
-/// `poisson_point_set`, bit-for-bit and in the same grid-major order (unit
-/// cells, row-major), but produced by a two-pass count-then-fill sweep over
-/// the per-cell streams — the store is allocated exactly once at its final
-/// size (no growth reallocation, no over-reserve) and both passes run
-/// chunk-parallel over cells, each cell writing its own disjoint slice.
-/// Because every cell re-derives its stream (seed, ix, iy) independently,
-/// the result is identical at any `--threads` value and to the serial path.
+/// Forwards to `poisson_point_set`; kept for the frozen perfbench sources.
 [[nodiscard]] PointSet poisson_point_set_ordered(Box window, double lambda, std::uint64_t seed);
 
 /// Points of PPP(lambda) falling in a single axis-aligned box, sampled

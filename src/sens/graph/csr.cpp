@@ -303,12 +303,6 @@ CsrGraph CsrGraph::apply_edge_delta(
   return from_symmetric_adjacency(std::move(merged), /*lists_sorted=*/true);
 }
 
-std::size_t CsrGraph::arc_index(std::uint32_t u, std::uint32_t v) const {
-  const auto nbrs = neighbors(u);
-  const auto it = std::lower_bound(nbrs.begin(), nbrs.end(), v);
-  return offsets_[u] + static_cast<std::size_t>(it - nbrs.begin());
-}
-
 std::size_t CsrGraph::max_degree() const {
   std::size_t best = 0;
   for (std::size_t v = 0; v < num_vertices(); ++v) best = std::max(best, degree(static_cast<std::uint32_t>(v)));

@@ -109,9 +109,6 @@ class CsrGraph {
   [[nodiscard]] std::uint32_t arc_end(std::uint32_t v) const { return offsets_[v + 1]; }
   [[nodiscard]] std::uint32_t arc_target(std::size_t arc) const { return adjacency_[arc]; }
 
-  /// Index of the arc u -> v. Precondition: the edge exists.
-  [[nodiscard]] std::size_t arc_index(std::uint32_t u, std::uint32_t v) const;
-
   /// Index of the reverse arc: for arc a = (u -> v), reverse_arc(a) is the
   /// arc (v -> u). Precomputed at build time (one O(m) counting pass), so
   /// mirroring per-arc data onto reverse arcs — the spanner filters' kept

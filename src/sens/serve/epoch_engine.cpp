@@ -25,11 +25,10 @@ EpochQueryEngine::EpochQueryEngine(const DynamicHng& dyn, const EpochEngineParam
   points_.assign(dyn.points().begin(), dyn.points().end());
   weights_ = graph_.arc_weights(
       [&](std::uint32_t u, std::uint32_t v) { return dist(points_[u], points_[v]); });
-  const LandmarkOracle first = LandmarkOracle::build(
+  oracle_ = LandmarkOracle::build(
       graph_, weights_,
       LandmarkOracleParams{params_.num_landmarks, params_.seed, params_.selection});
-  landmarks_.assign(first.landmarks().begin(), first.landmarks().end());
-  oracle_ = first;
+  landmarks_.assign(oracle_.landmarks().begin(), oracle_.landmarks().end());
 }
 
 EpochRefreshStats EpochQueryEngine::refresh() {

@@ -3,7 +3,7 @@
 //
 // The immutable `QueryEngine` (§2.6) assumes its graph never changes;
 // under churn that meant every `DynamicHng` event invalidated outstanding
-// engines wholesale (ROADMAP direction 3's robustness hole). An
+// engines wholesale, leaving churned topologies unservable. An
 // `EpochQueryEngine` instead *subscribes* to the maintainer's overlay
 // delta journal (dynamic/dynamic_hng.hpp `OverlayDelta`): `refresh()`
 // folds the journaled deltas into the engine's own CSR snapshot with the

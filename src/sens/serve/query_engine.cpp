@@ -123,18 +123,6 @@ ServeStats QueryEngine::estimate_distances(std::span<const Query> queries,
   return serve_batch(*g_, weights_, oracle_, max_stretch_, queries, out, {});
 }
 
-void QueryEngine::hop_distances(std::span<const Query> queries,
-                                std::span<std::uint32_t> out) const {
-  check_ids(*g_, queries);
-  check_out_size(out.size(), queries.size(), "QueryEngine::hop_distances");
-  parallel_for_chunks<BfsScratch>(
-      queries.size(), [&](BfsScratch& scratch, std::size_t begin, std::size_t end) {
-        for (std::size_t i = begin; i < end; ++i) {
-          out[i] = bfs_distance(*g_, queries[i].src, queries[i].dst, scratch);
-        }
-      });
-}
-
 void QueryEngine::routes(std::span<const Query> queries, std::vector<std::uint32_t>& offsets,
                          std::vector<std::uint32_t>& nodes) const {
   check_ids(*g_, queries);

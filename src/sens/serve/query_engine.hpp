@@ -31,7 +31,6 @@
 #include <vector>
 
 #include "sens/core/sens_router.hpp"
-#include "sens/graph/bfs.hpp"
 #include "sens/graph/csr.hpp"
 #include "sens/graph/dijkstra.hpp"
 #include "sens/serve/landmark_oracle.hpp"
@@ -123,10 +122,6 @@ class QueryEngine {
   /// Oracle-first distance per query into out[i]: `serve_batch` over this
   /// engine (out-of-range ids are answered kInfCost and counted stale).
   ServeStats estimate_distances(std::span<const Query> queries, std::span<double> out) const;
-
-  /// Exact hop count per query into out[i] (kUnreachable when
-  /// disconnected) — the BFS-backed cold path.
-  void hop_distances(std::span<const Query> queries, std::span<std::uint32_t> out) const;
 
   /// Min-cost node paths for a batch, concatenated into caller-owned
   /// buffers: path i occupies nodes[offsets[i] .. offsets[i + 1]) (empty

@@ -35,17 +35,6 @@ struct ObsTally {
 };
 #endif
 
-/// Final prune + sort shared by collect_large's exits: keep the k best
-/// under the strict (d2, idx) order, sorted.
-void finish_large(std::size_t k, std::vector<GridKnn::QueryScratch::Candidate>& cands) {
-  if (cands.size() > k) {
-    std::nth_element(cands.begin(), cands.begin() + static_cast<std::ptrdiff_t>(k) - 1,
-                     cands.end());
-    cands.resize(k);
-  }
-  std::sort(cands.begin(), cands.end());
-}
-
 }  // namespace
 
 GridKnn::GridKnn(std::span<const Vec2> points, std::size_t expected_k)
@@ -107,11 +96,11 @@ void GridKnn::build(std::span<const std::uint32_t> members, std::size_t expected
   if (members.empty()) return;
   lo_ = lo;
   const double density = static_cast<double>(members.size()) / (w * h);
-  // Target ~k/4 (streaming) or ~k/16 (selection) points per cell, floored
+  // Target ~k/4 points per cell, or ~k/16 above the stack threshold, floored
   // so the grid never exceeds ~4n cells (degenerate aspect-ratio guard).
   const double per_cell =
       static_cast<double>(std::max<std::size_t>(expected_k, 1)) /
-      (expected_k > kStreamingMaxK ? 16.0 : 4.0);
+      (expected_k > kStackMaxK ? 16.0 : 4.0);
   cell_ = fixed_cell_ > 0.0 ? fixed_cell_ : std::max(1e-9, std::sqrt(per_cell / density));
   // Cap the grid at ~4n cells. The per-axis ceil makes this a doubling loop
   // rather than a closed form: a degenerate aspect ratio (e.g. collinear
@@ -217,14 +206,15 @@ std::vector<std::uint32_t> GridKnn::live_members() const {
   return members;
 }
 
-/// Streaming path: a sorted bounded candidate array on the stack
-/// (k <= kStreamingMaxK). The initial 3x3 block — which resolves almost
+/// The one search kernel: a sorted bounded candidate array `best` (k slots,
+/// or fewer when k exceeds the live count), maintained by shift-insertion
+/// while streaming cells. The initial 3x3 block — which resolves almost
 /// every query at the tuned cell size — is scanned as contiguous row spans
 /// (cells of a row are adjacent in the CSR arrays); outer rings add
 /// per-cell lower-bound filtering against the current k-th best. Returns
 /// the candidate count.
-std::size_t GridKnn::collect_small(Vec2 q, std::size_t k, std::uint32_t exclude,
-                                   QueryScratch::Candidate* best) const {
+std::size_t GridKnn::collect(Vec2 q, std::size_t k, std::uint32_t exclude,
+                             QueryScratch::Candidate* best) const {
   std::size_t cnt = 0;
   double worst = kInf;
   SENS_OBS(ObsTally obs_tally;)
@@ -327,107 +317,23 @@ std::size_t GridKnn::collect_small(Vec2 q, std::size_t k, std::uint32_t exclude,
   return cnt;
 }
 
-/// Selection path: collect per ring (filtered by the current k-th best once
-/// known), prune with nth_element, stop on the same ring bound.
-void GridKnn::collect_large(Vec2 q, std::size_t k, std::uint32_t exclude,
-                            std::vector<QueryScratch::Candidate>& cands) const {
-  double worst = kInf;
-  SENS_OBS(ObsTally obs_tally;)
-
-  auto consider = [&](std::uint32_t idx) {
-    SENS_OBS(++obs_tally.candidates;)
-    if (idx == exclude) return;
-    const double dx = points_[idx].x - q.x;
-    const double dy = points_[idx].y - q.y;
-    const double d2 = dx * dx + dy * dy;
-    if (d2 > worst) return;  // `>` keeps equal-distance ties in play
-    cands.push_back({d2, idx});
-  };
-
-  // Spill entries first and exhaustively (see collect_small): the ring
-  // bound below is then exact because it only has to cover bucketed points.
-  for (const std::uint32_t idx : spill_) consider(idx);
-  if (offsets_.empty()) {
-    finish_large(k, cands);
-    return;
-  }
-
-  const long cx = cell_coord(q.x - lo_.x, nx_);
-  const long cy = cell_coord(q.y - lo_.y, ny_);
-  const long max_ring = std::max(std::max(cx, nx_ - 1 - cx), std::max(cy, ny_ - 1 - cy));
-
-  auto scan_cell = [&](long x, long y) {
-    if (x < 0 || x >= nx_ || y < 0 || y >= ny_) return;
-    const double gx = std::max({0.0, lo_.x + static_cast<double>(x) * cell_ - q.x,
-                                q.x - (lo_.x + static_cast<double>(x + 1) * cell_)});
-    const double gy = std::max({0.0, lo_.y + static_cast<double>(y) * cell_ - q.y,
-                                q.y - (lo_.y + static_cast<double>(y + 1) * cell_)});
-    if (gx * gx + gy * gy > worst) return;
-    SENS_OBS(++obs_tally.cells;)
-    const std::size_t c =
-        static_cast<std::size_t>(y) * static_cast<std::size_t>(nx_) + static_cast<std::size_t>(x);
-    for (std::uint32_t t = offsets_[c]; t < offsets_[c + 1]; ++t) {
-      if (order_[t] != npos) consider(order_[t]);
-    }
-  };
-
-  for (long r = 0; r <= max_ring; ++r) {
-    const long x0 = cx - r;
-    const long x1 = cx + r;
-    const long y0 = cy - r;
-    const long y1 = cy + r;
-    if (r == 0) {
-      scan_cell(cx, cy);
-    } else {
-      for (long x = x0; x <= x1; ++x) {
-        scan_cell(x, y0);
-        scan_cell(x, y1);
-      }
-      for (long y = y0 + 1; y <= y1 - 1; ++y) {
-        scan_cell(x0, y);
-        scan_cell(x1, y);
-      }
-    }
-    if (cands.size() < k) continue;
-    const double left = x0 > 0 ? q.x - (lo_.x + static_cast<double>(x0) * cell_) : kInf;
-    const double right =
-        x1 < nx_ - 1 ? (lo_.x + static_cast<double>(x1 + 1) * cell_) - q.x : kInf;
-    const double bot = y0 > 0 ? q.y - (lo_.y + static_cast<double>(y0) * cell_) : kInf;
-    const double top =
-        y1 < ny_ - 1 ? (lo_.y + static_cast<double>(y1 + 1) * cell_) - q.y : kInf;
-    const double dmin = std::min(std::min(left, right), std::min(bot, top));
-    // Prune to the k best so far; the (d2, idx) comparator is a strict
-    // total order, so the prefix after nth_element is exactly the k best
-    // and everything beyond can be dropped. nth_element also runs when the
-    // buffer holds exactly k — `worst` must be the k-th best, not whatever
-    // was pushed last.
-    std::nth_element(cands.begin(), cands.begin() + static_cast<std::ptrdiff_t>(k) - 1,
-                     cands.end());
-    if (cands.size() > k) cands.resize(k);
-    worst = cands[k - 1].d2;
-    if (worst < dmin * dmin) break;
-  }
-  finish_large(k, cands);
-}
-
 std::size_t GridKnn::nearest_into(Vec2 q, std::size_t k, std::uint32_t exclude,
                                   QueryScratch& scratch, std::vector<std::uint32_t>& out) const {
   check_query(q);
   out.clear();
   if (live_ == 0 || k == 0) return 0;
-  if (k <= kStreamingMaxK) {
-    QueryScratch::Candidate best[kStreamingMaxK];
-    const std::size_t cnt = collect_small(q, k, exclude, best);
-    out.resize(cnt);
-    for (std::size_t i = 0; i < cnt; ++i) out[i] = best[i].idx;
-    return cnt;
+  QueryScratch::Candidate stack[kStackMaxK];
+  QueryScratch::Candidate* best = stack;
+  if (k > kStackMaxK) {
+    // At most live_ candidates are ever held, so a k beyond the live count
+    // never needs more slots than that.
+    scratch.cands.resize(std::min(k, live_));
+    best = scratch.cands.data();
   }
-  auto& cands = scratch.cands;
-  cands.clear();
-  collect_large(q, k, exclude, cands);
-  out.resize(cands.size());
-  for (std::size_t i = 0; i < cands.size(); ++i) out[i] = cands[i].idx;
-  return out.size();
+  const std::size_t cnt = collect(q, k, exclude, best);
+  out.resize(cnt);
+  for (std::size_t i = 0; i < cnt; ++i) out[i] = best[i].idx;
+  return cnt;
 }
 
 }  // namespace sens

@@ -6,10 +6,13 @@
 // ring expansion touches O(k) candidates with no tree traversal at all.
 // This engine is exact (not approximate): rings expand until the k-th best
 // distance provably beats the nearest unscanned cell boundary, and ties are
-// broken by (distance, index) exactly like `KdTree::nearest_into`, so both
-// engines return identical neighbor lists on any input (asserted by
-// `GridKnnParamTest.MatchesKdTreeOracle`). `knn_selections_flat` drives it
-// chunk-parallel with one scratch per chunk (DESIGN.md §2.3).
+// broken by (distance, index), so the neighbor list equals a brute-force
+// sort of every point by (distance, index) on any input (asserted by
+// `GridKnnParamTest.MatchesBruteForceOracle`). One kernel answers every k:
+// a sorted candidate array kept by shift-insertion, on the stack for
+// k <= 48 and in the caller's `QueryScratch` above that.
+// `knn_selections_flat` drives it chunk-parallel with one scratch per
+// chunk (DESIGN.md §2.3).
 //
 // The same buckets answer fixed-radius queries (`for_each_in_radius`, the
 // unit-disk graph builder and the coverage estimator): `for_radius` builds
@@ -84,14 +87,12 @@ class GridKnn {
   static constexpr std::uint32_t npos = 0xffffffffu;
 
   /// Caller-owned scratch; one per thread or parallel-call participant
-  /// (`parallel_for_chunks<State>`), contents opaque.
+  /// (`parallel_for_chunks<State>`), contents opaque. Only queries with
+  /// k > 48 touch it (their candidate array; smaller k use the stack).
   struct QueryScratch {
     struct Candidate {
       double d2;
       std::uint32_t idx;
-      bool operator<(const Candidate& o) const {
-        return d2 != o.d2 ? d2 < o.d2 : idx < o.idx;
-      }
     };
     std::vector<Candidate> cands;
   };
@@ -99,7 +100,6 @@ class GridKnn {
   /// Indices of the k points nearest to `q`, excluding index `exclude`
   /// (npos = exclude nothing), sorted by (distance, index), written into
   /// `out` (cleared first; capacity reused). Returns the count written.
-  /// Identical results to `KdTree::nearest_into` on the same points.
   /// Throws std::invalid_argument on a non-finite `q`.
   std::size_t nearest_into(Vec2 q, std::size_t k, std::uint32_t exclude, QueryScratch& scratch,
                            std::vector<std::uint32_t>& out) const;
@@ -194,10 +194,8 @@ class GridKnn {
   }
 
   void maybe_compact();
-  std::size_t collect_small(Vec2 q, std::size_t k, std::uint32_t exclude,
-                            QueryScratch::Candidate* best) const;
-  void collect_large(Vec2 q, std::size_t k, std::uint32_t exclude,
-                     std::vector<QueryScratch::Candidate>& cands) const;
+  std::size_t collect(Vec2 q, std::size_t k, std::uint32_t exclude,
+                      QueryScratch::Candidate* best) const;
 
   std::vector<Vec2> owned_points_;     ///< owning ctor only; empty for subset views
   std::span<const Vec2> points_;       ///< what the kernel reads (shared or owned)
@@ -213,11 +211,10 @@ class GridKnn {
   std::size_t live_ = 0;  // |order_| - dead_ + |spill_|
   std::size_t dead_ = 0;  // tombstones inside order_
 
-  /// Up to this k the candidate set is a sorted array maintained by
-  /// insertion while streaming cells; beyond it, candidates are collected
-  /// per ring and selected with nth_element (the O(k) insertion memmove
-  /// loses to selection at NN-SENS sizes, k = 188).
-  static constexpr std::size_t kStreamingMaxK = 48;
+  /// Up to this k the kernel's sorted candidate array lives on the stack;
+  /// beyond it, in `QueryScratch::cands`. `build` also keys its cell-size
+  /// rule on it (~k/4 points per cell up to here, ~k/16 above).
+  static constexpr std::size_t kStackMaxK = 48;
 };
 
 }  // namespace sens

@@ -62,12 +62,6 @@ struct UdgTileSpec {
   /// every rep-relay pair and every facing relay-relay pair is within
   /// link_radius, and the relay regions are non-empty.
   [[nodiscard]] bool guarantees_paths() const;
-
-  /// Upper bound on the Claim 2.1 stretch constant c_u: worst-case 3-hop
-  /// path length over the minimum rep-rep separation... computed from the
-  /// geometry (3 * link_radius / (side - 2 * rep_radius) is a simple bound;
-  /// we report 3 hops of at most link_radius each like the paper).
-  [[nodiscard]] double max_hop_length() const { return link_radius; }
 };
 
 /// Tile goodness (Section 2.1): C0 and all four relay regions contain at

@@ -551,7 +551,7 @@ TEST(EpochEngine, AllDisconnectedBatchIsExplicit) {
   // every cross-cluster query must come back as an infinite distance —
   // explicitly, never as some certified finite guess. The plain
   // QueryEngine proves the disconnection from the oracle bracket alone
-  // ({inf, inf} bounds); the same batch through `hop_distances` agrees.
+  // ({inf, inf} bounds); BFS on the same pairs agrees.
   const GeoGraph geo = make_udg(12.0);
   FaultPlan plan;
   plan.blackouts.push_back(Box{{5.0, -1.0}, {7.0, 13.0}});  // vertical cut
@@ -590,9 +590,10 @@ TEST(EpochEngine, AllDisconnectedBatchIsExplicit) {
     EXPECT_EQ(b.lower, kInfCost) << "query " << i;
     EXPECT_EQ(b.upper, kInfCost) << "query " << i;
   }
-  std::vector<std::uint32_t> hops(queries.size());
-  plain.hop_distances(queries, hops);
-  for (std::size_t i = 0; i < queries.size(); ++i) EXPECT_EQ(hops[i], kUnreachable);
+  BfsScratch bfs;
+  for (const Query& q : queries) {
+    EXPECT_EQ(bfs_distance(faulted.geo.graph, q.src, q.dst, bfs), kUnreachable);
+  }
 }
 
 }  // namespace

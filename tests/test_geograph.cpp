@@ -4,16 +4,43 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <utility>
+#include <vector>
 
 #include "sens/geograph/knn.hpp"
 #include "sens/geograph/point_set.hpp"
 #include "sens/geograph/udg.hpp"
-#include "sens/spatial/kdtree.hpp"
 #include "sens/support/parallel.hpp"
 #include "sens/support/stats.hpp"
 
 namespace sens {
 namespace {
+
+/// Expand a flat adjacency into nested per-vertex vectors — an
+/// independent re-slicing of the offsets/neighbors arrays.
+std::vector<std::vector<std::uint32_t>> to_nested(const FlatAdjacency& flat) {
+  std::vector<std::vector<std::uint32_t>> out(flat.size());
+  for (std::size_t i = 0; i < out.size(); ++i) {
+    out[i].assign(flat.neighbors.begin() + flat.offsets[i],
+                  flat.neighbors.begin() + flat.offsets[i + 1]);
+  }
+  return out;
+}
+
+/// The k points nearest to points[i] other than i itself, by a brute-force
+/// (squared distance, index) sort.
+std::vector<std::uint32_t> brute_selection(const std::vector<Vec2>& points, std::size_t i,
+                                           std::size_t k) {
+  std::vector<std::pair<double, std::uint32_t>> all;
+  for (std::uint32_t j = 0; j < points.size(); ++j) {
+    if (j != i) all.push_back({dist2(points[j], points[i]), j});
+  }
+  std::sort(all.begin(), all.end());
+  std::vector<std::uint32_t> out;
+  for (std::size_t r = 0; r < std::min(k, all.size()); ++r) out.push_back(all[r].second);
+  return out;
+}
 
 TEST(PointProcess, DeterministicForSeed) {
   const Box w{{0.0, 0.0}, {10.0, 10.0}};
@@ -150,7 +177,7 @@ TEST(Knn, GraphIsUndirectedUnion) {
   const PointSet ps = poisson_point_set(w, 2.0, 33);
   const std::size_t k = 4;
   const GeoGraph g = build_knn_graph(ps.points, k);
-  const auto sel = knn_selections_flat(ps.points, k).to_nested();
+  const auto sel = to_nested(knn_selections_flat(ps.points, k));
   for (std::uint32_t u = 0; u < ps.size(); ++u) {
     for (std::uint32_t v = u + 1; v < ps.size(); ++v) {
       const bool u_sel_v = std::find(sel[u].begin(), sel[u].end(), v) != sel[u].end();
@@ -187,17 +214,14 @@ TEST(Knn, FlatSelectionsRoundTripAgainstNested) {
   ASSERT_EQ(flat.size(), ps.size());
   ASSERT_EQ(flat.offsets.front(), 0u);
   ASSERT_EQ(flat.offsets.back(), flat.neighbors.size());
-  // Per-vertex slices equal the nested shape and the kd-tree oracle.
-  const auto nested = flat.to_nested();
+  // Per-vertex slices equal the nested shape and the brute-force oracle.
+  const auto nested = to_nested(flat);
   ASSERT_EQ(nested.size(), flat.size());
-  const KdTree tree(ps.points);
-  KdTree::QueryScratch scratch;
-  std::vector<std::uint32_t> oracle;
   for (std::size_t i = 0; i < flat.size(); ++i) {
     EXPECT_EQ(flat.degree(i), std::min(k, ps.size() - 1));
     const auto slice = flat[i];
     EXPECT_TRUE(std::equal(slice.begin(), slice.end(), nested[i].begin(), nested[i].end()));
-    tree.nearest_into(ps.points[i], k, static_cast<std::uint32_t>(i), scratch, oracle);
+    const auto oracle = brute_selection(ps.points, i, k);
     EXPECT_TRUE(std::equal(slice.begin(), slice.end(), oracle.begin(), oracle.end()));
   }
 }

@@ -1,9 +1,10 @@
-// Scale-tier contracts (DESIGN.md §2.8): the streaming Poisson generator is
-// bit-identical to the serial path and really is grid-major; spatial
-// relabeling is an exact isomorphism (building on permuted points equals
-// permuting the build); and the 32-bit index-width guards throw instead of
-// truncating. This is the `scale` ctest label — the guarantees bench_e18
-// relies on at n = 10^6.
+// Scale-tier contracts (DESIGN.md §2.8): the two-pass Poisson generator is
+// bit-identical to a serial per-cell reference and really is grid-major, and
+// keeps every point inside its half-open window at any coordinate magnitude;
+// spatial relabeling is an exact isomorphism (building on permuted points
+// equals permuting the build); and the 32-bit index-width guards throw
+// instead of truncating. This is the `scale` ctest label — the guarantees
+// bench_e18 relies on at n = 10^6.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -32,7 +33,7 @@ constexpr std::uint64_t kSeed = 0x5CA1E;
 void expect_same_points(const std::vector<Vec2>& a, const std::vector<Vec2>& b) {
   ASSERT_EQ(a.size(), b.size());
   for (std::size_t i = 0; i < a.size(); ++i) {
-    // Bit-for-bit, not approximately: both paths must draw the exact same
+    // Bit-for-bit, not approximately: both sides must draw the exact same
     // doubles from the exact same per-cell streams.
     EXPECT_EQ(a[i].x, b[i].x) << "point " << i;
     EXPECT_EQ(a[i].y, b[i].y) << "point " << i;
@@ -41,6 +42,33 @@ void expect_same_points(const std::vector<Vec2>& a, const std::vector<Vec2>& b) 
 
 // --- streaming generation ---------------------------------------------------
 
+/// Serial reference for `poisson_point_set`: visit the window's unit cells
+/// row-major, draw each cell's points from its own stream (seed, ix, iy)
+/// and append those `window.contains` accepts. It shares no code with the
+/// library's two-pass generator beyond the Rng and the pinned per-cell
+/// stream keys.
+PointSet serial_poisson(Box window, double lambda, std::uint64_t seed) {
+  PointSet ps;
+  ps.window = window;
+  ps.intensity = lambda;
+  if (lambda == 0.0 || window.area() <= 0.0) return ps;
+  const auto ix1 = static_cast<long>(std::ceil(window.hi.x));
+  const auto iy1 = static_cast<long>(std::ceil(window.hi.y));
+  for (auto iy = static_cast<long>(std::floor(window.lo.y)); iy < iy1; ++iy) {
+    for (auto ix = static_cast<long>(std::floor(window.lo.x)); ix < ix1; ++ix) {
+      Rng rng = Rng::stream(seed, static_cast<std::uint64_t>(ix) * 0x9E3779B9ULL + 0x12345,
+                            static_cast<std::uint64_t>(iy) * 0x85EBCA6BULL + 0x6789A);
+      const std::uint64_t n = rng.poisson(lambda);
+      for (std::uint64_t i = 0; i < n; ++i) {
+        const Vec2 p{static_cast<double>(ix) + rng.uniform(),
+                     static_cast<double>(iy) + rng.uniform()};
+        if (window.contains(p)) ps.points.push_back(p);
+      }
+    }
+  }
+  return ps;
+}
+
 TEST(OrderedPoisson, MatchesSerialPathBitForBit) {
   const Box windows[] = {
       {{0.0, 0.0}, {7.0, 5.0}},          // integral bounds
@@ -48,19 +76,33 @@ TEST(OrderedPoisson, MatchesSerialPathBitForBit) {
       {{10.125, 20.0}, {11.0, 20.875}},  // sub-cell window
   };
   for (const Box& window : windows) {
-    const PointSet serial = poisson_point_set(window, 4.0, kSeed);
-    const PointSet ordered = poisson_point_set_ordered(window, 4.0, kSeed);
-    EXPECT_EQ(serial.intensity, ordered.intensity);
-    expect_same_points(serial.points, ordered.points);
+    const PointSet serial = serial_poisson(window, 4.0, kSeed);
+    const PointSet ps = poisson_point_set(window, 4.0, kSeed);
+    EXPECT_EQ(serial.intensity, ps.intensity);
+    expect_same_points(serial.points, ps.points);
   }
+}
+
+TEST(OrderedPoisson, LargeOffsetWindowKeepsPointsInside) {
+  // At x = 2^40 the spacing of doubles is 2^-12, so ix + u rounds up to
+  // ix + 1 == hi.x for u > 1 - 2^-13: about ten of these 80k draws land on
+  // the excluded upper edge. A cell whose upper edge is the window's must
+  // still test each point, not keep all of them as an interior cell.
+  const double x0 = std::ldexp(1.0, 40);
+  const Box window{{x0, 0.0}, {x0 + 1.0, 20000.0}};
+  const PointSet ps = poisson_point_set(window, 4.0, 7);
+  std::size_t outside = 0;
+  for (const Vec2 p : ps.points) outside += window.contains(p) ? 0u : 1u;
+  EXPECT_EQ(outside, 0u);
+  expect_same_points(serial_poisson(window, 4.0, 7).points, ps.points);
 }
 
 TEST(OrderedPoisson, SerialOrderIsAlreadyGridMajor) {
   // The equality above is only meaningful if "grid-major" is a real
-  // invariant of both paths: stable-sorting the serial output by
+  // invariant of the generator: stable-sorting its output by
   // (cell row, cell column) must be a no-op.
-  const PointSet serial = poisson_point_set({{0.0, 0.0}, {9.0, 9.0}}, 3.0, kSeed);
-  std::vector<Vec2> sorted = serial.points;
+  const PointSet ps = poisson_point_set({{0.0, 0.0}, {9.0, 9.0}}, 3.0, kSeed);
+  std::vector<Vec2> sorted = ps.points;
   std::stable_sort(sorted.begin(), sorted.end(), [](Vec2 a, Vec2 b) {
     const auto cell = [](Vec2 p) {
       return std::pair<long, long>{static_cast<long>(std::floor(p.y)),
@@ -68,24 +110,24 @@ TEST(OrderedPoisson, SerialOrderIsAlreadyGridMajor) {
     };
     return cell(a) < cell(b);
   });
-  expect_same_points(serial.points, sorted);
+  expect_same_points(ps.points, sorted);
 }
 
 TEST(OrderedPoisson, ThreadCountInvariance) {
   const Box window{{0.0, 0.0}, {12.0, 8.0}};
   const unsigned restore = thread_count();
   set_thread_count(1);
-  const PointSet one = poisson_point_set_ordered(window, 5.0, kSeed);
+  const PointSet one = poisson_point_set(window, 5.0, kSeed);
   set_thread_count(3);
-  const PointSet three = poisson_point_set_ordered(window, 5.0, kSeed);
+  const PointSet three = poisson_point_set(window, 5.0, kSeed);
   set_thread_count(restore);
   expect_same_points(one.points, three.points);
 }
 
 TEST(OrderedPoisson, DegenerateInputs) {
-  EXPECT_TRUE(poisson_point_set_ordered({{0.0, 0.0}, {8.0, 8.0}}, 0.0, kSeed).points.empty());
-  EXPECT_TRUE(poisson_point_set_ordered({{2.0, 2.0}, {2.0, 5.0}}, 4.0, kSeed).points.empty());
-  EXPECT_THROW((void)poisson_point_set_ordered({{0.0, 0.0}, {1.0, 1.0}}, -1.0, kSeed),
+  EXPECT_TRUE(poisson_point_set({{0.0, 0.0}, {8.0, 8.0}}, 0.0, kSeed).points.empty());
+  EXPECT_TRUE(poisson_point_set({{2.0, 2.0}, {2.0, 5.0}}, 4.0, kSeed).points.empty());
+  EXPECT_THROW((void)poisson_point_set({{0.0, 0.0}, {1.0, 1.0}}, -1.0, kSeed),
                std::invalid_argument);
 }
 

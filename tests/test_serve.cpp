@@ -17,7 +17,6 @@
 #include "sens/core/sens_router.hpp"
 #include "sens/core/udg_sens.hpp"
 #include "sens/dynamic/dynamic_hng.hpp"
-#include "sens/graph/bfs.hpp"
 #include "sens/graph/csr.hpp"
 #include "sens/graph/dijkstra.hpp"
 #include "sens/obs/obs.hpp"
@@ -450,15 +449,6 @@ TEST(ServeContract, ExactRejectsMisSizedOutput) {
   EXPECT_EQ(out[0], -1.0);
 }
 
-TEST(ServeContract, HopsRejectsMisSizedOutput) {
-  const TestGraph tg = make_graph(40, 20, 89);
-  const QueryEngine engine(tg.graph, tg.weights, {.num_landmarks = 4, .seed = 89});
-  const auto qs = make_queries(16, 40, 89);
-  std::vector<std::uint32_t> out(8, 7u);
-  EXPECT_THROW(engine.hop_distances(qs, out), std::invalid_argument);
-  EXPECT_EQ(out[0], 7u);
-}
-
 TEST(ServeContract, OracleBuildRejectsMisalignedWeights) {
   const TestGraph tg = make_graph(40, 20, 97);
   const std::vector<double> short_weights(2, 1.0);
@@ -493,8 +483,6 @@ TEST(ServeExact, OutOfRangeIdsThrowBeforeAnyWork) {
   std::vector<double> dist(qs.size(), -1.0);
   EXPECT_THROW(engine.exact_distances(qs, dist), std::out_of_range);
   EXPECT_EQ(dist[0], -1.0);  // rejected upfront: no slot written
-  std::vector<std::uint32_t> hops(qs.size());
-  EXPECT_THROW(engine.hop_distances(qs, hops), std::out_of_range);
   std::vector<std::uint32_t> offsets;
   std::vector<std::uint32_t> nodes;
   EXPECT_THROW(engine.routes(std::vector<Query>{{n + 1, 0}}, offsets, nodes), std::out_of_range);
@@ -530,18 +518,6 @@ TEST(ServeRoutes, PathsValidAndCostMatchesDistance) {
     }
     // Same additions in the same order as the Dijkstra relaxation chain.
     EXPECT_EQ(cost, exact[i]) << "query " << i;
-  }
-}
-
-TEST(ServeHops, MatchesBfs) {
-  const TestGraph tg = make_graph(100, 50, 37, 5);
-  const QueryEngine engine(tg.graph, tg.weights);
-  const auto qs = make_queries(80, tg.graph.num_vertices(), 37);
-  std::vector<std::uint32_t> hops(qs.size());
-  engine.hop_distances(qs, hops);
-  BfsScratch scratch;
-  for (std::size_t i = 0; i < qs.size(); ++i) {
-    EXPECT_EQ(hops[i], bfs_distance(tg.graph, qs[i].src, qs[i].dst, scratch)) << "query " << i;
   }
 }
 

@@ -1,6 +1,6 @@
 // Tests for sens/spatial: the bucket grid's radius and k-NN queries and the
-// kd-tree, against brute-force oracles and against each other (the k-NN
-// engines must agree bit-for-bit, including (distance, index) tie-breaks).
+// kd-tree, each against brute-force oracles (k-NN answers must agree
+// bit-for-bit, including (distance, index) tie-breaks).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -167,10 +167,14 @@ TEST(GridKnnRadius, EmptyInput) {
 
 // --- GridKnn input contract ----------------------------------------------
 
-/// The k nearest by the kernels' own (d2, index) order, computed naively.
-std::vector<std::uint32_t> brute_nearest(const std::vector<Vec2>& pts, Vec2 q, std::size_t k) {
+/// The k nearest by the kernels' own (d2, index) order, computed naively,
+/// skipping index `exclude` (npos = skip nothing).
+std::vector<std::uint32_t> brute_nearest(const std::vector<Vec2>& pts, Vec2 q, std::size_t k,
+                                         std::uint32_t exclude = GridKnn::npos) {
   std::vector<std::pair<double, std::uint32_t>> all;
-  for (std::uint32_t i = 0; i < pts.size(); ++i) all.push_back({dist2(pts[i], q), i});
+  for (std::uint32_t i = 0; i < pts.size(); ++i) {
+    if (i != exclude) all.push_back({dist2(pts[i], q), i});
+  }
   std::sort(all.begin(), all.end());
   std::vector<std::uint32_t> out;
   for (std::size_t i = 0; i < std::min(k, all.size()); ++i) out.push_back(all[i].second);
@@ -347,12 +351,12 @@ TEST(KdTree, NearestIntoMatchesNearestOnAdversarialInputs) {
 
 class GridKnnParamTest : public ::testing::TestWithParam<std::uint64_t> {};
 
-// GridKnn must agree with the kd-tree bit for bit — same neighbors, same
-// order, same (distance, index) tie-breaks — across the streaming (small k)
-// and selection (large k) paths.
-TEST_P(GridKnnParamTest, MatchesKdTreeOracle) {
+// GridKnn must agree with a brute-force (distance, index) sort bit for bit
+// — same neighbors, same order, same tie-breaks — on both sides of the
+// 48 threshold (stack vs scratch candidate storage, and the k/4 vs k/16
+// cell size).
+TEST_P(GridKnnParamTest, MatchesBruteForceOracle) {
   const auto pts = random_points(350, GetParam() * 17 + 3);
-  const KdTree tree(pts);
   for (const std::size_t k : {1ul, 8ul, 48ul, 49ul, 120ul, 400ul}) {
     const GridKnn grid(pts, k);
     GridKnn::QueryScratch scratch;
@@ -361,12 +365,12 @@ TEST_P(GridKnnParamTest, MatchesKdTreeOracle) {
     for (int t = 0; t < 15; ++t) {
       const Vec2 q{rng.uniform(-1.0, 11.0), rng.uniform(-1.0, 11.0)};
       grid.nearest_into(q, k, GridKnn::npos, scratch, got);
-      EXPECT_EQ(got, kd_nearest(tree, q, k)) << "k=" << k;
+      EXPECT_EQ(got, brute_nearest(pts, q, k)) << "k=" << k;
     }
     // Self-queries with exclusion — the batched builder's workload.
     for (std::uint32_t i = 0; i < 25; ++i) {
       grid.nearest_into(pts[i], k, i, scratch, got);
-      EXPECT_EQ(got, kd_nearest(tree, pts[i], k, i)) << "k=" << k << " i=" << i;
+      EXPECT_EQ(got, brute_nearest(pts, pts[i], k, i)) << "k=" << k << " i=" << i;
     }
   }
 }
@@ -398,7 +402,7 @@ class GridKnnSubsetParamTest : public ::testing::TestWithParam<std::uint64_t> {}
 // through the member list) — same neighbors, same order, same
 // (distance, index) tie-breaks. Member lists are ascending, so local-id
 // tie-break order equals global-id tie-break order. Mirrors
-// GridKnnParamTest.MatchesKdTreeOracle for the per-level HNG engine.
+// GridKnnParamTest.MatchesBruteForceOracle for the per-level HNG engine.
 TEST_P(GridKnnSubsetParamTest, LevelsMatchFreshGridKnnOracle) {
   const auto pts = random_points(420, GetParam() * 23 + 1);
   // Nested thinned subsets (keep every 2nd/4th/8th point), one view each
@@ -428,7 +432,7 @@ TEST_P(GridKnnSubsetParamTest, LevelsMatchFreshGridKnnOracle) {
     for (int t = 0; t < 20; ++t) {
       const Vec2 q{rng.uniform(-1.0, 11.0), rng.uniform(-1.0, 11.0)};
       // Query both off-tune (k != expected_k) and on-tune to cross the
-      // streaming/selection strategy threshold on shared scratches.
+      // stack/scratch storage threshold on shared scratches.
       for (const std::size_t k : {std::size_t{1}, ks[l], std::size_t{200}}) {
         levels[l].nearest_into(q, k, GridKnn::npos, scratch, got);
         fresh.nearest_into(q, k, GridKnn::npos, oracle_scratch, oracle_local);
@@ -640,13 +644,12 @@ TEST(GridKnnSubsetMutation, GrowDrainRepopulateMatchesFreshViews) {
 TEST(GridKnn, CollinearPoints) {
   std::vector<Vec2> pts;
   for (int i = 0; i < 40; ++i) pts.push_back({0.25 * i, 2.0});
-  const KdTree tree(pts);
   const GridKnn grid(pts, 5);
   GridKnn::QueryScratch scratch;
   std::vector<std::uint32_t> out;
   for (std::uint32_t i = 0; i < pts.size(); ++i) {
     grid.nearest_into(pts[i], 5, i, scratch, out);
-    EXPECT_EQ(out, kd_nearest(tree, pts[i], 5, i));
+    EXPECT_EQ(out, brute_nearest(pts, pts[i], 5, i));
   }
 }
 
