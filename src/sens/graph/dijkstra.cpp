@@ -82,12 +82,15 @@ void export_path(const DijkstraScratch& s, std::uint32_t source, std::uint32_t t
 void dijkstra_costs_into(const CsrGraph& g, std::uint32_t source,
                          std::span<const double> arc_weights, DijkstraScratch& scratch,
                          std::span<double> out) {
+  check_vertex_id(g, source, "dijkstra_costs_into");
   dijkstra_run(g, source, arc_weights.data(), scratch);
   export_costs(scratch, out);
 }
 
 double dijkstra_cost(const CsrGraph& g, std::uint32_t source, std::uint32_t target,
                      std::span<const double> arc_weights, DijkstraScratch& scratch) {
+  check_vertex_id(g, source, "dijkstra_cost");
+  check_vertex_id(g, target, "dijkstra_cost");
   dijkstra_run(g, source, arc_weights.data(), scratch, target);
   return scratch.reached(target) ? scratch.dist[target] : kInfCost;
 }
@@ -95,6 +98,8 @@ double dijkstra_cost(const CsrGraph& g, std::uint32_t source, std::uint32_t targ
 bool dijkstra_path_into(const CsrGraph& g, std::uint32_t source, std::uint32_t target,
                         std::span<const double> arc_weights, DijkstraScratch& scratch,
                         std::vector<std::uint32_t>& path) {
+  check_vertex_id(g, source, "dijkstra_path_into");
+  check_vertex_id(g, target, "dijkstra_path_into");
   dijkstra_run(g, source, arc_weights.data(), scratch, target);
   export_path(scratch, source, target, path);
   return !path.empty();
@@ -106,6 +111,12 @@ void check_arc_weights(const CsrGraph& g, std::span<const double> arc_weights, c
   }
 }
 
+void check_vertex_id(const CsrGraph& g, std::uint32_t v, const char* who) {
+  if (v >= g.num_vertices()) {
+    throw std::out_of_range(std::string(who) + ": vertex id >= num_vertices()");
+  }
+}
+
 void dijkstra_many_into(const CsrGraph& g, std::span<const std::uint32_t> sources,
                         std::span<const double> arc_weights, std::span<double> out) {
   const std::size_t n = g.num_vertices();
@@ -113,6 +124,7 @@ void dijkstra_many_into(const CsrGraph& g, std::span<const std::uint32_t> source
   if (out.size() != sources.size() * n) {
     throw std::invalid_argument("dijkstra_many_into: out.size() != sources.size() * n");
   }
+  for (const std::uint32_t s : sources) check_vertex_id(g, s, "dijkstra_many_into");
   // One warm scratch per participant — chunks frequently hold a single
   // source, so a per-chunk scratch would pay the O(n) allocation per
   // source, and a thread_local would retain one n-sized allocation per

@@ -37,12 +37,16 @@ inline constexpr double kInfCost = std::numeric_limits<double>::infinity();
 struct DijkstraScratch {
   static constexpr std::uint32_t kSettled = 0xffffffffu;
 
-  std::vector<double> dist;           ///< tentative cost, valid when stamped
+  std::vector<double> dist;           ///< tentative cost (heap key), valid when stamped
   std::vector<std::uint32_t> parent;  ///< predecessor on the best path found
   std::vector<std::uint32_t> pos;     ///< heap position, or kSettled after pop
   std::vector<std::uint32_t> stamp;   ///< per-vertex epoch mark
   std::vector<std::uint32_t> heap;    ///< 4-ary min-heap of vertex ids, keyed by dist
   std::uint32_t epoch = 0;
+  /// Path cost of the goal-directed search (`LandmarkOracle::exact_cost`),
+  /// whose heap orders `dist` by A* key instead. Plain Dijkstra never
+  /// touches it; the search sizes it on first use.
+  std::vector<double> path_cost;
 
   /// Start a new run over a graph with n vertices.
   void prepare(std::size_t n) {
@@ -132,6 +136,10 @@ struct DijkstraScratch {
   }
 };
 
+// Every entry point throws std::out_of_range, before any work, when
+// `source` (or `target`) is >= the vertex count: the id would index past
+// every per-vertex array of the scratch.
+
 /// Costs from `source` to all vertices, written into `out` (size n);
 /// unreachable vertices get kInfCost. `arc_weights` is aligned with the
 /// CSR arcs (see CsrGraph::arc_weights). Allocation-free given a warm
@@ -155,13 +163,18 @@ bool dijkstra_path_into(const CsrGraph& g, std::uint32_t source, std::uint32_t t
 /// otherwise, before any work is dispatched.
 void check_arc_weights(const CsrGraph& g, std::span<const double> arc_weights, const char* who);
 
+/// Input contract of every traversal entry point: `v` names a vertex of
+/// `g`. Throws std::out_of_range (message prefixed with `who`) otherwise.
+void check_vertex_id(const CsrGraph& g, std::uint32_t v, const char* who);
+
 /// Batched multi-source costs, chunk-parallel over `sources`: row i of
 /// `out` (stride n, size sources.size() * n) receives the costs from
 /// sources[i]. Rows are computed independently, each participant of the
 /// parallel call reusing its own scratch (no allocation outlives the call),
 /// so the output is bit-identical at any thread count (DESIGN.md §2.4,
 /// §2.6). Throws std::invalid_argument when `out` is not sources.size() * n
-/// long or `arc_weights` does not match the arcs.
+/// long or `arc_weights` does not match the arcs, and std::out_of_range
+/// when any source is >= n — the whole span is checked before dispatch.
 void dijkstra_many_into(const CsrGraph& g, std::span<const std::uint32_t> sources,
                         std::span<const double> arc_weights, std::span<double> out);
 

@@ -50,7 +50,7 @@ namespace sens::obs {
 /// — never of thread count, scheduling, or wall clock — which is what
 /// licenses putting them into bench `--json` (DESIGN.md §2.10).
 enum class Counter : std::uint32_t {
-  kDijkstraRuns = 0,        ///< single-source runs completed
+  kDijkstraRuns = 0,        ///< single-source runs completed (exact_cost searches included)
   kDijkstraHeapPops,        ///< settled heap extractions
   kDijkstraRelaxedArcs,     ///< arcs examined for relaxation
   kBfsRuns,                 ///< single-source runs completed
@@ -59,7 +59,7 @@ enum class Counter : std::uint32_t {
   kGridKnnCellsScanned,     ///< grid cells whose bucket was read
   kGridKnnCandidates,       ///< candidate points offered to a selector
   kOracleCertified,         ///< serve_batch kCertified verdicts (both engines)
-  kOracleFallback,          ///< serve_batch exact-Dijkstra runs (both engines)
+  kOracleFallback,          ///< serve_batch exact fallback searches (both engines)
   kOracleDisconnected,      ///< serve_batch kDisconnected verdicts (both engines)
   kEpochJournalReplays,     ///< overlay deltas replayed by EpochQueryEngine
   kEpochResyncs,            ///< full snapshot resyncs (journal truncated)

@@ -18,7 +18,7 @@
 // replacement draws recruit a substitute (stream (seed, kDemote,
 // generation, k), so recruitment is replayable). If the retries exhaust,
 // the engine simply serves with fewer pivots — a weaker bracket sends
-// more queries to the exact-Dijkstra path, never to a wrong answer.
+// more queries to the exact fallback search, never to a wrong answer.
 // Labels are re-swept every refresh (one batched `dijkstra_many_into`), so a
 // certified answer always certifies against the *current* epoch — stale
 // labels cannot certify by construction.

@@ -1,8 +1,13 @@
 #include "sens/serve/landmark_oracle.hpp"
 
 #include <algorithm>
+#include <array>
+#include <cmath>
+#include <limits>
 #include <numeric>
+#include <stdexcept>
 
+#include "sens/obs/obs.hpp"
 #include "sens/rng/rng.hpp"
 #include "sens/support/parallel.hpp"
 
@@ -32,8 +37,10 @@ std::vector<std::uint32_t> pick_uniform(std::size_t n, std::size_t want, std::ui
 /// Max-min sweep (LandmarkSelection::kFarthestPoint): seeded start, then
 /// argmax of the running min-distance-to-chosen array. Unreached reads as
 /// farthest (kInfCost), so components are covered before any is doubled;
-/// the < in the argmax scan pins ties to the lowest id. One serial
-/// Dijkstra per pivot — thread-count plays no part in the pick.
+/// the < in the argmax scan pins ties to the lowest id. A chosen vertex
+/// reads -1, below every distance, so picks stay distinct even when all
+/// remaining distances are 0 (zero-weight arcs). One serial Dijkstra per
+/// pivot — thread-count plays no part in the pick.
 std::vector<std::uint32_t> pick_farthest(const CsrGraph& g, std::span<const double> arc_weights,
                                          std::size_t want, std::uint64_t seed) {
   const std::size_t n = g.num_vertices();
@@ -49,6 +56,7 @@ std::vector<std::uint32_t> pick_farthest(const CsrGraph& g, std::span<const doub
   for (std::size_t l = 0; l < want; ++l) {
     picks.push_back(cur);
     if (l + 1 == want) break;
+    min_dist[cur] = -1.0;
     dijkstra_costs_into(g, cur, arc_weights, scratch, row);
     std::uint32_t best = 0;
     double best_dist = -1.0;
@@ -63,6 +71,23 @@ std::vector<std::uint32_t> pick_farthest(const CsrGraph& g, std::span<const doub
   }
   return picks;
 }
+
+/// Relative rounding margin of `exact_cost` on an n-vertex graph. Every
+/// path sum the search compares has at most n terms, and a left-to-right
+/// sum of k non-negative doubles lies within gamma_k = k u / (1 - k u) of
+/// its real value (u = 2^-53). The heuristic loses about gamma of
+/// L(v,l) + L(t,l), and the thresholds about 3 gamma of d(s, t); c = 8(n +
+/// 4) u covers both with room for each formula's own roundings (DESIGN.md
+/// §2.4). 1 + c is exact for n < 2^49.
+double rounding_margin(std::size_t n) { return 8.0 * (static_cast<double>(n) + 4.0) * 0x1p-53; }
+
+/// Landmarks the heuristic of `exact_cost` reads per vertex.
+constexpr std::size_t kActiveLandmarks = 4;
+
+/// Absolute slack added to every relaxed threshold: a relative margin is
+/// lost when the product underflows, an absolute one of a few subnormal
+/// units is not.
+constexpr double kSubnormalSlack = 8.0 * std::numeric_limits<double>::denorm_min();
 
 }  // namespace
 
@@ -81,6 +106,12 @@ LandmarkOracle LandmarkOracle::build(const CsrGraph& g, std::span<const double> 
 LandmarkOracle LandmarkOracle::build_with(const CsrGraph& g, std::span<const double> arc_weights,
                                           std::vector<std::uint32_t> landmarks) {
   check_arc_weights(g, arc_weights, "LandmarkOracle::build_with");
+  for (const std::uint32_t l : landmarks) check_vertex_id(g, l, "LandmarkOracle::build_with");
+  std::vector<std::uint32_t> sorted = landmarks;
+  std::sort(sorted.begin(), sorted.end());
+  if (std::adjacent_find(sorted.begin(), sorted.end()) != sorted.end()) {
+    throw std::invalid_argument("LandmarkOracle::build_with: repeated landmark id");
+  }
   LandmarkOracle oracle;
   const std::size_t n = g.num_vertices();
   if (n == 0) return oracle;
@@ -107,6 +138,115 @@ LandmarkOracle LandmarkOracle::build_with(const CsrGraph& g, std::span<const dou
     });
   }
   return oracle;
+}
+
+double LandmarkOracle::exact_cost(const CsrGraph& g, std::span<const double> arc_weights,
+                                  std::uint32_t s, std::uint32_t t, double upper,
+                                  DijkstraScratch& scratch) const {
+  check_vertex_id(g, s, "LandmarkOracle::exact_cost");
+  check_vertex_id(g, t, "LandmarkOracle::exact_cost");
+  check_arc_weights(g, arc_weights, "LandmarkOracle::exact_cost");
+  const std::size_t n = g.num_vertices();
+  const std::size_t num = landmarks_.size();
+  if (labels_.size() != n * num) {
+    throw std::invalid_argument("LandmarkOracle::exact_cost: labels are not of this graph");
+  }
+  if (s == t) return 0.0;
+
+  // Active landmarks: the largest gaps |L(s,l) - L(t,l)| among landmarks
+  // that reach both endpoints, ties to the lower index. Leaving a landmark
+  // out only weakens the heuristic.
+  std::array<std::size_t, kActiveLandmarks> active{};
+  std::array<double, kActiveLandmarks> gap{};
+  std::size_t num_active = 0;
+  const double* ls = labels_.data() + static_cast<std::size_t>(s) * num;
+  const double* lt = labels_.data() + static_cast<std::size_t>(t) * num;
+  for (std::size_t l = 0; l < num; ++l) {
+    if (!(ls[l] < kInfCost && lt[l] < kInfCost)) continue;
+    const double d = std::abs(ls[l] - lt[l]);
+    std::size_t i = num_active;
+    if (i == kActiveLandmarks) {
+      if (!(d > gap[i - 1])) continue;
+      --i;  // evict the smallest gap
+    } else {
+      ++num_active;
+    }
+    for (; i > 0 && d > gap[i - 1]; --i) {
+      gap[i] = gap[i - 1];
+      active[i] = active[i - 1];
+    }
+    gap[i] = d;
+    active[i] = l;
+  }
+  std::array<double, kActiveLandmarks> to_t{};
+  for (std::size_t i = 0; i < num_active; ++i) to_t[i] = lt[active[i]];
+
+  // h(v) = max over active l of |L(v,l) - L(t,l)| - c (L(v,l) + L(t,l)),
+  // floored at 0: admissible for the floating-point path sums, not only
+  // in real arithmetic. A label past overflow gives NaN or -inf, which
+  // never wins the max.
+  const double c = rounding_margin(n);
+  const auto heuristic = [&](std::uint32_t v) {
+    const double* lv = labels_.data() + static_cast<std::size_t>(v) * num;
+    double h = 0.0;
+    for (std::size_t i = 0; i < num_active; ++i) {
+      const double a = lv[active[i]];
+      const double b = to_t[i];
+      const double lower = (a > b ? a - b : b - a) - c * (a + b);
+      if (lower > h) h = lower;
+    }
+    return h;
+  };
+  const auto relax = [c](double x) { return (1.0 + c) * x + kSubnormalSlack; };
+
+  // A* over DijkstraScratch: `dist` holds the key cost + h and orders the
+  // heap, `path_cost` holds the cost. A vertex is pushed only while its
+  // key is within the threshold, relax(min(upper, best)); the search
+  // stops when the smallest key exceeds it. t is never expanded: no path
+  // through t improves on t. Work tallies flush once, as in dijkstra_run.
+  SENS_OBS(std::uint32_t obs_pops = 0; std::uint32_t obs_relaxed = 0;)
+  scratch.prepare(n);
+  if (scratch.path_cost.size() != n) scratch.path_cost.resize(n);
+  double* cost = scratch.path_cost.data();
+  const double* w = arc_weights.data();
+  double best = kInfCost;
+  double threshold = relax(upper);
+  cost[s] = 0.0;
+  scratch.push(s, heuristic(s), s);
+  while (!scratch.heap.empty() && scratch.dist[scratch.heap.front()] <= threshold) {
+    const std::uint32_t u = scratch.pop_min();
+    const double cu = cost[u];
+    const std::uint32_t begin = g.arc_begin(u);
+    const std::uint32_t end = g.arc_end(u);
+    SENS_OBS(++obs_pops; obs_relaxed += end - begin;)
+    for (std::uint32_t a = begin; a < end; ++a) {
+      const std::uint32_t v = g.arc_target(a);
+      const double cv = cu + w[a];
+      if (v == t) {
+        if (cv < best) {
+          best = cv;
+          threshold = std::min(threshold, relax(cv));
+        }
+        continue;
+      }
+      if (scratch.reached(v) && !(cv < cost[v])) continue;
+      const double key = cv + heuristic(v);
+      if (!(key <= threshold)) continue;
+      cost[v] = cv;
+      // Label-correcting: a settled vertex that a smaller cost reaches is
+      // pushed again. Same h, smaller cost: the key cannot grow, so an
+      // open vertex decreases in place.
+      if (!scratch.reached(v) || scratch.pos[v] == DijkstraScratch::kSettled) {
+        scratch.push(v, key, u);
+      } else {
+        scratch.decrease(v, key, u);
+      }
+    }
+  }
+  SENS_OBS(obs::add(obs::Counter::kDijkstraRuns, 1);
+           obs::add(obs::Counter::kDijkstraHeapPops, obs_pops);
+           obs::add(obs::Counter::kDijkstraRelaxedArcs, obs_relaxed);)
+  return best;
 }
 
 }  // namespace sens

@@ -12,8 +12,10 @@
 // tight enough (`Bounds::certifies`: upper / lower within the caller's
 // stretch budget) the serve layer answers `upper` — a real path length
 // through the best landmark — without touching the graph; otherwise it
-// falls back to exact Dijkstra (sens/serve/query_engine.hpp owns that
-// policy; the fault audit reuses the same rule).
+// falls back to `exact_cost`, an exact A* search steered by the same
+// labels (sens/serve/query_engine.hpp owns that policy; the fault audit
+// reuses the same rule). The labels assume symmetric arc weights
+// (w(u, v) == w(v, u)), as every weight array in this repo is.
 //
 // Determinism: landmarks are drawn from the seeded rng stream, the label
 // sweep is batched `dijkstra_many_into` calls over blocks of 8 landmarks
@@ -87,9 +89,11 @@ class LandmarkOracle {
                                             std::span<const double> arc_weights,
                                             const LandmarkOracleParams& params);
 
-  /// Label a caller-chosen pivot set (ids must be distinct and < n). This
-  /// is the epoch path (serve/epoch_engine.hpp): after churn the engine
-  /// keeps its surviving pivots and only re-labels, instead of re-picking.
+  /// Label a caller-chosen pivot set. This is the epoch path
+  /// (serve/epoch_engine.hpp): after churn the engine keeps its surviving
+  /// pivots and only re-labels, instead of re-picking. Throws, before the
+  /// first sweep, std::out_of_range for an id >= n and
+  /// std::invalid_argument for a repeated id.
   [[nodiscard]] static LandmarkOracle build_with(const CsrGraph& g,
                                                  std::span<const double> arc_weights,
                                                  std::vector<std::uint32_t> landmarks);
@@ -115,6 +119,20 @@ class LandmarkOracle {
     }
     return b;
   }
+
+  /// Exact d(s, t) over the labeled graph, bit-identical to
+  /// `dijkstra_cost(g, s, t, arc_weights, scratch)` (DESIGN.md §2.4), by
+  /// an A* search toward t. The heuristic is the ALT bound over the 4
+  /// landmarks with the largest |L(s,l) - L(t,l)|, less a rounding margin;
+  /// `upper` (the bracket's upper bound, or kInfCost) prunes every vertex
+  /// whose key exceeds it, and a settled vertex that a smaller cost
+  /// reaches is searched again, so rounding costs work, never a bit.
+  /// Throws std::out_of_range when s or t is >= n, and
+  /// std::invalid_argument unless `arc_weights` and the labels belong to
+  /// `g`; the labels must have been swept on `g` and `arc_weights`.
+  [[nodiscard]] double exact_cost(const CsrGraph& g, std::span<const double> arc_weights,
+                                  std::uint32_t s, std::uint32_t t, double upper,
+                                  DijkstraScratch& scratch) const;
 
   [[nodiscard]] std::size_t num_landmarks() const { return landmarks_.size(); }
   [[nodiscard]] std::span<const std::uint32_t> landmarks() const { return landmarks_; }

@@ -50,7 +50,7 @@ ServeStats serve_batch(const CsrGraph& g, std::span<const double> weights,
   const ChunkLayout layout = chunk_layout(queries.size());
   std::vector<ServeStats> partials(layout.count);
   // The per-chunk tallies stay indexed by chunk; only the fallback's
-  // Dijkstra scratch is participant state (DESIGN.md §2.4).
+  // search scratch is participant state (DESIGN.md §2.4).
   parallel_for_chunks<DijkstraScratch>(queries.size(), [&](DijkstraScratch& scratch,
                                                             std::size_t begin, std::size_t end) {
     std::size_t tally[4] = {};  // indexed by Verdict
@@ -74,7 +74,7 @@ ServeStats serve_batch(const CsrGraph& g, std::span<const double> weights,
           answer = b.upper;
         } else {
           v = Verdict::kExact;
-          answer = dijkstra_cost(g, q.src, q.dst, weights, scratch);
+          answer = oracle.exact_cost(g, weights, q.src, q.dst, b.upper, scratch);
           SENS_OBS(++fallbacks;)
         }
         if (answer >= kInfCost) v = Verdict::kDisconnected;

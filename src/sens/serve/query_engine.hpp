@@ -18,8 +18,9 @@
 //   * `estimate_distances` — the certify-or-fallback kernel `serve_batch`,
 //     shared with the epoch engine (serve/epoch_engine.hpp): O(L) landmark
 //     bounds per query, the upper bound when the bracket is exact or
-//     certifies the stretch budget (upper <= max_stretch * lower), exact
-//     Dijkstra otherwise.
+//     certifies the stretch budget (upper <= max_stretch * lower), and
+//     otherwise the oracle's exact A* search toward the target
+//     (`LandmarkOracle::exact_cost`, bit-identical to Dijkstra).
 // Either way every answer is a pure function of (graph, weights, params,
 // query) — bit-identical regardless of `--threads` and of how many caller
 // threads share the engine; `ServeStats` says how each answer was produced.
@@ -45,7 +46,7 @@ struct Query {
 
 /// How one `serve_batch` answer was produced.
 enum class Verdict : std::uint8_t {
-  kExact = 0,         ///< exact distance (tight bracket or Dijkstra fallback)
+  kExact = 0,         ///< exact distance (tight bracket or exact fallback search)
   kCertified = 1,     ///< oracle upper bound, provably <= max_stretch * d
   kDisconnected = 2,  ///< no path: answered kInfCost, reported, not guessed
   kStale = 3,         ///< an id >= the vertex count: answered kInfCost
@@ -74,7 +75,10 @@ struct ServeStats {
 /// The certify-or-fallback serving kernel of both query engines. Per query:
 /// an id >= g.num_vertices() is kStale; otherwise `oracle.bounds` answers
 /// an exact bracket (lower == upper) or a bracket within `max_stretch`, and
-/// anything else falls back to one exact Dijkstra over `weights`. Distances
+/// anything else falls back to `oracle.exact_cost` over `weights`, an exact
+/// A* search pruned by the bracket's upper bound whose answer equals
+/// `dijkstra_cost` bit for bit (DESIGN.md §2.4). `oracle` must be labeled
+/// on `g` and `weights`. Distances
 /// go to out[i] (kInfCost for kStale and kDisconnected), verdicts to
 /// verdicts[i] unless `verdicts` is empty.
 /// Chunk-parallel and const; the obs oracle counters are flushed once per

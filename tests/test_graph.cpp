@@ -393,6 +393,38 @@ TEST(Dijkstra, ManyRejectsMisalignedWeights) {
                std::invalid_argument);
 }
 
+TEST(Dijkstra, EntryPointsRejectOutOfRangeIds) {
+  // An id >= n would index past every per-vertex array of the scratch, so
+  // each entry point throws before its first push; the scratch stays cold.
+  const CsrGraph g = path_graph(10);
+  const std::vector<double> w = g.arc_weights([](std::uint32_t, std::uint32_t) { return 1.0; });
+  DijkstraScratch scratch;
+  std::vector<double> row(g.num_vertices(), -1.0);
+  std::vector<std::uint32_t> path = {7};
+  for (const std::uint32_t bad : {10u, 11u, 0xffffffffu}) {
+    EXPECT_THROW(dijkstra_costs_into(g, bad, w, scratch, row), std::out_of_range);
+    EXPECT_THROW((void)dijkstra_cost(g, bad, 0, w, scratch), std::out_of_range);
+    EXPECT_THROW((void)dijkstra_cost(g, 0, bad, w, scratch), std::out_of_range);
+    EXPECT_THROW(dijkstra_path_into(g, bad, 0, w, scratch, path), std::out_of_range);
+    EXPECT_THROW(dijkstra_path_into(g, 0, bad, w, scratch, path), std::out_of_range);
+  }
+  EXPECT_EQ(row[0], -1.0);
+  EXPECT_EQ(path, std::vector<std::uint32_t>{7});
+  EXPECT_TRUE(scratch.stamp.empty());
+  EXPECT_EQ(dijkstra_cost(g, 0, 9, w, scratch), 9.0);
+}
+
+TEST(Dijkstra, ManyRejectsOutOfRangeSourceBeforeDispatch) {
+  // The whole span is checked first: the bad id is last, and no earlier
+  // row is written.
+  const CsrGraph g = path_graph(10);
+  const std::vector<double> w = g.arc_weights([](std::uint32_t, std::uint32_t) { return 1.0; });
+  const std::vector<std::uint32_t> sources = {0, 4, 10};
+  std::vector<double> out(sources.size() * g.num_vertices(), -1.0);
+  EXPECT_THROW(dijkstra_many_into(g, sources, w, out), std::out_of_range);
+  EXPECT_TRUE(std::all_of(out.begin(), out.end(), [](double d) { return d == -1.0; }));
+}
+
 TEST(Bfs, ManyRejectsMisSizedOutput) {
   const CsrGraph g = path_graph(10);
   const std::vector<std::uint32_t> sources = {0, 4, 9};

@@ -3,22 +3,30 @@
 // contract — one shared engine, many concurrent callers, bit-identical
 // answers. The ServeConcurrency suite is the TSan-backed `concurrency`
 // ctest tier together with ParallelReentrancy in test_support; every Serve*
-// suite, ServeContract's buffer-size contract included, is the ASan-backed
-// `serve` tier.
+// suite, ServeContract's input contract included, and the SsspOracle
+// differential harness (every exact shortest-path search against
+// dijkstra_costs_into, bit for bit) are the ASan-backed `serve` tier.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstring>
+#include <deque>
+#include <functional>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "sens/core/sens_router.hpp"
 #include "sens/core/udg_sens.hpp"
 #include "sens/dynamic/dynamic_hng.hpp"
+#include "sens/geograph/point_set.hpp"
+#include "sens/geograph/udg.hpp"
 #include "sens/graph/csr.hpp"
 #include "sens/graph/dijkstra.hpp"
+#include "sens/hng/hng.hpp"
 #include "sens/obs/obs.hpp"
 #include "sens/rng/rng.hpp"
 #include "sens/serve/epoch_engine.hpp"
@@ -182,6 +190,18 @@ TEST(ServeOracle, FarthestPointPicksAreDistinctAndDeterministic) {
   set_thread_count(0);
   EXPECT_TRUE(
       std::equal(serial.landmarks().begin(), serial.landmarks().end(), wide.landmarks().begin()));
+}
+
+TEST(ServeOracle, FarthestPointPicksStayDistinctOnZeroWeights) {
+  // Every distance is 0, so every unchosen vertex ties with the chosen
+  // ones: the pick must still move on (it used to re-pick vertex 0).
+  const CsrGraph g = CsrGraph::from_edges(6, {{0, 1}, {1, 2}, {2, 3}, {3, 4}, {4, 5}});
+  const LandmarkOracle oracle = LandmarkOracle::build(
+      g, g.arc_weights([](std::uint32_t, std::uint32_t) { return 0.0; }),
+      {.num_landmarks = 6, .seed = 3, .selection = LandmarkSelection::kFarthestPoint});
+  std::vector<std::uint32_t> ids(oracle.landmarks().begin(), oracle.landmarks().end());
+  std::sort(ids.begin(), ids.end());
+  EXPECT_EQ(ids, (std::vector<std::uint32_t>{0, 1, 2, 3, 4, 5}));
 }
 
 TEST(ServeOracle, FarthestPointCoversEveryComponentFirst) {
@@ -462,6 +482,41 @@ TEST(ServeContract, OracleBuildRejectsMisalignedWeights) {
                std::invalid_argument);
 }
 
+TEST(ServeContract, BuildWithRejectsBadLandmarkIds) {
+  // Checked before the first sweep: an id >= n would index past the
+  // Dijkstra scratch, and a repeated id would label one pivot twice.
+  const TestGraph tg = make_graph(40, 20, 101);
+  const auto n = static_cast<std::uint32_t>(tg.graph.num_vertices());
+  EXPECT_THROW((void)LandmarkOracle::build_with(tg.graph, tg.weights, {0, n}), std::out_of_range);
+  EXPECT_THROW((void)LandmarkOracle::build_with(tg.graph, tg.weights, {n + 7}), std::out_of_range);
+  EXPECT_THROW((void)LandmarkOracle::build_with(tg.graph, tg.weights, {3, 5, 3}),
+               std::invalid_argument);
+  EXPECT_THROW((void)LandmarkOracle::build_with(CsrGraph::from_edges(0, {}), {}, {0}),
+               std::out_of_range);
+  const LandmarkOracle ok = LandmarkOracle::build_with(tg.graph, tg.weights, {3, 5});
+  EXPECT_EQ(ok.num_landmarks(), 2u);
+}
+
+TEST(ServeContract, ExactCostRejectsBadInput) {
+  const TestGraph tg = make_graph(40, 20, 103);
+  const auto n = static_cast<std::uint32_t>(tg.graph.num_vertices());
+  const LandmarkOracle oracle =
+      LandmarkOracle::build(tg.graph, tg.weights, {.num_landmarks = 4, .seed = 103});
+  DijkstraScratch scratch;
+  EXPECT_THROW((void)oracle.exact_cost(tg.graph, tg.weights, n, 0, kInfCost, scratch),
+               std::out_of_range);
+  EXPECT_THROW((void)oracle.exact_cost(tg.graph, tg.weights, 0, n, kInfCost, scratch),
+               std::out_of_range);
+  EXPECT_THROW((void)oracle.exact_cost(tg.graph, std::vector<double>(3, 1.0), 0, 1, kInfCost,
+                                       scratch),
+               std::invalid_argument);
+  // Labels swept on another graph would be read out of bounds.
+  const TestGraph other = make_graph(60, 20, 103);
+  EXPECT_THROW((void)oracle.exact_cost(other.graph, other.weights, 0, 1, kInfCost, scratch),
+               std::invalid_argument);
+  EXPECT_TRUE(scratch.stamp.empty());
+}
+
 TEST(ServeContract, EngineRejectsMisalignedWeights) {
   // 4 vertices on a path: 3 edges, 6 arcs, but only 2 weights.
   const CsrGraph g = CsrGraph::from_edges(4, {{0, 1}, {1, 2}, {2, 3}});
@@ -640,6 +695,282 @@ TEST(ServeConcurrency, SharedSensRouterBatchMatchesSequential) {
       EXPECT_EQ(got[c][i].power2, expected[i].power2) << c << "/" << i;
     }
   }
+}
+
+// --- SsspOracle: one differential harness for every exact shortest-path
+// search (DESIGN.md §2.4). A search answers d(source, t) for a list of
+// targets; each answer must equal the dijkstra_costs_into row bit for bit.
+
+/// d(source, targets[i]) into out[i].
+using ExactSearch = std::function<void(std::uint32_t source, std::span<const std::uint32_t> targets,
+                                       std::span<double> out)>;
+
+struct SsspCase {
+  std::string name;
+  CsrGraph graph;
+  std::vector<double> weights;
+};
+
+/// Both ends, the middle, and seeded picks; every vertex when n <= want.
+std::vector<std::uint32_t> probe_ids(std::size_t n, std::size_t want, std::uint64_t seed) {
+  std::vector<std::uint32_t> ids;
+  if (n <= want) {
+    for (std::uint32_t v = 0; v < n; ++v) ids.push_back(v);
+    return ids;
+  }
+  ids = {0, static_cast<std::uint32_t>(n - 1), static_cast<std::uint32_t>(n / 2)};
+  Rng rng = Rng::stream(seed, 0x555b, n);
+  while (ids.size() < want) ids.push_back(static_cast<std::uint32_t>(rng.uniform_index(n)));
+  return ids;
+}
+
+/// Run every registered search on `c` — dijkstra_cost, the rows of one
+/// batched dijkstra_many_into call, and LandmarkOracle::exact_cost under
+/// the bracket's upper bound, over uniform and farthest-point oracles with
+/// L in `landmark_counts` — and compare each answer bitwise with the
+/// dijkstra_costs_into row of its source.
+void expect_searches_match_dijkstra(const SsspCase& c, std::size_t num_sources,
+                                    std::size_t num_targets,
+                                    std::initializer_list<std::size_t> landmark_counts = {1, 4, 16,
+                                                                                          64}) {
+  const CsrGraph& g = c.graph;
+  const std::span<const double> w = c.weights;
+  const std::size_t n = g.num_vertices();
+  const std::vector<std::uint32_t> sources = probe_ids(n, num_sources, 1);
+  const std::vector<std::uint32_t> targets = probe_ids(n, num_targets, 2);
+
+  std::vector<std::pair<std::string, ExactSearch>> searches;
+  searches.emplace_back("dijkstra_cost", [&](std::uint32_t s, std::span<const std::uint32_t> ts,
+                                             std::span<double> out) {
+    DijkstraScratch scratch;
+    for (std::size_t i = 0; i < ts.size(); ++i) out[i] = dijkstra_cost(g, s, ts[i], w, scratch);
+  });
+  std::vector<double> many(sources.size() * n);
+  dijkstra_many_into(g, sources, w, many);
+  searches.emplace_back("dijkstra_many_into", [&](std::uint32_t s,
+                                                  std::span<const std::uint32_t> ts,
+                                                  std::span<double> out) {
+    const auto row = static_cast<std::size_t>(
+        std::find(sources.begin(), sources.end(), s) - sources.begin());
+    for (std::size_t i = 0; i < ts.size(); ++i) out[i] = many[row * n + ts[i]];
+  });
+  std::deque<LandmarkOracle> oracles;
+  for (const LandmarkSelection sel :
+       {LandmarkSelection::kUniformRandom, LandmarkSelection::kFarthestPoint}) {
+    for (const std::size_t num : landmark_counts) {
+      const LandmarkOracle& oracle = oracles.emplace_back(
+          LandmarkOracle::build(g, w, {.num_landmarks = num, .seed = 7, .selection = sel}));
+      const char* pick = sel == LandmarkSelection::kUniformRandom ? "uniform" : "farthest";
+      searches.emplace_back(
+          std::string("exact_cost/") + pick + "/L=" + std::to_string(num),
+          [&g, w, &oracle](std::uint32_t s, std::span<const std::uint32_t> ts,
+                           std::span<double> out) {
+            DijkstraScratch scratch;
+            for (std::size_t i = 0; i < ts.size(); ++i) {
+              const double upper = oracle.bounds(s, ts[i]).upper;
+              out[i] = oracle.exact_cost(g, w, s, ts[i], upper, scratch);
+            }
+          });
+    }
+  }
+
+  DijkstraScratch scratch;
+  std::vector<double> rows(sources.size() * n);
+  for (std::size_t k = 0; k < sources.size(); ++k) {
+    dijkstra_costs_into(g, sources[k], w, scratch, std::span(rows).subspan(k * n, n));
+  }
+  std::vector<double> got(targets.size());
+  for (const auto& [name, search] : searches) {
+    std::size_t mismatches = 0;
+    for (std::size_t k = 0; k < sources.size(); ++k) {
+      search(sources[k], targets, got);
+      for (std::size_t i = 0; i < targets.size(); ++i) {
+        const double want = rows[k * n + targets[i]];
+        if (std::bit_cast<std::uint64_t>(got[i]) != std::bit_cast<std::uint64_t>(want) &&
+            mismatches++ == 0) {
+          ADD_FAILURE() << c.name << ", " << name << ": d(" << sources[k] << ", " << targets[i]
+                        << ") = " << got[i] << ", dijkstra_costs_into says " << want;
+        }
+      }
+    }
+    EXPECT_EQ(mismatches, 0u) << c.name << ", " << name;
+  }
+}
+
+/// A rows x cols 4-neighbor lattice; vertex id = r * cols + col.
+CsrGraph lattice(std::uint32_t rows, std::uint32_t cols) {
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> edges;
+  for (std::uint32_t r = 0; r < rows; ++r) {
+    for (std::uint32_t col = 0; col < cols; ++col) {
+      const std::uint32_t v = r * cols + col;
+      if (col + 1 < cols) edges.emplace_back(v, v + 1);
+      if (r + 1 < rows) edges.emplace_back(v, v + cols);
+    }
+  }
+  return CsrGraph::from_edges(static_cast<std::size_t>(rows) * cols, std::move(edges));
+}
+
+/// Symmetric seeded weight per edge {u, v}: lo * 10^(span * (x - 0.5)),
+/// x uniform in [0, 1) from the pair's own stream.
+std::vector<double> log_uniform_weights(const CsrGraph& g, double lo, double span,
+                                        std::uint64_t seed) {
+  return g.arc_weights([=](std::uint32_t u, std::uint32_t v) {
+    Rng rng = Rng::stream(seed, std::min(u, v), std::max(u, v));
+    return lo * std::pow(10.0, span * (rng.uniform() - 0.5));
+  });
+}
+
+TEST(SsspOracle, SensOverlays) {
+  for (const std::uint64_t seed : {3u, 8u}) {
+    const UdgSensResult r = build_udg_sens(UdgTileSpec::strict(), 25.0, 12, 12, seed);
+    const GeoGraph& geo = r.overlay.geo;
+    ASSERT_GT(geo.size(), 100u);
+    expect_searches_match_dijkstra({"udg-sens length", geo.graph, geo.length_arc_weights()}, 6,
+                                   96);
+    expect_searches_match_dijkstra({"udg-sens power", geo.graph, geo.power_arc_weights(2.0)}, 4,
+                                   64, {4, 16});
+  }
+}
+
+TEST(SsspOracle, HierarchicalNeighborGraphs) {
+  const PointSet ps = poisson_point_set(Box{{0.0, 0.0}, {30.0, 30.0}}, 2.0, 0x55);
+  const HngResult h = build_hng(ps.points, {.promote_p = 0.25, .k = 3}, 0x55);
+  expect_searches_match_dijkstra({"hng length", h.geo.graph, h.geo.length_arc_weights()}, 6, 96);
+  expect_searches_match_dijkstra({"hng power", h.geo.graph, h.geo.power_arc_weights(3.0)}, 4, 64,
+                                 {4, 16});
+}
+
+TEST(SsspOracle, ExactAndNearTies) {
+  // Integer weights on a lattice: every path sum is exact and shortest
+  // paths tie everywhere; the margins must not break that.
+  const CsrGraph g = lattice(24, 24);
+  expect_searches_match_dijkstra({"unit lattice", g, g.arc_weights([](std::uint32_t,
+                                                                      std::uint32_t) {
+                                    return 1.0;
+                                  })},
+                                 6, 128);
+  expect_searches_match_dijkstra(
+      {"1/2 lattice", g, g.arc_weights([](std::uint32_t u, std::uint32_t v) {
+         return (u + v) % 3 == 0 ? 0.5 : 1.0;
+       })},
+      6, 128);
+  // Near ties, 1 + k 1e-15: paths differ by less than the heuristic's
+  // rounding margin, so it is inconsistent and settled vertices must be
+  // reopened (this case fails without the reopen rule).
+  const TestGraph tg = make_graph(300, 300, 0x7e);
+  expect_searches_match_dijkstra(
+      {"near ties", tg.graph, tg.graph.arc_weights([](std::uint32_t u, std::uint32_t v) {
+         return 1.0 + 1e-15 * static_cast<double>((std::min(u, v) * 7 + std::max(u, v)) % 8);
+       })},
+      6, 128);
+}
+
+TEST(SsspOracle, DuplicatePointsZeroLengthArcs) {
+  // Every fourth point repeated (some three times): the UDG links each
+  // copy to its twin by a zero-length arc.
+  PointSet ps = poisson_point_set(Box{{0.0, 0.0}, {12.0, 12.0}}, 3.0, 0xd0);
+  const std::size_t base = ps.points.size();
+  for (std::size_t i = 0; i < base; i += 4) ps.points.push_back(ps.points[i]);
+  for (std::size_t i = 0; i < base; i += 12) ps.points.push_back(ps.points[i]);
+  const GeoGraph udg = build_udg(ps.points, Box{{0.0, 0.0}, {12.0, 12.0}});
+  const std::vector<double> w = udg.length_arc_weights();
+  ASSERT_TRUE(std::find(w.begin(), w.end(), 0.0) != w.end());
+  expect_searches_match_dijkstra({"udg with duplicates", udg.graph, w}, 6, 128);
+  // All-zero weights: every reachable distance is 0.
+  expect_searches_match_dijkstra(
+      {"zero lattice", lattice(8, 8),
+       lattice(8, 8).arc_weights([](std::uint32_t, std::uint32_t) { return 0.0; })},
+      4, 64);
+}
+
+TEST(SsspOracle, ExtremeWeights) {
+  const TestGraph tg = make_graph(400, 300, 0xe7);
+  const CsrGraph& g = tg.graph;
+  // Log-uniform over [1e-300, 1e300], and each end of that range alone.
+  expect_searches_match_dijkstra({"1e-300..1e300", g, log_uniform_weights(g, 1.0, 600.0, 1)}, 4,
+                                 64);
+  // Over 40 decades the heuristic's rounding is larger than many arcs.
+  expect_searches_match_dijkstra({"1e-20..1e20", g, log_uniform_weights(g, 1.0, 40.0, 6)}, 6, 128);
+  expect_searches_match_dijkstra({"near 1e-300", g, log_uniform_weights(g, 1e-300, 1.0, 2)}, 6,
+                                 128);
+  expect_searches_match_dijkstra({"near 1e300", g, log_uniform_weights(g, 1e300, 1.0, 3)}, 6, 128);
+  // Sums past DBL_MAX: far vertices are reached at kInfCost, and labels
+  // overflow on one side of a pair only.
+  expect_searches_match_dijkstra({"overflowing", g, log_uniform_weights(g, 1e306, 1.0, 4)}, 6,
+                                 128);
+}
+
+TEST(SsspOracle, LongPath) {
+  // 10^5 hops: the margin must grow with the hop count, and a label sums
+  // the path from the other end than the search does.
+  constexpr std::uint32_t kHops = 100'000;
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> edges;
+  for (std::uint32_t i = 0; i < kHops; ++i) edges.emplace_back(i, i + 1);
+  const CsrGraph g = CsrGraph::from_edges(kHops + 1, std::move(edges));
+  expect_searches_match_dijkstra({"path", g, log_uniform_weights(g, 1.0, 0.5, 5)}, 3, 8,
+                                 {1, 4, 16});
+}
+
+TEST(SsspOracle, DisconnectedPartsAndBranchlessCycles) {
+  // Cycles of 60, 7 and 3 nodes (no node of degree >= 3), a 20-node path,
+  // two isolated nodes: most landmarks see one part only, and a part with
+  // no landmark searches with h = 0.
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> edges;
+  std::uint32_t next = 0;
+  for (const std::uint32_t len : {60u, 7u, 3u}) {
+    for (std::uint32_t i = 0; i < len; ++i) edges.emplace_back(next + i, next + (i + 1) % len);
+    next += len;
+  }
+  for (std::uint32_t i = 0; i + 1 < 20; ++i) edges.emplace_back(next + i, next + i + 1);
+  next += 20;
+  const CsrGraph g = CsrGraph::from_edges(next + 2, std::move(edges));
+  expect_searches_match_dijkstra({"parts", g, g.arc_weights(edge_weight)}, 16, 128);
+  expect_searches_match_dijkstra(
+      {"parts, unit", g, g.arc_weights([](std::uint32_t, std::uint32_t) { return 1.0; })}, 16,
+      128);
+}
+
+TEST(ServeFallbackWork, GoalDirectedFallbackPopsFiveTimesFewer) {
+#if !SENS_OBS_ENABLED
+  GTEST_SKIP() << "work counters compiled out";
+#else
+  // A fixed HNG, served the way churn_20k serves: 16 farthest-point
+  // landmarks, stretch 1.25. The heap pops of serve_batch's fallbacks
+  // must be at least 5x below plain dijkstra_cost on the same pairs.
+  const PointSet ps = poisson_point_set(Box{{0.0, 0.0}, {50.0, 50.0}}, 4.0, 0x23);
+  const HngResult h = build_hng(ps.points, {.promote_p = 0.25, .k = 3}, 0x23);
+  const QueryEngine engine(h.geo.graph, h.geo.length_arc_weights(),
+                           {.num_landmarks = 16,
+                            .max_stretch = 1.25,
+                            .seed = 0x23,
+                            .selection = LandmarkSelection::kFarthestPoint});
+  const auto qs = make_queries(1024, h.geo.size(), 0x23);
+  auto& reg = obs::CounterRegistry::global();
+  reg.reset();
+  std::vector<double> served(qs.size());
+  std::vector<Verdict> verdicts(qs.size());
+  (void)serve_batch(engine.graph(), engine.arc_weights(), engine.oracle(), engine.max_stretch(), qs,
+                    served, verdicts);
+  const std::uint64_t fallbacks = reg.value(obs::Counter::kOracleFallback);
+  const std::uint64_t search_pops = reg.value(obs::Counter::kDijkstraHeapPops);
+
+  reg.reset();
+  DijkstraScratch scratch;
+  std::uint64_t pairs = 0;
+  for (std::size_t i = 0; i < qs.size(); ++i) {
+    if (engine.oracle().bounds(qs[i].src, qs[i].dst).certifies(engine.max_stretch())) continue;
+    ++pairs;
+    EXPECT_EQ(dijkstra_cost(engine.graph(), qs[i].src, qs[i].dst, engine.arc_weights(), scratch),
+              served[i])
+        << "query " << i;
+  }
+  const std::uint64_t dijkstra_pops = reg.value(obs::Counter::kDijkstraHeapPops);
+  EXPECT_EQ(pairs, fallbacks);
+  ASSERT_GE(fallbacks, 50u);
+  EXPECT_LE(5 * search_pops, dijkstra_pops)
+      << search_pops << " search pops vs " << dijkstra_pops << " Dijkstra pops over " << fallbacks
+      << " fallbacks";
+#endif
 }
 
 }  // namespace
