@@ -30,8 +30,7 @@ bool knn_selects(const GridKnn& grid, std::size_t k, std::uint32_t from, std::ui
 }
 
 Overlay build_nn_overlay(const NnClassification& cls, std::span<const Vec2> points) {
-  OverlaySkeleton skeleton =
-      overlay_skeleton(cls, points.size(), 10.0 * cls.a, /*e_relays=*/true);
+  OverlaySkeleton skeleton = overlay_skeleton(cls, points.size(), 10.0 * cls.a);
   const std::vector<std::uint32_t>& base = skeleton.overlay.base_index;
   const GridKnn grid(points, cls.k);
   parallel_for(skeleton.edges.size(), [&](std::size_t i) {

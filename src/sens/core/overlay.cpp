@@ -1,7 +1,6 @@
 #include "sens/core/overlay.hpp"
 
 #include <stdexcept>
-#include <unordered_map>
 #include <utility>
 
 namespace sens {
@@ -31,77 +30,69 @@ void Overlay::append_tile_hop(Site from, Site to, std::vector<std::uint32_t>& pa
   auto push = [&path](std::uint32_t node) {
     if (path.empty() || path.back() != node) path.push_back(node);
   };
-  const auto dir = static_cast<std::size_t>(step_dir(from, to));
-  const std::size_t a = tile_index(from);
-  const std::size_t b = tile_index(to);
-  push(rep_node[a]);
-  for (const std::uint32_t node : exit_chain[a][dir]) push(node);
-  const auto& back = exit_chain[b][static_cast<std::size_t>(opposite_dir(static_cast<int>(dir)))];
-  for (auto it = back.rbegin(); it != back.rend(); ++it) push(*it);
-  push(rep_node[b]);
+  const int dir = step_dir(from, to);
+  const TileLeaders& a = tile_nodes[tile_index(from)];
+  const TileLeaders& b = tile_nodes[tile_index(to)];
+  push(a[0]);
+  for (const std::uint8_t s : exit_slots(a, dir)) push(a[s]);
+  const ExitSlots back = exit_slots(b, opposite_dir(dir));
+  for (std::size_t i = back.size; i-- > 0;) push(b[back.slot[i]]);
+  push(b[0]);
 }
 
 OverlaySkeleton overlay_skeleton(const TileClassification& cls, std::size_t num_points,
-                                 double tile_side, bool e_relays) {
+                                 double tile_side) {
   OverlaySkeleton out;
   Overlay& ov = out.overlay;
   ov.window = cls.window;
   ov.tile_side = tile_side;
   ov.sites = cls.site_grid();
-  ov.rep_node.assign(cls.window.tile_count(), kNoNode);
-  ov.exit_chain.assign(cls.window.tile_count(), {});
-
-  // Dedupe overlay nodes: one point may serve several roles (e.g. relay for
-  // two adjacent directions when the lenses overlap).
-  std::unordered_map<std::uint32_t, std::uint32_t> node_of_point;
-  auto overlay_node = [&](std::uint32_t point_idx) {
-    if (point_idx >= num_points) {
-      throw std::invalid_argument("overlay_skeleton: classification leader index out of range");
-    }
-    auto [it, inserted] = node_of_point.try_emplace(
-        point_idx, static_cast<std::uint32_t>(ov.base_index.size()));
-    if (inserted) ov.base_index.push_back(point_idx);
-    return it->second;
-  };
+  ov.tile_nodes.assign(cls.window.tile_count(), kNoLeaders);
   auto prescribe = [&](std::uint32_t a, std::uint32_t b) {
     if (a != b) out.edges.push_back({a, b});
   };
 
-  const SiteGrid& grid = ov.sites;
-  for (std::int32_t y = 0; y < grid.height(); ++y) {
-    for (std::int32_t x = 0; x < grid.width(); ++x) {
-      const Site s{x, y};
-      if (!grid.open(s)) continue;
-      const std::size_t idx = ov.tile_index(s);
-      const TileLeaders& leaders = cls.leaders[idx];
-      const std::uint32_t rep = overlay_node(leaders[0]);
-      ov.rep_node[idx] = rep;
-      for (std::size_t dir = 0; dir < 4; ++dir) {
-        std::vector<std::uint32_t>& chain = ov.exit_chain[idx][dir];
-        if (e_relays) chain.push_back(overlay_node(leaders[dir + 5]));
-        chain.push_back(overlay_node(leaders[dir + 1]));
-        std::uint32_t prev = rep;
-        for (const std::uint32_t node : chain) {
-          prescribe(prev, node);
-          prev = node;
-        }
+  for (std::size_t idx = 0; idx < cls.good.size(); ++idx) {
+    if (!cls.good[idx]) continue;
+    const TileLeaders& leaders = cls.leaders[idx];
+    TileLeaders& nodes = ov.tile_nodes[idx];
+    // Number slot s on first use of its point. One point may hold several
+    // slots (e.g. relay for two adjacent directions when the lenses
+    // overlap), and only slots of this tile: a point has one tile.
+    auto number = [&](std::size_t s) {
+      const std::uint32_t p = leaders[s];
+      if (p >= num_points) {
+        throw std::invalid_argument("overlay_skeleton: classification leader index out of range");
+      }
+      for (std::size_t e = 0; e < nodes.size(); ++e) {
+        if (nodes[e] != kNoNode && leaders[e] == p) return nodes[s] = nodes[e];
+      }
+      nodes[s] = static_cast<std::uint32_t>(ov.base_index.size());
+      ov.base_index.push_back(p);
+      return nodes[s];
+    };
+    const std::uint32_t rep = number(0);
+    for (int dir = 0; dir < 4; ++dir) {
+      std::uint32_t prev = rep;
+      for (const std::uint8_t s : exit_slots(leaders, dir)) {
+        const std::uint32_t node = number(s);
+        prescribe(prev, node);
+        prev = node;
       }
     }
   }
 
-  // Facing-relay handshakes (directions +x and +y to visit each pair once).
-  for (std::int32_t y = 0; y < grid.height(); ++y) {
-    for (std::int32_t x = 0; x < grid.width(); ++x) {
-      const Site s{x, y};
-      if (!grid.open(s)) continue;
-      for (const int dir : {0, 2}) {
-        const Site n{x + (dir == 0 ? 1 : 0), y + (dir == 2 ? 1 : 0)};
-        if (!grid.in_bounds(n) || !grid.open(n)) continue;
-        prescribe(ov.exit_chain[ov.tile_index(s)][static_cast<std::size_t>(dir)].back(),
-                  ov.exit_chain[ov.tile_index(n)][static_cast<std::size_t>(opposite_dir(dir))]
-                      .back());
-      }
-    }
+  // Facing-relay handshakes toward +x (dir 0, facing dir 1) and +y (dir 2,
+  // facing dir 3), so each pair is visited once. The boundary relay, slot
+  // dir+1, ends every exit chain.
+  const auto width = static_cast<std::size_t>(cls.window.width);
+  for (std::size_t idx = 0; idx < cls.good.size(); ++idx) {
+    if (!cls.good[idx]) continue;
+    const TileLeaders& nodes = ov.tile_nodes[idx];
+    const std::size_t right = idx + 1;
+    const std::size_t up = idx + width;
+    if (right % width != 0 && cls.good[right]) prescribe(nodes[1], ov.tile_nodes[right][2]);
+    if (up < cls.good.size() && cls.good[up]) prescribe(nodes[3], ov.tile_nodes[up][4]);
   }
   return out;
 }

@@ -6,17 +6,19 @@
 // An overlay couples three views of the same structure:
 //   * a geometric graph (`geo`, `base_index`) over the elected nodes,
 //   * the site-percolation configuration (`sites`) the tiles induce,
-//   * per-tile exit chains that realize a tile-level mesh hop as a node
-//     path (rep -> relays -> boundary), used by SensRouter.
+//   * a per-tile node table in the TileLeaders slot layout of tile
+//     classification, from which a tile-level mesh hop is realized as a
+//     node path (rep -> exit chain -> boundary), used by SensRouter.
 //
 // Both models assemble it in one code path (DESIGN.md §1.1):
-// `overlay_skeleton` numbers the elected nodes, fills reps and exit chains
-// and lists the prescribed edges; the model's link test marks which of them
+// `overlay_skeleton` numbers the elected nodes into the node table and
+// lists the prescribed edges; the model's link test marks which of them
 // the base graph realizes; `finish_overlay` builds the graph. Edges are
 // inserted only when realized; `edges_missing` counts the claim violations.
+// Exit chains are never stored: `exit_slots` (sens/tiles/classify.hpp)
+// derives them from the table.
 #pragma once
 
-#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <span>
@@ -42,12 +44,11 @@ struct Overlay {
   /// Goodness configuration: site open <=> tile good.
   SiteGrid sites;
 
-  /// Per tile (window.index order): overlay node id of the representative,
-  /// or kNoNode for bad tiles.
-  std::vector<std::uint32_t> rep_node;
-  /// Per tile and direction: overlay node ids from (exclusive) the rep to
-  /// the tile boundary — {relay} for UDG, {E relay, C relay} for NN.
-  std::vector<std::array<std::vector<std::uint32_t>, 4>> exit_chain;
+  /// Per tile (window.index order), in the TileLeaders slot layout: entry
+  /// [t][s] is the overlay node of leader slot s of good tile t, kNoNode
+  /// for bad tiles and empty slots. Slot 0 is the representative; the
+  /// chain toward dir is `exit_slots(tile_nodes[t], dir)`.
+  std::vector<TileLeaders> tile_nodes;
 
   /// Connected components of the overlay graph; the SENS subgraph proper is
   /// the largest one.
@@ -64,7 +65,7 @@ struct Overlay {
            static_cast<std::size_t>(s.x);
   }
   [[nodiscard]] bool tile_good(Site s) const { return sites.open(s); }
-  [[nodiscard]] std::uint32_t rep_of(Site s) const { return rep_node[tile_index(s)]; }
+  [[nodiscard]] std::uint32_t rep_of(Site s) const { return tile_nodes[tile_index(s)][0]; }
 
   /// True if the tile's rep exists and belongs to the largest overlay
   /// component (i.e. the tile participates in the SENS subgraph).
@@ -96,27 +97,28 @@ struct PrescribedEdge {
   bool linked = false;
 };
 
-/// An overlay with nodes, reps and exit chains in place and its prescribed
+/// An overlay with its nodes and node table in place and its prescribed
 /// edges not yet realized.
 struct OverlaySkeleton {
   Overlay overlay;
   std::vector<PrescribedEdge> edges;
 };
 
-/// Walk the good tiles of `cls` in window order: number the rep and every
-/// exit-chain leader (deduplicated, first use first), fill rep_node and
-/// exit_chain, and prescribe rep -> chain links inside each tile, then the
-/// facing-relay pair of every adjacent good pair (+x, +y). The chain toward
-/// dir is TileLeaders slot {dir+1} (UDG), or {dir+5, dir+1} with
-/// `e_relays` (NN). Pairs of one node with itself are not prescribed.
+/// Walk the good tiles of `cls` in window order and number their leaders
+/// into `tile_nodes`, first use first: slot 0, then for each dir the slots
+/// of `exit_slots(leaders, dir)` (UDG {dir+1}, NN {dir+5, dir+1}). A point
+/// holding several slots of its tile gets one node; the dedupe stays inside
+/// the tile because `tile_roles` gives each point one tile. Prescribe
+/// rep -> chain links inside each tile, then the facing-relay pair of every
+/// adjacent good pair (+x, +y). Pairs of one node with itself are not
+/// prescribed.
 /// Throws std::invalid_argument if a leader indexes past `num_points`, the
 /// size of the point set the link test will read — so a classification
 /// built on more points than it is given fails here, before any link test
 /// runs (`UdgSens.OverlayRejectsLeaderOutOfRange`,
 /// `NnLinkTest.OverlayRejectsLeaderOutOfRange`).
 [[nodiscard]] OverlaySkeleton overlay_skeleton(const TileClassification& cls,
-                                               std::size_t num_points, double tile_side,
-                                               bool e_relays);
+                                               std::size_t num_points, double tile_side);
 
 /// Count and insert the linked edges, attach the node points and label
 /// components.

@@ -5,8 +5,7 @@
 namespace sens {
 
 Overlay build_udg_overlay(const UdgClassification& cls, std::span<const Vec2> points) {
-  OverlaySkeleton skeleton =
-      overlay_skeleton(cls, points.size(), cls.spec.side, /*e_relays=*/false);
+  OverlaySkeleton skeleton = overlay_skeleton(cls, points.size(), cls.spec.side);
   const std::vector<std::uint32_t>& base = skeleton.overlay.base_index;
   const double link2 = cls.spec.link_radius * cls.spec.link_radius;
   for (PrescribedEdge& e : skeleton.edges)

@@ -54,6 +54,10 @@ bool bfs_run(const CsrGraph& g, std::uint32_t source, BfsScratch& s,
 
 void bfs_distances_into(const CsrGraph& g, std::uint32_t source, BfsScratch& scratch,
                         std::span<std::uint32_t> out) {
+  if (out.size() != g.num_vertices()) {
+    throw std::invalid_argument("bfs_distances_into: out.size() != num_vertices()");
+  }
+  check_vertex_id(g, source, "bfs_distances_into");
   bfs_run(g, source, scratch);
   for (std::size_t v = 0; v < out.size(); ++v) {
     out[v] = scratch.stamp[v] == scratch.epoch ? scratch.dist[v] : kUnreachable;
@@ -62,11 +66,15 @@ void bfs_distances_into(const CsrGraph& g, std::uint32_t source, BfsScratch& scr
 
 std::uint32_t bfs_distance(const CsrGraph& g, std::uint32_t source, std::uint32_t target,
                            BfsScratch& scratch) {
+  check_vertex_id(g, source, "bfs_distance");
+  check_vertex_id(g, target, "bfs_distance");
   return bfs_run(g, source, scratch, target) ? scratch.dist[target] : kUnreachable;
 }
 
 bool bfs_path_into(const CsrGraph& g, std::uint32_t source, std::uint32_t target,
                    BfsScratch& scratch, std::vector<std::uint32_t>& path) {
+  check_vertex_id(g, source, "bfs_path_into");
+  check_vertex_id(g, target, "bfs_path_into");
   path.clear();
   if (!bfs_run(g, source, scratch, target)) return false;
   for (std::uint32_t v = target;; v = scratch.parent[v]) {
@@ -83,6 +91,7 @@ void bfs_many_into(const CsrGraph& g, std::span<const std::uint32_t> sources,
   if (out.size() != sources.size() * n) {
     throw std::invalid_argument("bfs_many_into: out.size() != sources.size() * n");
   }
+  for (const std::uint32_t s : sources) check_vertex_id(g, s, "bfs_many_into");
   // Per-participant scratch for the same reason as dijkstra_many_into:
   // chunks often hold one source, rows depend only on (graph, source), and
   // the scratch dies with this call so no per-thread allocation outlives it

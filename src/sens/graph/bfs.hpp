@@ -48,8 +48,12 @@ struct BfsScratch {
   [[nodiscard]] bool reached(std::uint32_t v) const { return stamp[v] == epoch; }
 };
 
-/// Hop distances from `source` written into `out` (size n, kUnreachable
-/// where disconnected). Allocation-free given a warm scratch.
+// Every entry point throws std::out_of_range, before any work, when
+// `source` (or `target`) is >= the vertex count, like the Dijkstra ones.
+
+/// Hop distances from `source` written into `out` (size n, else
+/// std::invalid_argument; kUnreachable where disconnected).
+/// Allocation-free given a warm scratch.
 void bfs_distances_into(const CsrGraph& g, std::uint32_t source, BfsScratch& scratch,
                         std::span<std::uint32_t> out);
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <limits>
 #include <stdexcept>
+#include <string>
 
 #include "sens/support/checked.hpp"
 
@@ -327,6 +328,12 @@ std::vector<std::pair<std::uint32_t, std::uint32_t>> CsrGraph::edge_list() const
     for (std::uint32_t v : neighbors(u))
       if (u < v) out.emplace_back(u, v);
   return out;
+}
+
+void check_vertex_id(const CsrGraph& g, std::uint32_t v, const char* who) {
+  if (v >= g.num_vertices()) {
+    throw std::out_of_range(std::string(who) + ": vertex id >= num_vertices()");
+  }
 }
 
 }  // namespace sens

@@ -154,4 +154,9 @@ class CsrGraph {
   std::vector<std::uint32_t> reverse_arc_;  // 2 * m, arc -> its reverse arc
 };
 
+/// Input contract of every traversal entry point (BFS, Dijkstra, the
+/// landmark oracle): `v` names a vertex of `g`. Throws std::out_of_range
+/// (message prefixed with `who`) otherwise.
+void check_vertex_id(const CsrGraph& g, std::uint32_t v, const char* who);
+
 }  // namespace sens

@@ -82,6 +82,9 @@ void export_path(const DijkstraScratch& s, std::uint32_t source, std::uint32_t t
 void dijkstra_costs_into(const CsrGraph& g, std::uint32_t source,
                          std::span<const double> arc_weights, DijkstraScratch& scratch,
                          std::span<double> out) {
+  if (out.size() != g.num_vertices()) {
+    throw std::invalid_argument("dijkstra_costs_into: out.size() != num_vertices()");
+  }
   check_vertex_id(g, source, "dijkstra_costs_into");
   dijkstra_run(g, source, arc_weights.data(), scratch);
   export_costs(scratch, out);
@@ -108,12 +111,6 @@ bool dijkstra_path_into(const CsrGraph& g, std::uint32_t source, std::uint32_t t
 void check_arc_weights(const CsrGraph& g, std::span<const double> arc_weights, const char* who) {
   if (arc_weights.size() != g.num_arcs()) {
     throw std::invalid_argument(std::string(who) + ": arc_weights.size() != num_arcs()");
-  }
-}
-
-void check_vertex_id(const CsrGraph& g, std::uint32_t v, const char* who) {
-  if (v >= g.num_vertices()) {
-    throw std::out_of_range(std::string(who) + ": vertex id >= num_vertices()");
   }
 }
 

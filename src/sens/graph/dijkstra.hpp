@@ -140,10 +140,10 @@ struct DijkstraScratch {
 // `source` (or `target`) is >= the vertex count: the id would index past
 // every per-vertex array of the scratch.
 
-/// Costs from `source` to all vertices, written into `out` (size n);
-/// unreachable vertices get kInfCost. `arc_weights` is aligned with the
-/// CSR arcs (see CsrGraph::arc_weights). Allocation-free given a warm
-/// scratch.
+/// Costs from `source` to all vertices, written into `out` (size n, else
+/// std::invalid_argument); unreachable vertices get kInfCost.
+/// `arc_weights` is aligned with the CSR arcs (see CsrGraph::arc_weights).
+/// Allocation-free given a warm scratch.
 void dijkstra_costs_into(const CsrGraph& g, std::uint32_t source,
                          std::span<const double> arc_weights, DijkstraScratch& scratch,
                          std::span<double> out);
@@ -162,10 +162,6 @@ bool dijkstra_path_into(const CsrGraph& g, std::uint32_t source, std::uint32_t t
 /// CSR arc. Throws std::invalid_argument (message prefixed with `who`)
 /// otherwise, before any work is dispatched.
 void check_arc_weights(const CsrGraph& g, std::span<const double> arc_weights, const char* who);
-
-/// Input contract of every traversal entry point: `v` names a vertex of
-/// `g`. Throws std::out_of_range (message prefixed with `who`) otherwise.
-void check_vertex_id(const CsrGraph& g, std::uint32_t v, const char* who);
 
 /// Batched multi-source costs, chunk-parallel over `sources`: row i of
 /// `out` (stride n, size sources.size() * n) receives the costs from

@@ -22,9 +22,8 @@ bool has_lr_crossing(const SiteGrid& grid) {
     const Site u = queue.front();
     queue.pop_front();
     if (u.x == grid.width() - 1) return true;
-    bool reached = false;
     grid.for_each_neighbor(u, [&](Site v) {
-      if (!reached && grid.open(v) && !visited[grid.index(v)]) {
+      if (grid.open(v) && !visited[grid.index(v)]) {
         visited[grid.index(v)] = 1;
         queue.push_back(v);
       }

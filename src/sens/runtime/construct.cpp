@@ -107,8 +107,7 @@ class ConstructEngine {
       if (!good) continue;
       result.tile_good[tile] = 1;
       for (std::uint8_t dir = 0; dir < 4; ++dir) {
-        const auto first_slot =
-            static_cast<std::uint8_t>(nn_mode_ ? dir + 5 : dir + 1);
+        const std::uint8_t first_slot = exit_slots(rs.heard, dir).slot[0];
         send_connect(rep, static_cast<std::uint32_t>(tile), first_slot, dir,
                      rs.heard[first_slot]);
       }
@@ -151,14 +150,16 @@ class ConstructEngine {
     record_edge(from, target);
   }
 
-  /// CONNECT arrived at `v` for (tile, slot): continue the chain (NN E
-  /// relay) or arm the boundary handshake (UDG relay / NN C relay). A node
-  /// can relay for two adjacent directions (overlapping lenses), so arming
-  /// is tracked per direction.
+  /// CONNECT arrived at `v` for (tile, slot): pass it to the next slot of
+  /// the exit chain (NN E relay) or, at the chain's end, arm the boundary
+  /// handshake (UDG relay / NN C relay). A node can relay for two adjacent
+  /// directions (overlapping lenses), so arming is tracked per direction.
   void on_connect(std::uint32_t v, std::uint32_t tile, std::uint8_t slot, std::uint8_t dir) {
     NodeState& st = state_[v];
-    if (nn_mode_ && slot >= 5) {
-      send_connect(v, tile, static_cast<std::uint8_t>(dir + 1), dir, st.heard[dir + 1]);
+    const ExitSlots chain = exit_slots(st.heard, dir);
+    const std::uint8_t* at = std::find(chain.begin(), chain.end(), slot);
+    if (at != chain.end() && at + 1 != chain.end()) {
+      send_connect(v, tile, at[1], dir, st.heard[at[1]]);
       return;
     }
     if (st.armed_dirs & (1u << dir)) return;  // duplicate CONNECT

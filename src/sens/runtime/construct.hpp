@@ -17,6 +17,9 @@
 //   3. CONNECT  — the representative locally determines tile goodness (all
 //                 regions announced a leader; property P4) and connects the
 //                 relay chains: rep -> relay (UDG) or rep -> E -> C (NN).
+//                 Each hop's slot comes from `exit_slots` over the leaders
+//                 the node has heard, the rule the centralized overlay
+//                 reads from its node table.
 //   4. XHELLO / XACK — boundary relays of connected (= good) tiles shake
 //                 hands with their counterparts across the tile border.
 //

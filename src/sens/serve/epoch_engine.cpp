@@ -1,7 +1,9 @@
 #include "sens/serve/epoch_engine.hpp"
 
 #include <algorithm>
+#include <utility>
 
+#include "sens/geometry/vec2.hpp"
 #include "sens/obs/obs.hpp"
 #include "sens/rng/rng.hpp"
 
@@ -16,20 +18,25 @@ constexpr std::uint64_t kDemoteStream = 0xe90cde40ULL;
 /// accepts a smaller pivot set.
 constexpr std::size_t kDemoteRetries = 8;
 
+/// Euclidean arc weights of `g` over the maintainer's points, read in
+/// place: the engine keeps no copy of them.
+std::vector<double> length_weights(const CsrGraph& g, std::span<const Vec2> points) {
+  return g.arc_weights(
+      [&](std::uint32_t u, std::uint32_t v) { return dist(points[u], points[v]); });
+}
+
 }  // namespace
 
 EpochQueryEngine::EpochQueryEngine(const DynamicHng& dyn, const EpochEngineParams& params)
     : dyn_(&dyn), params_(params) {
   generation_ = dyn.overlay_generation();
   graph_ = dyn.overlay();
-  points_.assign(dyn.points().begin(), dyn.points().end());
-  weights_ = graph_.arc_weights(
-      [&](std::uint32_t u, std::uint32_t v) { return dist(points_[u], points_[v]); });
+  weights_ = length_weights(graph_, dyn_->points());
   oracle_ = LandmarkOracle::build(
       graph_, weights_,
       LandmarkOracleParams{params_.num_landmarks, params_.seed, params_.selection});
-  landmarks_.assign(oracle_.landmarks().begin(), oracle_.landmarks().end());
 }
+
 
 EpochRefreshStats EpochQueryEngine::refresh() {
   EpochRefreshStats stats;
@@ -55,34 +62,32 @@ EpochRefreshStats EpochQueryEngine::refresh() {
     SENS_OBS(obs::add(obs::Counter::kEpochJournalReplays, stats.deltas_applied);)
   }
   generation_ = target;
-  points_.assign(dyn_->points().begin(), dyn_->points().end());
-  weights_ = graph_.arc_weights(
-      [&](std::uint32_t u, std::uint32_t v) { return dist(points_[u], points_[v]); });
+  weights_ = length_weights(graph_, dyn_->points());
 
   // Pivot epoch: survivors keep their slots, dead pivots are demoted and
   // bounded seeded retries recruit distinct replacements. Exhausted
   // retries shrink the pivot set — more exact fallbacks, never a wrong
   // answer.
   const std::size_t n = graph_.num_vertices();
-  const std::size_t before = landmarks_.size();
-  std::erase_if(landmarks_, [n](std::uint32_t l) { return l >= n; });
-  stats.landmarks_demoted = before - landmarks_.size();
+  std::vector<std::uint32_t> pivots(oracle_.landmarks().begin(), oracle_.landmarks().end());
+  std::erase_if(pivots, [n](std::uint32_t l) { return l >= n; });
+  stats.landmarks_demoted = oracle_.num_landmarks() - pivots.size();
   const std::size_t want = std::min(params_.num_landmarks, n);
-  if (landmarks_.size() < want) {
+  if (pivots.size() < want) {
     Rng rng = Rng::stream(params_.seed, kDemoteStream, generation_);
-    const std::size_t missing = want - landmarks_.size();
+    const std::size_t missing = want - pivots.size();
     for (std::size_t k = 0; k < missing; ++k) {
       for (std::size_t attempt = 0; attempt < kDemoteRetries; ++attempt) {
         const auto pick = static_cast<std::uint32_t>(rng.uniform_index(n));
-        if (std::find(landmarks_.begin(), landmarks_.end(), pick) == landmarks_.end()) {
-          landmarks_.push_back(pick);
+        if (std::find(pivots.begin(), pivots.end(), pick) == pivots.end()) {
+          pivots.push_back(pick);
           ++stats.landmarks_recruited;
           break;
         }
       }
     }
   }
-  oracle_ = LandmarkOracle::build_with(graph_, weights_, landmarks_);
+  oracle_ = LandmarkOracle::build_with(graph_, weights_, std::move(pivots));
   stats.generation = generation_;
   return stats;
 }

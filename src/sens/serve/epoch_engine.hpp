@@ -39,7 +39,6 @@
 #include <vector>
 
 #include "sens/dynamic/dynamic_hng.hpp"
-#include "sens/geometry/vec2.hpp"
 #include "sens/graph/csr.hpp"
 #include "sens/serve/query_engine.hpp"
 
@@ -86,7 +85,6 @@ class EpochQueryEngine {
 
   [[nodiscard]] std::uint64_t generation() const { return generation_; }
   [[nodiscard]] const CsrGraph& graph() const { return graph_; }
-  [[nodiscard]] std::span<const Vec2> points() const { return points_; }
   [[nodiscard]] std::span<const double> arc_weights() const { return weights_; }
   [[nodiscard]] const LandmarkOracle& oracle() const { return oracle_; }
   [[nodiscard]] double max_stretch() const { return params_.max_stretch; }
@@ -95,11 +93,9 @@ class EpochQueryEngine {
   const DynamicHng* dyn_;
   EpochEngineParams params_;
   std::uint64_t generation_ = 0;
-  CsrGraph graph_;             ///< own snapshot of the overlay at generation_
-  std::vector<Vec2> points_;   ///< own copy of the points at generation_
+  CsrGraph graph_;  ///< own snapshot of the overlay at generation_
   std::vector<double> weights_;
-  std::vector<std::uint32_t> landmarks_;  ///< surviving + recruited pivots
-  LandmarkOracle oracle_;
+  LandmarkOracle oracle_;  ///< its landmarks are the surviving + recruited pivots
 };
 
 }  // namespace sens

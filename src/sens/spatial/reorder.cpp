@@ -124,25 +124,6 @@ std::vector<Vec2> apply_permutation(std::span<const Vec2> points,
   return out;
 }
 
-PointSet apply_permutation(const PointSet& ps, std::span<const std::uint32_t> perm) {
-  PointSet out;
-  out.window = ps.window;
-  out.intensity = ps.intensity;
-  out.points = apply_permutation(std::span<const Vec2>(ps.points), perm);
-  return out;
-}
-
-FlatAdjacency apply_permutation(const FlatAdjacency& adj,
-                                std::span<const std::uint32_t> perm) {
-  check_same_size(adj.size(), perm.size(), "adjacency");
-  const std::vector<std::uint32_t> inv = invert_permutation(perm);
-  return build_flat_adjacency(
-      adj.size(), [&](std::size_t i) { return adj.degree(perm[i]); },
-      [&](std::size_t i, std::uint32_t* out) {
-        for (const std::uint32_t v : adj[perm[i]]) *out++ = inv[v];
-      });
-}
-
 CsrGraph apply_permutation(const CsrGraph& g, std::span<const std::uint32_t> perm) {
   check_same_size(g.num_vertices(), perm.size(), "graph");
   const std::vector<std::uint32_t> inv = invert_permutation(perm);

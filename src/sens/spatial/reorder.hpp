@@ -29,10 +29,8 @@
 #include <vector>
 
 #include "sens/geograph/geo_graph.hpp"
-#include "sens/geograph/point_set.hpp"
 #include "sens/geometry/vec2.hpp"
 #include "sens/graph/csr.hpp"
-#include "sens/graph/flat_adjacency.hpp"
 
 namespace sens {
 
@@ -61,17 +59,6 @@ enum class SpatialOrder {
 /// `points` relabeled: result[new_id] = points[perm[new_id]].
 [[nodiscard]] std::vector<Vec2> apply_permutation(std::span<const Vec2> points,
                                                   std::span<const std::uint32_t> perm);
-
-/// The point set with its store relabeled (window and intensity unchanged).
-[[nodiscard]] PointSet apply_permutation(const PointSet& ps,
-                                         std::span<const std::uint32_t> perm);
-
-/// Directed selection lists relabeled on both axes: list new_id holds the
-/// relabeled entries of list perm[new_id], each entry mapped through the
-/// inverse. Within-list order is preserved (selection lists are
-/// (distance, index)-ordered; relabeling must not re-sort them).
-[[nodiscard]] FlatAdjacency apply_permutation(const FlatAdjacency& adj,
-                                              std::span<const std::uint32_t> perm);
 
 /// The isomorphic graph under the relabeling: vertex new_id is old vertex
 /// perm[new_id], adjacency lists re-sorted into the new id order (CSR lists

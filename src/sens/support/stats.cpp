@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <sstream>
 #include <stdexcept>
 
 namespace sens {
@@ -122,35 +121,6 @@ double quantile(std::vector<double> values, double q) {
   const std::size_t hi = std::min(lo + 1, values.size() - 1);
   const double frac = pos - static_cast<double>(lo);
   return values[lo] * (1.0 - frac) + values[hi] * frac;
-}
-
-Histogram::Histogram(double lo, double hi, std::size_t bins) : lo_(lo), hi_(hi), counts_(bins, 0) {
-  if (!(hi > lo) || bins == 0) throw std::invalid_argument("Histogram: bad range");
-}
-
-void Histogram::add(double x) {
-  const double t = (x - lo_) / (hi_ - lo_);
-  auto idx = static_cast<long>(t * static_cast<double>(counts_.size()));
-  idx = std::clamp<long>(idx, 0, static_cast<long>(counts_.size()) - 1);
-  ++counts_[static_cast<std::size_t>(idx)];
-  ++total_;
-}
-
-double Histogram::bin_lo(std::size_t i) const {
-  return lo_ + (hi_ - lo_) * static_cast<double>(i) / static_cast<double>(counts_.size());
-}
-
-double Histogram::bin_hi(std::size_t i) const { return bin_lo(i + 1); }
-
-std::string Histogram::to_string(std::size_t max_rows) const {
-  std::ostringstream os;
-  const std::size_t stride = std::max<std::size_t>(1, counts_.size() / std::max<std::size_t>(1, max_rows));
-  for (std::size_t i = 0; i < counts_.size(); i += stride) {
-    std::size_t c = 0;
-    for (std::size_t j = i; j < std::min(i + stride, counts_.size()); ++j) c += counts_[j];
-    os << "[" << bin_lo(i) << ", " << bin_hi(std::min(i + stride, counts_.size()) - 1) << "): " << c << "\n";
-  }
-  return os.str();
 }
 
 }  // namespace sens

@@ -1,12 +1,11 @@
 // Statistics helpers shared by the experiment harness and tests:
 // streaming moments, confidence intervals, proportion intervals, quantiles,
 // least-squares line fits (used for the exponential-decay fits of the
-// coverage and chemical-distance experiments), and a tiny histogram.
+// coverage and chemical-distance experiments).
 #pragma once
 
 #include <cstddef>
 #include <span>
-#include <string>
 #include <vector>
 
 namespace sens {
@@ -64,28 +63,5 @@ struct LineFit {
 /// q-th sample quantile (q in [0,1]) using linear interpolation. The input
 /// is copied and sorted.
 [[nodiscard]] double quantile(std::vector<double> values, double q);
-
-/// Fixed-width histogram over [lo, hi); out-of-range samples clamp to the
-/// edge bins so nothing is silently dropped.
-class Histogram {
- public:
-  Histogram(double lo, double hi, std::size_t bins);
-
-  void add(double x);
-  [[nodiscard]] std::size_t total() const { return total_; }
-  [[nodiscard]] std::size_t bin_count(std::size_t i) const { return counts_.at(i); }
-  [[nodiscard]] std::size_t bins() const { return counts_.size(); }
-  [[nodiscard]] double bin_lo(std::size_t i) const;
-  [[nodiscard]] double bin_hi(std::size_t i) const;
-
-  /// Render as "lo..hi: count" lines (used by example binaries).
-  [[nodiscard]] std::string to_string(std::size_t max_rows = 32) const;
-
- private:
-  double lo_;
-  double hi_;
-  std::vector<std::size_t> counts_;
-  std::size_t total_ = 0;
-};
 
 }  // namespace sens

@@ -35,6 +35,29 @@ using TileLeaders = std::array<std::uint32_t, 9>;
 inline constexpr TileLeaders kNoLeaders{kNoNode, kNoNode, kNoNode, kNoNode, kNoNode,
                                         kNoNode, kNoNode, kNoNode, kNoNode};
 
+/// Slots of a tile's exit chain toward `dir` (0..3), from the rep outward.
+struct ExitSlots {
+  std::array<std::uint8_t, 2> slot{};
+  std::uint8_t size = 0;
+
+  [[nodiscard]] const std::uint8_t* begin() const { return slot.data(); }
+  [[nodiscard]] const std::uint8_t* end() const { return slot.data() + size; }
+};
+
+/// The Figure 7 chain rule, stated once for the overlay, its tile-hop paths
+/// and the construction protocol: the E relay slot dir + 5 when `t` fills
+/// it, then the boundary relay slot dir + 1. UDG masks never set slots
+/// 5..8, so a UDG chain is {dir + 1} (rep -> relay); a good NN tile fills
+/// all nine, so its chain is {dir + 5, dir + 1} (rep -> E -> C). `t` is any
+/// table in this layout: elected leaders, overlay nodes, or the leaders one
+/// protocol node has heard.
+[[nodiscard]] constexpr ExitSlots exit_slots(const TileLeaders& t, int dir) {
+  const auto relay = static_cast<std::uint8_t>(dir + 1);
+  const auto e_relay = static_cast<std::uint8_t>(dir + 5);
+  if (t[e_relay] == kNoNode) return {{relay, 0}, 1};
+  return {{e_relay, relay}, 2};
+}
+
 /// One point's role: its window tile index (kNoNode outside the window) and
 /// its region mask within that tile.
 struct TileRole {

@@ -13,6 +13,7 @@
 #include "sens/core/nn_sens.hpp"
 #include "sens/core/sens_router.hpp"
 #include "sens/support/parallel.hpp"
+#include "overlay_reference.hpp"
 
 namespace sens {
 namespace {
@@ -62,11 +63,31 @@ TEST(NnSens, ExitChainsHaveTwoRelays) {
   const NnSensResult r = small_build(2);
   for (std::size_t idx = 0; idx < r.classification.good.size(); ++idx) {
     if (!r.classification.good[idx]) continue;
+    const TileLeaders& nodes = r.overlay.tile_nodes[idx];
     for (int dir = 0; dir < 4; ++dir) {
-      EXPECT_EQ(r.overlay.exit_chain[idx][static_cast<std::size_t>(dir)].size(), 2u)
-          << "NN exit chain is E relay then C relay";
+      const ExitSlots chain = exit_slots(nodes, dir);
+      ASSERT_EQ(chain.size, 2u) << "NN exit chain is E relay then C relay";
+      EXPECT_EQ(chain.slot[0], dir + 5);
+      EXPECT_EQ(chain.slot[1], dir + 1);
+      for (const std::uint8_t s : chain) EXPECT_LT(nodes[s], r.overlay.geo.size());
     }
   }
+}
+
+TEST(OverlayNumbering, NnMatchesMapReference) {
+  // Node ids, reps, E -> C exit chains and prescribed edges equal a direct
+  // global point -> node numbering.
+  std::size_t shared = 0;
+  for (const std::uint64_t seed : {1u, 2u, 3u}) {
+    const NnSensResult r = small_build(seed);
+    const OverlaySkeleton skeleton =
+        overlay_skeleton(r.classification, r.points.size(), 10.0 * r.classification.a);
+    testing_ref::expect_overlay_matches(r.classification, skeleton, /*e_relays=*/true);
+    EXPECT_EQ(r.overlay.base_index, skeleton.overlay.base_index);
+    EXPECT_EQ(r.overlay.tile_nodes, skeleton.overlay.tile_nodes);
+    shared += testing_ref::shared_point_tiles(r.classification, /*e_relays=*/true);
+  }
+  EXPECT_GT(shared, 0u) << "no point holds two slots, the dedupe is untested";
 }
 
 // Sharded over seeds: gtest_discover_tests registers each instantiation as
@@ -219,8 +240,7 @@ TEST(NnLinkTest, OverlayLinksMatchSelectionsAtAnyThreadCount) {
     NnClassification cls =
         classify_nn(NnTileSpec(0.893, 1u << 20), pts, capped.classification.window);
     cls.k = k;
-    const OverlaySkeleton skeleton =
-        overlay_skeleton(cls, pts.size(), 10.0 * cls.a, /*e_relays=*/true);
+    const OverlaySkeleton skeleton = overlay_skeleton(cls, pts.size(), 10.0 * cls.a);
     const std::vector<std::uint32_t>& base = skeleton.overlay.base_index;
     const GridKnn grid(pts, k);
     GridKnn::QueryScratch scratch;

@@ -14,6 +14,7 @@
 #include "sens/core/udg_sens.hpp"
 #include "sens/perc/clusters.hpp"
 #include "sens/tiles/good_prob.hpp"
+#include "overlay_reference.hpp"
 
 namespace sens {
 namespace {
@@ -77,12 +78,36 @@ TEST(UdgSens, SiteGridMatchesClassification) {
 TEST(UdgSens, RepNodesExistExactlyOnGoodTiles) {
   const UdgSensResult r = small_build(4);
   for (std::size_t idx = 0; idx < r.classification.good.size(); ++idx) {
-    const bool has_rep = r.overlay.rep_node[idx] != kNoNode;
+    const TileLeaders& nodes = r.overlay.tile_nodes[idx];
+    const bool has_rep = nodes[0] != kNoNode;
     EXPECT_EQ(has_rep, r.classification.good[idx] == 1);
-    if (has_rep) {
-      // Rep overlay node maps back to the elected base point.
-      EXPECT_EQ(r.overlay.base_index[r.overlay.rep_node[idx]], r.classification.leaders[idx][0]);
+    for (std::size_t s = 0; s < nodes.size(); ++s) {
+      if (!has_rep || s >= 5) {
+        EXPECT_EQ(nodes[s], kNoNode) << "bad tile or UDG E-relay slot " << s;
+      } else {
+        // Each node maps back to the elected base point of its slot.
+        EXPECT_EQ(r.overlay.base_index[nodes[s]], r.classification.leaders[idx][s]);
+      }
     }
+  }
+}
+
+TEST(OverlayNumbering, UdgMatchesMapReference) {
+  // Node ids, reps, exit chains and prescribed edges equal a direct global
+  // point -> node numbering, on both presets. Region lenses overlap, so on
+  // every preset some points hold several slots of their tile.
+  for (const UdgTileSpec& spec : {UdgTileSpec::strict(), UdgTileSpec::paper()}) {
+    std::size_t shared = 0;
+    for (const std::uint64_t seed : {1u, 2u, 3u}) {
+      const UdgSensResult r = build_udg_sens(spec, kLambda, 16, 16, seed);
+      const OverlaySkeleton skeleton =
+          overlay_skeleton(r.classification, r.points.size(), spec.side);
+      testing_ref::expect_overlay_matches(r.classification, skeleton, /*e_relays=*/false);
+      EXPECT_EQ(r.overlay.base_index, skeleton.overlay.base_index);
+      EXPECT_EQ(r.overlay.tile_nodes, skeleton.overlay.tile_nodes);
+      shared += testing_ref::shared_point_tiles(r.classification, /*e_relays=*/false);
+    }
+    EXPECT_GT(shared, 0u) << spec.name << ": no point holds two slots, the dedupe is untested";
   }
 }
 

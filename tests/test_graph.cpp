@@ -433,6 +433,64 @@ TEST(Bfs, ManyRejectsMisSizedOutput) {
   EXPECT_EQ(out[0], 7u);
 }
 
+TEST(Bfs, EntryPointsRejectOutOfRangeIds) {
+  // The BFS twin of Dijkstra.EntryPointsRejectOutOfRangeIds: an id >= n
+  // would write dist[source] past the scratch, so each entry point throws
+  // before it touches the scratch or the caller's buffers.
+  const CsrGraph g = path_graph(10);
+  BfsScratch scratch;
+  std::vector<std::uint32_t> row(g.num_vertices(), 7u);
+  std::vector<std::uint32_t> path = {7};
+  for (const std::uint32_t bad : {10u, 11u, 0xffffffffu}) {
+    EXPECT_THROW(bfs_distances_into(g, bad, scratch, row), std::out_of_range);
+    EXPECT_THROW((void)bfs_distance(g, bad, 0, scratch), std::out_of_range);
+    EXPECT_THROW((void)bfs_distance(g, 0, bad, scratch), std::out_of_range);
+    EXPECT_THROW(bfs_path_into(g, bad, 0, scratch, path), std::out_of_range);
+    EXPECT_THROW(bfs_path_into(g, 0, bad, scratch, path), std::out_of_range);
+  }
+  EXPECT_EQ(row[0], 7u);
+  EXPECT_EQ(path, std::vector<std::uint32_t>{7});
+  EXPECT_TRUE(scratch.stamp.empty());
+  EXPECT_EQ(bfs_distance(g, 0, 9, scratch), 9u);
+}
+
+TEST(Bfs, ManyRejectsOutOfRangeSourceBeforeDispatch) {
+  const CsrGraph g = path_graph(10);
+  const std::vector<std::uint32_t> sources = {0, 4, 10};
+  std::vector<std::uint32_t> out(sources.size() * g.num_vertices(), 7u);
+  EXPECT_THROW(bfs_many_into(g, sources, out), std::out_of_range);
+  EXPECT_TRUE(std::all_of(out.begin(), out.end(), [](std::uint32_t d) { return d == 7u; }));
+}
+
+TEST(Bfs, DistancesRejectMisSizedOutput) {
+  // A longer `out` would read stamp[v] past n; a shorter one would leave
+  // vertices unwritten.
+  const CsrGraph g = path_graph(10);
+  BfsScratch scratch;
+  for (const std::size_t size : {9u, 11u}) {
+    std::vector<std::uint32_t> out(size, 7u);
+    EXPECT_THROW(bfs_distances_into(g, 0, scratch, out), std::invalid_argument);
+    EXPECT_TRUE(std::all_of(out.begin(), out.end(), [](std::uint32_t d) { return d == 7u; }));
+  }
+  std::vector<std::uint32_t> exact(g.num_vertices());
+  EXPECT_NO_THROW(bfs_distances_into(g, 0, scratch, exact));
+  EXPECT_EQ(exact[9], 9u);
+}
+
+TEST(Dijkstra, CostsRejectMisSizedOutput) {
+  const CsrGraph g = path_graph(10);
+  const std::vector<double> w = g.arc_weights([](std::uint32_t, std::uint32_t) { return 1.0; });
+  DijkstraScratch scratch;
+  for (const std::size_t size : {9u, 11u}) {
+    std::vector<double> out(size, -1.0);
+    EXPECT_THROW(dijkstra_costs_into(g, 0, w, scratch, out), std::invalid_argument);
+    EXPECT_TRUE(std::all_of(out.begin(), out.end(), [](double d) { return d == -1.0; }));
+  }
+  std::vector<double> exact(g.num_vertices());
+  EXPECT_NO_THROW(dijkstra_costs_into(g, 0, w, scratch, exact));
+  EXPECT_EQ(exact[9], 9.0);
+}
+
 TEST(Bfs, ScratchReuseAcrossSourcesOnDisconnectedGraph) {
   const CsrGraph g = CsrGraph::from_edges(6, {{0, 1}, {1, 2}, {3, 4}});
   BfsScratch scratch;

@@ -33,14 +33,15 @@ TEST_P(UdgLambdaGridTest, InvariantsHoldAtEveryDensity) {
   EXPECT_TRUE(std::adjacent_find(idx.begin(), idx.end()) == idx.end());
   // Rep nodes exist iff tiles are good.
   for (std::size_t i = 0; i < r.classification.good.size(); ++i)
-    EXPECT_EQ(r.overlay.rep_node[i] != kNoNode, r.classification.good[i] == 1);
+    EXPECT_EQ(r.overlay.tile_nodes[i][0] != kNoNode, r.classification.good[i] == 1);
   // Exit chains of good tiles are populated with valid overlay nodes.
   for (std::size_t i = 0; i < r.classification.good.size(); ++i) {
     if (!r.classification.good[i]) continue;
+    const TileLeaders& nodes = r.overlay.tile_nodes[i];
     for (int d = 0; d < 4; ++d) {
-      const auto& chain = r.overlay.exit_chain[i][static_cast<std::size_t>(d)];
-      ASSERT_EQ(chain.size(), 1u);
-      EXPECT_LT(chain[0], r.overlay.geo.size());
+      const ExitSlots chain = exit_slots(nodes, d);
+      ASSERT_EQ(chain.size, 1u);
+      EXPECT_LT(nodes[chain.slot[0]], r.overlay.geo.size());
     }
   }
 }

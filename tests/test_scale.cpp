@@ -164,10 +164,10 @@ TEST(Reorder, ApplyPointsRoundTrip) {
   const PointSet ps = poisson_point_set({{0.0, 0.0}, {6.0, 6.0}}, 4.0, kSeed);
   const std::vector<std::uint32_t> perm = random_permutation(ps.size(), kSeed);
   const std::vector<std::uint32_t> inv = invert_permutation(perm);
-  const PointSet shuffled = apply_permutation(ps, perm);
-  EXPECT_EQ(shuffled.intensity, ps.intensity);
-  const PointSet back = apply_permutation(shuffled, inv);
-  expect_same_points(back.points, ps.points);
+  const std::vector<Vec2> shuffled = apply_permutation(std::span<const Vec2>(ps.points), perm);
+  for (std::size_t i = 0; i < perm.size(); ++i) EXPECT_EQ(shuffled[i], ps.points[perm[i]]);
+  const std::vector<Vec2> back = apply_permutation(std::span<const Vec2>(shuffled), inv);
+  expect_same_points(back, ps.points);
   EXPECT_THROW((void)apply_permutation(std::span<const Vec2>(ps.points),
                                        std::vector<std::uint32_t>{0}),
                std::invalid_argument);  // size mismatch
@@ -191,19 +191,6 @@ TEST(Reorder, SpatialPermutationIsDeterministicPermutation) {
     EXPECT_EQ(perm, spatial_order_permutation(ps.points, order));
   }
   EXPECT_TRUE(spatial_order_permutation({}, SpatialOrder::kHilbert).empty());
-}
-
-TEST(Reorder, FlatAdjacencyRelabelPreservesListOrder) {
-  // Lists are (distance, index)-ordered payloads; relabeling must map the
-  // entries without re-sorting them.
-  FlatAdjacency adj;
-  adj.offsets = {0, 2, 3, 3};
-  adj.neighbors = {2, 1, 0, /* vertex 2: empty */};
-  const std::vector<std::uint32_t> perm{2, 0, 1};  // new 0 = old 2, ...
-  const FlatAdjacency out = apply_permutation(adj, perm);
-  // inv = {1, 2, 0}: old list of perm[new], entries mapped through inv.
-  EXPECT_EQ(out.offsets, (std::vector<std::uint32_t>{0, 0, 2, 3}));
-  EXPECT_EQ(out.neighbors, (std::vector<std::uint32_t>{0, 2, 1}));
 }
 
 TEST(Reorder, HilbertBuildMatchesRelabeledBuildOracle) {

@@ -125,20 +125,6 @@ TEST(Quantile, MedianAndExtremes) {
   EXPECT_THROW((void)quantile({}, 0.5), std::invalid_argument);
 }
 
-TEST(HistogramTest, BinsAndClamping) {
-  Histogram h(0.0, 10.0, 10);
-  h.add(0.5);
-  h.add(9.5);
-  h.add(-3.0);   // clamps into bin 0
-  h.add(25.0);   // clamps into bin 9
-  EXPECT_EQ(h.total(), 4u);
-  EXPECT_EQ(h.bin_count(0), 2u);
-  EXPECT_EQ(h.bin_count(9), 2u);
-  EXPECT_DOUBLE_EQ(h.bin_lo(0), 0.0);
-  EXPECT_DOUBLE_EQ(h.bin_hi(9), 10.0);
-  EXPECT_THROW(Histogram(1.0, 1.0, 4), std::invalid_argument);
-}
-
 TEST(TableTest, MarkdownShape) {
   Table t({"a", "bb"});
   t.add_row({"1", "2"});
