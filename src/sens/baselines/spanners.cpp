@@ -17,11 +17,12 @@ namespace {
 
 /// Shared skeleton: keep the UDG edges passing `keep(u, v)`. The predicate
 /// is evaluated once per undirected edge in canonical orientation (u < v)
-/// into a per-arc kept mask, the mask is mirrored to the reverse arcs, and
-/// the surviving adjacency is written by the two-pass count-then-write
-/// builder — no edge-pair list, no global sort, no per-chunk buffers
-/// (DESIGN.md §2.3/§2.4). Every pass writes disjoint slots indexed by
-/// vertex/arc, so the result is bit-identical at any thread count.
+/// into a per-arc kept mask, one serial cursor pass mirrors the mask to the
+/// reverse arcs, and the surviving adjacency is written by the two-pass
+/// count-then-write builder — no edge-pair list, no global sort, no
+/// per-chunk buffers (DESIGN.md §2.3/§2.4). Every parallel pass writes
+/// disjoint slots indexed by vertex/arc, so the result is bit-identical at
+/// any thread count.
 template <typename Keep>
 GeoGraph filter_edges(const GeoGraph& udg, Keep&& keep) {
   GeoGraph out;
@@ -37,14 +38,18 @@ GeoGraph filter_edges(const GeoGraph& udg, Keep&& keep) {
       if (u < v) kept[a] = keep(u, v) ? 1 : 0;
     }
   });
-  parallel_for(n, [&](std::size_t i) {
-    const auto u = static_cast<std::uint32_t>(i);
+  // Mirror each verdict onto its reverse arc (v -> u). v's sorted list
+  // starts with its lower neighbors, and scanning sources u in ascending
+  // order meets exactly those in that order, so cursor[v]++ is the
+  // reverse arc.
+  std::vector<std::uint32_t> cursor(n);
+  for (std::uint32_t v = 0; v < n; ++v) cursor[v] = g.arc_begin(v);
+  for (std::uint32_t u = 0; u < n; ++u) {
     for (std::uint32_t a = g.arc_begin(u); a < g.arc_end(u); ++a) {
-      // Mirror the canonical orientation's verdict through the precomputed
-      // reverse-arc permutation (flat lookup, no per-edge binary search).
-      if (u > g.arc_target(a)) kept[a] = kept[g.reverse_arc(a)];
+      const std::uint32_t v = g.arc_target(a);
+      if (u < v) kept[cursor[v]++] = kept[a];
     }
-  });
+  }
 
   FlatAdjacency adj = build_flat_adjacency(
       n,

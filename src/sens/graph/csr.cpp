@@ -55,22 +55,6 @@ void dedupe_vertex_lists(std::vector<std::uint32_t>& offsets,
 
 }  // namespace
 
-/// One counting pass over the normalized (sorted, symmetric, loop-free,
-/// deduped) adjacency. Scanning sources in ascending order, the arcs into
-/// any vertex v arrive in ascending source order — exactly the order of
-/// v's sorted neighbor list — so a per-vertex cursor pairs arc (u -> v)
-/// with its reverse slot (v -> u) without any search.
-void CsrGraph::build_reverse_arcs() {
-  reverse_arc_.resize(adjacency_.size());
-  std::vector<std::uint32_t> cursor(offsets_.begin(),
-                                    offsets_.empty() ? offsets_.begin() : offsets_.end() - 1);
-  for (std::uint32_t u = 0; u < num_vertices(); ++u) {
-    for (std::uint32_t a = offsets_[u]; a < offsets_[u + 1]; ++a) {
-      reverse_arc_[a] = cursor[adjacency_[a]]++;
-    }
-  }
-}
-
 CsrGraph CsrGraph::Builder::build(std::size_t n) && {
   check_index_width(n, endpoints_.size());  // endpoints_.size() == 2m pre-merge
   CsrGraph g;
@@ -96,7 +80,6 @@ CsrGraph CsrGraph::Builder::build(std::size_t n) && {
   endpoints_.clear();
   sort_vertex_lists(g.offsets_, g.adjacency_);
   dedupe_vertex_lists(g.offsets_, g.adjacency_);
-  g.build_reverse_arcs();
   return g;
 }
 
@@ -119,7 +102,6 @@ CsrGraph CsrGraph::from_symmetric_adjacency(FlatAdjacency adj, bool lists_sorted
   g.adjacency_ = std::move(adj.neighbors);
   if (g.offsets_.empty()) g.offsets_.assign(1, 0);
   if (!lists_sorted) sort_vertex_lists(g.offsets_, g.adjacency_);
-  g.build_reverse_arcs();
   return g;
 }
 

@@ -109,13 +109,6 @@ class CsrGraph {
   [[nodiscard]] std::uint32_t arc_end(std::uint32_t v) const { return offsets_[v + 1]; }
   [[nodiscard]] std::uint32_t arc_target(std::size_t arc) const { return adjacency_[arc]; }
 
-  /// Index of the reverse arc: for arc a = (u -> v), reverse_arc(a) is the
-  /// arc (v -> u). Precomputed at build time (one O(m) counting pass), so
-  /// mirroring per-arc data onto reverse arcs — the spanner filters' kept
-  /// mask — is a flat lookup instead of a per-edge binary search.
-  /// Involution: reverse_arc(reverse_arc(a)) == a.
-  [[nodiscard]] std::uint32_t reverse_arc(std::size_t arc) const { return reverse_arc_[arc]; }
-
   /// Materialize `weight(u, v)` for every arc, aligned with the arc index
   /// (computed chunk-parallel; every slot is written exactly once, so the
   /// array is bit-identical at any thread count). Dijkstra's inner loop
@@ -147,11 +140,8 @@ class CsrGraph {
   [[nodiscard]] std::vector<std::pair<std::uint32_t, std::uint32_t>> edge_list() const;
 
  private:
-  void build_reverse_arcs();
-
-  std::vector<std::uint32_t> offsets_;      // n + 1
-  std::vector<std::uint32_t> adjacency_;    // 2 * m, sorted within each vertex
-  std::vector<std::uint32_t> reverse_arc_;  // 2 * m, arc -> its reverse arc
+  std::vector<std::uint32_t> offsets_;    // n + 1
+  std::vector<std::uint32_t> adjacency_;  // 2 * m, sorted within each vertex
 };
 
 /// Input contract of every traversal entry point (BFS, Dijkstra, the

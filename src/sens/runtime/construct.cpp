@@ -1,7 +1,6 @@
 #include "sens/runtime/construct.hpp"
 
 #include <algorithm>
-#include <unordered_map>
 
 #include "sens/runtime/radio.hpp"
 #include "sens/runtime/sim.hpp"
@@ -20,18 +19,17 @@ enum MsgKind : std::uint32_t {
   kPresent = 7,  // a = tile (NN occupancy counting)
 };
 
-constexpr std::uint64_t role_key(std::int64_t tile, std::int64_t slot) {
-  return static_cast<std::uint64_t>(tile) * 16 + static_cast<std::uint64_t>(slot);
-}
-
-/// Per-node protocol state.
+/// Per-node protocol state. A point holds roles only in the one tile
+/// `tile_roles` assigns it, so every per-role field is indexed by slot.
 struct NodeState {
-  std::uint32_t tile = kNoNode;                       // window tile index (or kNoNode)
-  std::vector<std::uint8_t> slots;                    // region slots held in `tile`
-  std::unordered_map<std::uint64_t, std::uint32_t> best;  // election best per role
-  TileLeaders heard = kNoLeaders;                     // leader per slot of own tile
-  std::uint32_t present_heard = 0;                    // same-tile PRESENT count
-  std::uint8_t armed_dirs = 0;                        // boundary relay: bitmask of directions
+  std::uint32_t tile = kNoNode;     // window tile index (or kNoNode)
+  std::uint16_t slot_mask = 0;      // bit s: holds region slot s of `tile`
+  TileLeaders best = kNoLeaders;    // election best per held slot
+  TileLeaders heard = kNoLeaders;   // leader per slot of own tile
+  std::uint32_t present_heard = 0;  // same-tile PRESENT count
+  std::uint8_t armed_dirs = 0;      // boundary relay: bitmask of directions
+
+  [[nodiscard]] bool holds(std::size_t slot) const { return (slot_mask >> slot) & 1u; }
 };
 
 class ConstructEngine {
@@ -54,11 +52,9 @@ class ConstructEngine {
       NodeState& st = state_[v];
       st.tile = tile;
       if (tile == kNoNode) continue;
+      st.slot_mask = static_cast<std::uint16_t>(mask);
       for (std::uint8_t slot = 0; slot < 9; ++slot) {
-        if (mask & (1u << slot)) {
-          st.slots.push_back(slot);
-          st.best[role_key(tile, slot)] = v;
-        }
+        if (st.holds(slot)) st.best[slot] = v;
       }
     }
   }
@@ -74,8 +70,8 @@ class ConstructEngine {
       const NodeState& st = state_[v];
       if (st.tile == kNoNode) continue;
       if (nn_mode_) radio_.broadcast({v, 0, kPresent, st.tile, 0, 0, 0});
-      for (const std::uint8_t slot : st.slots) {
-        radio_.broadcast({v, 0, kElect, st.tile, slot, v, 0});
+      for (std::uint8_t slot = 0; slot < 9; ++slot) {
+        if (st.holds(slot)) radio_.broadcast({v, 0, kElect, st.tile, slot, v, 0});
       }
     }
     result.events += sim_.run();
@@ -84,8 +80,8 @@ class ConstructEngine {
     // --- Phase 2: leaders announce; NN E relays forward C announcements ---
     for (std::uint32_t v = 0; v < net_->size(); ++v) {
       NodeState& st = state_[v];
-      for (const std::uint8_t slot : st.slots) {
-        if (st.best.at(role_key(st.tile, slot)) == v) {
+      for (std::uint8_t slot = 0; slot < 9; ++slot) {
+        if (st.best[slot] == v) {
           result.leaders[st.tile][slot] = v;
           st.heard[slot] = v;
           radio_.broadcast({v, 0, kLeader, st.tile, slot, v, 0});
@@ -190,10 +186,11 @@ class ConstructEngine {
         return;
       }
       case kElect: {
-        const auto it = st.best.find(role_key(m.a, m.b));
-        if (it == st.best.end()) return;  // not a member of this region
-        if (static_cast<std::uint32_t>(m.c) < it->second) {
-          it->second = static_cast<std::uint32_t>(m.c);
+        const auto slot = static_cast<std::size_t>(m.b);
+        // Not a member of this region.
+        if (st.tile != static_cast<std::uint32_t>(m.a) || !st.holds(slot)) return;
+        if (static_cast<std::uint32_t>(m.c) < st.best[slot]) {
+          st.best[slot] = static_cast<std::uint32_t>(m.c);
           radio_.broadcast({m.to, 0, kElect, m.a, m.b, m.c, 0});
         }
         return;
@@ -207,11 +204,7 @@ class ConstructEngine {
         if (nn_mode_ && m.kind == kLeader && slot >= 1 && slot <= 4) {
           // An E relay of the same direction forwards the C announcement
           // toward the representative (C disks are out of the rep's reach).
-          for (const std::uint8_t role_slot : st.slots) {
-            if (role_slot == slot + 4) {
-              radio_.broadcast({m.to, 0, kForward, m.a, m.b, m.c, 0});
-            }
-          }
+          if (st.holds(slot + 4)) radio_.broadcast({m.to, 0, kForward, m.a, m.b, m.c, 0});
         }
         return;
       }

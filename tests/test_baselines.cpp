@@ -1,6 +1,10 @@
 // Tests for the topology-control baselines: Gabriel, RNG, Yao.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <utility>
+#include <vector>
+
 #include "sens/baselines/spanners.hpp"
 #include "sens/geograph/point_set.hpp"
 #include "sens/geograph/udg.hpp"
@@ -68,6 +72,75 @@ TEST(Spanners, BitIdenticalAcrossThreadCounts) {
     EXPECT_EQ(yao_graph(udg, 6).graph.edge_list(), yao1) << threads << " threads";
   }
   set_thread_count(0);
+}
+
+using EdgeList = std::vector<std::pair<std::uint32_t, std::uint32_t>>;
+
+/// Brute-force spanner reference: the UDG edges {u, v} (u < v) that no
+/// other point of the whole set witnesses, with the library's 1e-15 margin.
+template <typename Witness>
+EdgeList brute_force_filter(const GeoGraph& udg, Witness&& witnesses) {
+  EdgeList out;
+  const std::uint32_t n = static_cast<std::uint32_t>(udg.size());
+  for (const auto& [u, v] : udg.graph.edge_list()) {
+    bool witnessed = false;
+    for (std::uint32_t w = 0; w < n && !witnessed; ++w) {
+      witnessed = w != u && w != v && witnesses(u, v, w);
+    }
+    if (!witnessed) out.emplace_back(u, v);
+  }
+  return out;
+}
+
+/// The spanner's full adjacency — both orientations of every edge — must
+/// equal the reference edge set, and each list must be mirrored in the
+/// other endpoint's list (scanned directly: `has_edge` searches only one
+/// endpoint, so it cannot see a one-sided list).
+void expect_exact_symmetric(const CsrGraph& g, const EdgeList& want, std::size_t n) {
+  ASSERT_EQ(g.num_vertices(), n);
+  std::vector<std::vector<std::uint32_t>> lists(n);
+  for (const auto& [u, v] : want) {
+    lists[u].push_back(v);
+    lists[v].push_back(u);
+  }
+  for (std::uint32_t u = 0; u < n; ++u) {
+    std::sort(lists[u].begin(), lists[u].end());
+    const auto got = g.neighbors(u);
+    EXPECT_TRUE(std::equal(got.begin(), got.end(), lists[u].begin(), lists[u].end()))
+        << "vertex " << u;
+    for (const std::uint32_t v : got) {
+      const auto back = g.neighbors(v);
+      EXPECT_TRUE(std::find(back.begin(), back.end(), u) != back.end()) << u << " -> " << v;
+    }
+  }
+  EXPECT_EQ(g.edge_list(), want);
+}
+
+// Gabriel and RNG against their definitions over all points (not just UDG
+// neighbors), on pinned small Poisson UDGs: pins the exact edge set and the
+// mirroring of each canonical (u < v) verdict onto the reverse arc.
+TEST(Spanners, GabrielAndRngMatchBruteForceDefinitions) {
+  for (const std::uint64_t seed : {11u, 12u, 13u}) {
+    SCOPED_TRACE(seed);
+    const GeoGraph udg = dense_udg(seed, 6.0, 8.0);  // ~380 points
+    ASSERT_GT(udg.size(), 200u);
+    const EdgeList gg = brute_force_filter(udg, [&](std::uint32_t u, std::uint32_t v,
+                                                    std::uint32_t w) {
+      const Vec2 mid = (udg.points[u] + udg.points[v]) * 0.5;
+      return dist2(udg.points[w], mid) < dist2(udg.points[u], mid) - 1e-15;
+    });
+    const EdgeList rng = brute_force_filter(udg, [&](std::uint32_t u, std::uint32_t v,
+                                                     std::uint32_t w) {
+      const double d2 = dist2(udg.points[u], udg.points[v]);
+      return dist2(udg.points[u], udg.points[w]) < d2 - 1e-15 &&
+             dist2(udg.points[v], udg.points[w]) < d2 - 1e-15;
+    });
+    // Non-vacuous: both filters drop edges, and RNG drops more.
+    ASSERT_LT(gg.size(), udg.graph.num_edges());
+    ASSERT_LT(rng.size(), gg.size());
+    expect_exact_symmetric(gabriel_graph(udg).graph, gg, udg.size());
+    expect_exact_symmetric(relative_neighborhood_graph(udg).graph, rng, udg.size());
+  }
 }
 
 TEST(Gabriel, RejectsWitnessedEdge) {

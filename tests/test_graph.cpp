@@ -38,7 +38,7 @@ std::vector<std::pair<std::uint32_t, std::uint32_t>> random_edges(std::size_t n,
 }
 
 /// Index of the arc u -> v by binary search over u's sorted neighbor list —
-/// the reference for `reverse_arc`. Precondition: the edge exists.
+/// the reference for the arc view. Precondition: the edge exists.
 std::size_t arc_index(const CsrGraph& g, std::uint32_t u, std::uint32_t v) {
   const auto nbrs = g.neighbors(u);
   const auto it = std::lower_bound(nbrs.begin(), nbrs.end(), v);
@@ -561,36 +561,6 @@ TEST(UnionFindTest, BasicInvariants) {
   EXPECT_EQ(uf.set_size(9), 1u);
 }
 
-// The precomputed reverse-arc permutation (the spanner filters' flat
-// mirror lookup): on a pinned-seed random graph, through both the Builder
-// and the selection construction paths, every arc round-trips.
-TEST(Csr, ReverseArcRoundTripOnPinnedSeed) {
-  const std::size_t n = 300;
-  const CsrGraph g = CsrGraph::from_edges(n, random_edges(n, 1200, 0x5EB5));
-  ASSERT_GT(g.num_edges(), 0u);
-  for (std::uint32_t u = 0; u < n; ++u) {
-    for (std::uint32_t a = g.arc_begin(u); a < g.arc_end(u); ++a) {
-      const std::uint32_t v = g.arc_target(a);
-      const std::uint32_t rev = g.reverse_arc(a);
-      EXPECT_EQ(rev, arc_index(g, v, u));       // the binary search it replaces
-      EXPECT_EQ(g.arc_target(rev), u);          // reverse arc points back
-      EXPECT_EQ(g.reverse_arc(rev), a);         // involution
-    }
-  }
-  // The selection path funnels through from_symmetric_adjacency; its
-  // permutation must satisfy the same contract.
-  FlatAdjacency sel;
-  sel.offsets = {0, 2, 3, 4, 4};
-  sel.neighbors = {1, 2, 3, 0};
-  const CsrGraph s = CsrGraph::from_selections(std::move(sel));
-  for (std::uint32_t u = 0; u < s.num_vertices(); ++u) {
-    for (std::uint32_t a = s.arc_begin(u); a < s.arc_end(u); ++a) {
-      EXPECT_EQ(s.reverse_arc(a), arc_index(s, s.arc_target(a), u));
-      EXPECT_EQ(s.reverse_arc(s.reverse_arc(a)), a);
-    }
-  }
-}
-
 // --- CsrGraph::apply_edge_delta: the sens/dynamic overlay patcher --------
 
 TEST(CsrEdgeDelta, RandomDeltasMatchFromEdgesOracle) {
@@ -624,10 +594,6 @@ TEST(CsrEdgeDelta, RandomDeltasMatchFromEdgesOracle) {
       const auto a = patched.neighbors(v);
       const auto b = oracle.neighbors(v);
       ASSERT_TRUE(std::equal(a.begin(), a.end(), b.begin(), b.end())) << "vertex " << v;
-    }
-    // Arc view must be rebuilt consistently (reverse arcs are involutions).
-    for (std::size_t arc = 0; arc < patched.num_arcs(); ++arc) {
-      ASSERT_EQ(patched.reverse_arc(patched.reverse_arc(arc)), arc);
     }
   }
 }
