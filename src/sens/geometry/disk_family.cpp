@@ -9,10 +9,6 @@
 
 namespace sens {
 
-DiskFamilyGenerator DiskFamilyGenerator::constant(Circle c, double r) {
-  return {c, [r](Vec2) { return r; }};
-}
-
 DiskFamilyGenerator DiskFamilyGenerator::inscribed(Circle c, Box domain) {
   return {c, [domain](Vec2 q) { return domain.inscribed_radius(q); }};
 }

@@ -31,10 +31,6 @@ struct DiskFamilyGenerator {
   Circle circle;                              ///< generator disk (constraints from its boundary)
   std::function<double(Vec2)> radius_at;      ///< concave radius field R(q)
 
-  /// Generator with a constant radius: intersection over q of ball(q, r)
-  /// has the closed form ball(center, r - circle.radius); kept in the general
-  /// framework so the same code path covers both constructions.
-  static DiskFamilyGenerator constant(Circle c, double r);
   /// Generator whose radius at q is the inscribed radius of `domain`
   /// (largest disk centered at q inside the rectangle), as in Sec 2.2.
   static DiskFamilyGenerator inscribed(Circle c, Box domain);

@@ -1,9 +1,5 @@
 #include "sens/geometry/polygon.hpp"
 
-#include <cmath>
-#include <numbers>
-#include <stdexcept>
-
 namespace sens {
 
 ConvexPolygon::ConvexPolygon(std::vector<Vec2> vertices) : vertices_(std::move(vertices)) {}
@@ -17,21 +13,6 @@ double ConvexPolygon::area() const {
     twice += a.cross(b);
   }
   return twice / 2.0;
-}
-
-Vec2 ConvexPolygon::centroid() const {
-  if (empty()) return {};
-  double twice = 0.0;
-  Vec2 acc{0.0, 0.0};
-  for (std::size_t i = 0; i < vertices_.size(); ++i) {
-    const Vec2 a = vertices_[i];
-    const Vec2 b = vertices_[(i + 1) % vertices_.size()];
-    const double w = a.cross(b);
-    twice += w;
-    acc += (a + b) * w;
-  }
-  if (twice == 0.0) return vertices_[0];
-  return acc / (3.0 * twice);
 }
 
 bool ConvexPolygon::contains(Vec2 p, double eps) const {
@@ -51,30 +32,6 @@ bool ConvexPolygon::contains(Vec2 p, double eps) const {
       hi = mid;
   }
   return (vertices_[hi] - vertices_[lo]).cross(p - vertices_[lo]) >= -eps;
-}
-
-bool ConvexPolygon::is_convex(double eps) const {
-  const std::size_t n = vertices_.size();
-  if (n < 3) return false;
-  for (std::size_t i = 0; i < n; ++i) {
-    const Vec2 a = vertices_[i];
-    const Vec2 b = vertices_[(i + 1) % n];
-    const Vec2 c = vertices_[(i + 2) % n];
-    if ((b - a).cross(c - b) < -eps) return false;
-  }
-  return true;
-}
-
-Box ConvexPolygon::bounding_box() const {
-  if (empty()) return {};
-  Vec2 lo = vertices_[0], hi = vertices_[0];
-  for (const Vec2 v : vertices_) {
-    lo.x = std::min(lo.x, v.x);
-    lo.y = std::min(lo.y, v.y);
-    hi.x = std::max(hi.x, v.x);
-    hi.y = std::max(hi.y, v.y);
-  }
-  return {lo, hi};
 }
 
 ConvexPolygon ConvexPolygon::clip_halfplane(Vec2 n, double c) const {
@@ -100,21 +57,6 @@ ConvexPolygon ConvexPolygon::clip_box(const Box& box) const {
       .clip_halfplane({-1.0, 0.0}, -box.lo.x)
       .clip_halfplane({0.0, 1.0}, box.hi.y)
       .clip_halfplane({0.0, -1.0}, -box.lo.y);
-}
-
-ConvexPolygon box_polygon(const Box& box) {
-  return ConvexPolygon({box.lo, {box.hi.x, box.lo.y}, box.hi, {box.lo.x, box.hi.y}});
-}
-
-ConvexPolygon circle_polygon(Vec2 center, double radius, std::size_t n) {
-  if (n < 3) throw std::invalid_argument("circle_polygon: n < 3");
-  std::vector<Vec2> verts;
-  verts.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    const double theta = 2.0 * std::numbers::pi * static_cast<double>(i) / static_cast<double>(n);
-    verts.push_back(center + radius * unit_vec(theta));
-  }
-  return ConvexPolygon(std::move(verts));
 }
 
 }  // namespace sens

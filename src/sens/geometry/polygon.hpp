@@ -16,8 +16,8 @@ namespace sens {
 class ConvexPolygon {
  public:
   ConvexPolygon() = default;
-  /// Vertices must be in counter-clockwise order and form a convex chain;
-  /// verified in debug via is_convex().
+  /// Vertices must be in counter-clockwise order and form a convex chain
+  /// (not checked).
   explicit ConvexPolygon(std::vector<Vec2> vertices);
 
   [[nodiscard]] bool empty() const { return vertices_.size() < 3; }
@@ -27,16 +27,9 @@ class ConvexPolygon {
   /// Signed (shoelace) area; >= 0 for CCW polygons.
   [[nodiscard]] double area() const;
 
-  [[nodiscard]] Vec2 centroid() const;
-
   /// Point membership (closed set, tolerance eps) by fan binary search from
   /// vertices_[0]: O(log n).
   [[nodiscard]] bool contains(Vec2 p, double eps = 1e-12) const;
-
-  /// True if every interior angle turns left (allowing collinear runs).
-  [[nodiscard]] bool is_convex(double eps = 1e-12) const;
-
-  [[nodiscard]] Box bounding_box() const;
 
   /// Clip by half-plane {p : n.dot(p) <= c} (Sutherland-Hodgman step).
   [[nodiscard]] ConvexPolygon clip_halfplane(Vec2 n, double c) const;
@@ -47,11 +40,5 @@ class ConvexPolygon {
  private:
   std::vector<Vec2> vertices_;
 };
-
-/// CCW rectangle polygon for a box.
-[[nodiscard]] ConvexPolygon box_polygon(const Box& box);
-
-/// Regular n-gon inscribed approximation of a circle (CCW).
-[[nodiscard]] ConvexPolygon circle_polygon(Vec2 center, double radius, std::size_t n);
 
 }  // namespace sens

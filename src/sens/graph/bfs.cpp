@@ -64,13 +64,6 @@ void bfs_distances_into(const CsrGraph& g, std::uint32_t source, BfsScratch& scr
   }
 }
 
-std::uint32_t bfs_distance(const CsrGraph& g, std::uint32_t source, std::uint32_t target,
-                           BfsScratch& scratch) {
-  check_vertex_id(g, source, "bfs_distance");
-  check_vertex_id(g, target, "bfs_distance");
-  return bfs_run(g, source, scratch, target) ? scratch.dist[target] : kUnreachable;
-}
-
 bool bfs_path_into(const CsrGraph& g, std::uint32_t source, std::uint32_t target,
                    BfsScratch& scratch, std::vector<std::uint32_t>& path) {
   check_vertex_id(g, source, "bfs_path_into");

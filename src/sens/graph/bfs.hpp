@@ -57,11 +57,6 @@ struct BfsScratch {
 void bfs_distances_into(const CsrGraph& g, std::uint32_t source, BfsScratch& scratch,
                         std::span<std::uint32_t> out);
 
-/// Hop distance from `source` to `target` only, with early exit; returns
-/// kUnreachable when disconnected.
-[[nodiscard]] std::uint32_t bfs_distance(const CsrGraph& g, std::uint32_t source,
-                                         std::uint32_t target, BfsScratch& scratch);
-
 /// Shortest hop path from source to target written into `path` (cleared;
 /// empty when disconnected; includes both endpoints). Returns true when
 /// the target was reached.

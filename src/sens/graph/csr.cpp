@@ -86,7 +86,6 @@ CsrGraph CsrGraph::Builder::build(std::size_t n) && {
 CsrGraph CsrGraph::from_edges(std::size_t n,
                               std::vector<std::pair<std::uint32_t, std::uint32_t>> edges) {
   Builder b;
-  b.reserve(edges.size());
   for (const auto& [u, v] : edges) b.add_edge(u, v);
   edges.clear();
   return std::move(b).build(n);

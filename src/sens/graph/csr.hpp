@@ -30,7 +30,6 @@ class CsrGraph {
   /// instead of an intermediate `vector<pair>` edge list.
   class Builder {
    public:
-    void reserve(std::size_t edges) { endpoints_.reserve(2 * edges); }
     void add_edge(std::uint32_t u, std::uint32_t v) {
       endpoints_.push_back(u);
       endpoints_.push_back(v);

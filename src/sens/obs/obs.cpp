@@ -64,10 +64,6 @@ CounterSnapshot CounterRegistry::snapshot() const {
   return out;
 }
 
-std::uint64_t CounterRegistry::value(Counter c) const {
-  return snapshot()[static_cast<std::size_t>(c)];
-}
-
 void CounterRegistry::reset() {
   const std::lock_guard<std::mutex> lock(mutex_);
   for (const auto& block : blocks_) {
@@ -82,20 +78,6 @@ void LatencyHistogram::record(std::uint64_t ns) noexcept {
   if (count_ == 0 || ns < min_ns_) min_ns_ = ns;
   if (ns > max_ns_) max_ns_ = ns;
   ++count_;
-  sum_ns_ += ns;
-}
-
-void LatencyHistogram::merge(const LatencyHistogram& other) noexcept {
-  if (other.count_ == 0) return;
-  for (std::size_t i = 0; i < kBuckets; ++i) buckets_[i] += other.buckets_[i];
-  if (count_ == 0 || other.min_ns_ < min_ns_) min_ns_ = other.min_ns_;
-  if (other.max_ns_ > max_ns_) max_ns_ = other.max_ns_;
-  count_ += other.count_;
-  sum_ns_ += other.sum_ns_;
-}
-
-double LatencyHistogram::mean_ns() const noexcept {
-  return count_ == 0 ? 0.0 : static_cast<double>(sum_ns_) / static_cast<double>(count_);
 }
 
 std::uint64_t LatencyHistogram::percentile_ns(double p) const noexcept {

@@ -94,7 +94,6 @@ class CounterRegistry {
   }
 
   [[nodiscard]] CounterSnapshot snapshot() const;
-  [[nodiscard]] std::uint64_t value(Counter c) const;
 
   /// Zero every registered block (blocks stay registered — thread caches
   /// remain valid). Tests call this between determinism trials.
@@ -123,12 +122,10 @@ class LatencyHistogram {
   static constexpr std::size_t kBuckets = 65;  // bit_width(uint64) ∈ [0, 64]
 
   void record(std::uint64_t ns) noexcept;
-  void merge(const LatencyHistogram& other) noexcept;
 
   [[nodiscard]] std::uint64_t count() const noexcept { return count_; }
   [[nodiscard]] std::uint64_t min_ns() const noexcept { return count_ ? min_ns_ : 0; }
   [[nodiscard]] std::uint64_t max_ns() const noexcept { return max_ns_; }
-  [[nodiscard]] double mean_ns() const noexcept;
 
   /// Upper edge of the bucket containing quantile p ∈ [0, 1], clamped to
   /// the observed [min, max] — a conservative (over-)estimate with ≤2x
@@ -138,7 +135,6 @@ class LatencyHistogram {
  private:
   std::array<std::uint64_t, kBuckets> buckets_{};
   std::uint64_t count_ = 0;
-  std::uint64_t sum_ns_ = 0;
   std::uint64_t min_ns_ = 0;
   std::uint64_t max_ns_ = 0;
 };

@@ -33,10 +33,4 @@ ClusterLabels::ClusterLabels(const SiteGrid& grid) : grid_(&grid) {
   }
 }
 
-double ClusterLabels::theta_estimate() const {
-  return grid_->num_sites() == 0
-             ? 0.0
-             : static_cast<double>(largest_cluster_size()) / static_cast<double>(grid_->num_sites());
-}
-
 }  // namespace sens

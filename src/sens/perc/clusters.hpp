@@ -32,10 +32,6 @@ class ClusterLabels {
     return label(a) >= 0 && label(a) == label(b);
   }
 
-  /// Fraction of *all* sites in the largest cluster: the finite-volume
-  /// estimator of theta(p).
-  [[nodiscard]] double theta_estimate() const;
-
   [[nodiscard]] const SiteGrid& grid() const { return *grid_; }
 
  private:

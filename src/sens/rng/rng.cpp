@@ -77,13 +77,6 @@ double Rng::normal() {
 
 double Rng::normal(double mean, double stddev) { return mean + stddev * normal(); }
 
-double Rng::exponential(double lambda) {
-  if (lambda <= 0.0) throw std::invalid_argument("exponential: lambda <= 0");
-  double u = uniform();
-  if (u <= 0.0) u = 0x1.0p-53;
-  return -std::log(u) / lambda;
-}
-
 std::uint64_t Rng::poisson(double mean) {
   if (mean < 0.0) throw std::invalid_argument("poisson: mean < 0");
   if (mean == 0.0) return 0;

@@ -58,8 +58,6 @@ class Rng {
   /// Standard normal via Box-Muller (unbuffered; ~2 uniforms per call).
   double normal();
   double normal(double mean, double stddev);
-  /// Exponential with rate lambda.
-  double exponential(double lambda);
   /// Poisson-distributed count with the given mean. Exact inversion for
   /// small means, PTRD-style normal-approximation-free splitting for large
   /// means (splits mean in halves until small enough for inversion).

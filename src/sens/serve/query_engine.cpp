@@ -1,6 +1,5 @@
 #include "sens/serve/query_engine.hpp"
 
-#include <numeric>
 #include <stdexcept>
 #include <string>
 
@@ -11,13 +10,7 @@ namespace sens {
 
 namespace {
 
-/// Working memory of one `routes` participant.
-struct RouteScratch {
-  DijkstraScratch dijkstra;
-  std::vector<std::uint32_t> path;
-};
-
-/// The exact forms' input contract: an id >= n would index past every
+/// The exact form's input contract: an id >= n would index past every
 /// per-vertex array, so the whole batch is rejected before any dispatch.
 void check_ids(const CsrGraph& g, std::span<const Query> queries) {
   const std::size_t n = g.num_vertices();
@@ -121,33 +114,6 @@ void QueryEngine::exact_distances(std::span<const Query> queries, std::span<doub
 ServeStats QueryEngine::estimate_distances(std::span<const Query> queries,
                                            std::span<double> out) const {
   return serve_batch(*g_, weights_, oracle_, max_stretch_, queries, out, {});
-}
-
-void QueryEngine::routes(std::span<const Query> queries, std::vector<std::uint32_t>& offsets,
-                         std::vector<std::uint32_t>& nodes) const {
-  check_ids(*g_, queries);
-  const std::size_t q = queries.size();
-  // Per-chunk node buffers concatenated in chunk order equal one serial
-  // left-to-right pass (§2.3): chunk c covers a contiguous query range, and
-  // offsets come from per-query lengths, so the layout is caller-thread-
-  // and worker-count-invariant.
-  const ChunkLayout layout = chunk_layout(q);
-  std::vector<std::vector<std::uint32_t>> chunk_nodes(layout.count);
-  offsets.assign(q + 1, 0);
-  parallel_for_chunks<RouteScratch>(q, [&](RouteScratch& scratch, std::size_t begin,
-                                             std::size_t end) {
-    std::vector<std::uint32_t>& sink = chunk_nodes[layout.index_of(begin)];
-    for (std::size_t i = begin; i < end; ++i) {
-      dijkstra_path_into(*g_, queries[i].src, queries[i].dst, weights_, scratch.dijkstra,
-                         scratch.path);
-      offsets[i + 1] = static_cast<std::uint32_t>(scratch.path.size());
-      sink.insert(sink.end(), scratch.path.begin(), scratch.path.end());
-    }
-  });
-  std::partial_sum(offsets.begin(), offsets.end(), offsets.begin());
-  nodes.clear();
-  nodes.reserve(offsets.back());
-  for (const auto& c : chunk_nodes) nodes.insert(nodes.end(), c.begin(), c.end());
 }
 
 std::vector<SensRoute> route_batch(const SensRouter& router,

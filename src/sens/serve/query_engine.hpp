@@ -116,7 +116,7 @@ class QueryEngine {
   // --- batched forms: chunk-parallel over the batch, results written to
   // caller-owned buffers, safe to call concurrently on one engine. Every
   // form throws std::invalid_argument, before any work, when out.size() !=
-  // queries.size(); the exact forms throw std::out_of_range, before any
+  // queries.size(); the exact form throws std::out_of_range, before any
   // work, when a query names an id >= the vertex count ---
 
   /// Exact weighted distance per query into out[i] (kInfCost when
@@ -126,13 +126,6 @@ class QueryEngine {
   /// Oracle-first distance per query into out[i]: `serve_batch` over this
   /// engine (out-of-range ids are answered kInfCost and counted stale).
   ServeStats estimate_distances(std::span<const Query> queries, std::span<double> out) const;
-
-  /// Min-cost node paths for a batch, concatenated into caller-owned
-  /// buffers: path i occupies nodes[offsets[i] .. offsets[i + 1]) (empty
-  /// when disconnected; includes both endpoints otherwise). Both vectors
-  /// are overwritten; offsets gets queries.size() + 1 entries.
-  void routes(std::span<const Query> queries, std::vector<std::uint32_t>& offsets,
-              std::vector<std::uint32_t>& nodes) const;
 
   [[nodiscard]] const CsrGraph& graph() const { return *g_; }
   [[nodiscard]] std::span<const double> arc_weights() const { return weights_; }

@@ -14,39 +14,8 @@ void RunningStats::add(double x) {
     max_ = std::max(max_, x);
   }
   ++n_;
-  const double delta = x - mean_;
-  mean_ += delta / static_cast<double>(n_);
-  m2_ += delta * (x - mean_);
+  mean_ += (x - mean_) / static_cast<double>(n_);
 }
-
-void RunningStats::merge(const RunningStats& other) {
-  if (other.n_ == 0) return;
-  if (n_ == 0) {
-    *this = other;
-    return;
-  }
-  const double na = static_cast<double>(n_);
-  const double nb = static_cast<double>(other.n_);
-  const double delta = other.mean_ - mean_;
-  const double n = na + nb;
-  mean_ += delta * nb / n;
-  m2_ += other.m2_ + delta * delta * na * nb / n;
-  min_ = std::min(min_, other.min_);
-  max_ = std::max(max_, other.max_);
-  n_ += other.n_;
-}
-
-double RunningStats::variance() const {
-  return n_ > 1 ? m2_ / static_cast<double>(n_ - 1) : 0.0;
-}
-
-double RunningStats::stddev() const { return std::sqrt(variance()); }
-
-double RunningStats::stderr_mean() const {
-  return n_ > 0 ? stddev() / std::sqrt(static_cast<double>(n_)) : 0.0;
-}
-
-double RunningStats::ci95_halfwidth() const { return 1.96 * stderr_mean(); }
 
 double Proportion::estimate() const {
   return trials == 0 ? 0.0 : static_cast<double>(successes) / static_cast<double>(trials);

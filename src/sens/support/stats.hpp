@@ -1,5 +1,5 @@
 // Statistics helpers shared by the experiment harness and tests:
-// streaming moments, confidence intervals, proportion intervals, quantiles,
+// streaming mean/min/max, proportion intervals, quantiles,
 // least-squares line fits (used for the exponential-decay fits of the
 // coverage and chemical-distance experiments).
 #pragma once
@@ -10,27 +10,19 @@
 
 namespace sens {
 
-/// Welford streaming mean/variance accumulator.
+/// Streaming mean/min/max accumulator.
 class RunningStats {
  public:
   void add(double x);
-  void merge(const RunningStats& other);
 
   [[nodiscard]] std::size_t count() const { return n_; }
   [[nodiscard]] double mean() const { return n_ ? mean_ : 0.0; }
-  [[nodiscard]] double variance() const;       ///< Sample variance (n-1 denominator).
-  [[nodiscard]] double stddev() const;
-  [[nodiscard]] double stderr_mean() const;    ///< Standard error of the mean.
   [[nodiscard]] double min() const { return min_; }
   [[nodiscard]] double max() const { return max_; }
-
-  /// Half-width of a ~95% normal confidence interval for the mean.
-  [[nodiscard]] double ci95_halfwidth() const;
 
  private:
   std::size_t n_ = 0;
   double mean_ = 0.0;
-  double m2_ = 0.0;
   double min_ = 0.0;
   double max_ = 0.0;
 };

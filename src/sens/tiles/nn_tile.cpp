@@ -98,11 +98,9 @@ NnTileSpec::NnTileSpec(double a, std::size_t k) : a_(a), k_(k) {
   cache.entries.emplace_back(a_, e_polygons_);
 }
 
-DiskFamilyRegion NnTileSpec::make_e_region(int dir) const { return make_e_region_for(a_, dir); }
-
 bool NnTileSpec::in_e_region_exact(Vec2 local, int dir, double eps) const {
   if (!in_tile(local)) return false;
-  return make_e_region(dir).contains(local, eps);
+  return make_e_region_for(a_, dir).contains(local, eps);
 }
 
 unsigned NnTileSpec::region_mask(Vec2 local) const {

@@ -78,8 +78,6 @@ class NnTileSpec {
   [[nodiscard]] bool regions_occupied(std::span<const Vec2> local_points) const;
 
  private:
-  [[nodiscard]] DiskFamilyRegion make_e_region(int dir) const;
-
   double a_;
   std::size_t k_;
   std::array<ConvexPolygon, 4> e_polygons_;

@@ -26,13 +26,6 @@ bool UdgTileSpec::in_relay_region(Vec2 local, int dir) const {
   return local.norm2() <= r2 && dist2(local, neighbor_center) <= r2;
 }
 
-double UdgTileSpec::rep_region_area() const {
-  // C0 may poke out of the tile only if rep_radius > side/2; all presets
-  // keep it inside, but clip for safety.
-  const Box tile = Box::square({0.0, 0.0}, side);
-  return disk_polygon_area(Circle{{0.0, 0.0}, rep_radius}, box_polygon(tile));
-}
-
 double UdgTileSpec::relay_region_area() const {
   // Lens of the two reach-disks, clipped to the tile, minus the C0 overlap.
   // The lens is convex; polygonize it finely and clip.

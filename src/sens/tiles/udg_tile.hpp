@@ -54,7 +54,6 @@ struct UdgTileSpec {
 
   // --- analytics ---
 
-  [[nodiscard]] double rep_region_area() const;
   /// Exact area of one relay region (lens ∩ tile \ C0).
   [[nodiscard]] double relay_region_area() const;
 

@@ -594,8 +594,9 @@ TEST(EpochEngine, AllDisconnectedBatchIsExplicit) {
     EXPECT_EQ(b.upper, kInfCost) << "query " << i;
   }
   BfsScratch bfs;
+  std::vector<std::uint32_t> path;
   for (const Query& q : queries) {
-    EXPECT_EQ(bfs_distance(faulted.geo.graph, q.src, q.dst, bfs), kUnreachable);
+    EXPECT_FALSE(bfs_path_into(faulted.geo.graph, q.src, q.dst, bfs, path));
   }
 }
 

@@ -99,15 +99,11 @@ TEST(Bfs, DistancesOnPath) {
   const CsrGraph g = path_graph(6);
   const auto dist = fresh_bfs_row(g, 0);
   for (std::uint32_t i = 0; i < 6; ++i) EXPECT_EQ(dist[i], i);
-  BfsScratch scratch;
-  EXPECT_EQ(bfs_distance(g, 0, 5, scratch), 5u);
-  EXPECT_EQ(bfs_distance(g, 2, 2, scratch), 0u);
 }
 
 TEST(Bfs, Unreachable) {
   const CsrGraph g = CsrGraph::from_edges(4, {{0, 1}, {2, 3}});
   BfsScratch scratch;
-  EXPECT_EQ(bfs_distance(g, 0, 3, scratch), kUnreachable);
   EXPECT_EQ(fresh_bfs_row(g, 0)[2], kUnreachable);
   std::vector<std::uint32_t> path{7};  // stale contents must vanish
   EXPECT_FALSE(bfs_path_into(g, 0, 3, scratch, path));
@@ -181,7 +177,6 @@ TEST(Dijkstra, UnreachableIsInf) {
 TEST(Csr, BuilderMatchesFromEdges) {
   const auto edges = random_edges(50, 300, 23);  // dups + self loops likely
   CsrGraph::Builder b;
-  b.reserve(edges.size());
   for (const auto& [u, v] : edges) b.add_edge(u, v);
   EXPECT_EQ(b.edges_added(), edges.size());
   const CsrGraph built = std::move(b).build(50);
@@ -443,15 +438,14 @@ TEST(Bfs, EntryPointsRejectOutOfRangeIds) {
   std::vector<std::uint32_t> path = {7};
   for (const std::uint32_t bad : {10u, 11u, 0xffffffffu}) {
     EXPECT_THROW(bfs_distances_into(g, bad, scratch, row), std::out_of_range);
-    EXPECT_THROW((void)bfs_distance(g, bad, 0, scratch), std::out_of_range);
-    EXPECT_THROW((void)bfs_distance(g, 0, bad, scratch), std::out_of_range);
     EXPECT_THROW(bfs_path_into(g, bad, 0, scratch, path), std::out_of_range);
     EXPECT_THROW(bfs_path_into(g, 0, bad, scratch, path), std::out_of_range);
   }
   EXPECT_EQ(row[0], 7u);
   EXPECT_EQ(path, std::vector<std::uint32_t>{7});
   EXPECT_TRUE(scratch.stamp.empty());
-  EXPECT_EQ(bfs_distance(g, 0, 9, scratch), 9u);
+  ASSERT_TRUE(bfs_path_into(g, 0, 9, scratch, path));
+  EXPECT_EQ(path.size(), 10u);
 }
 
 TEST(Bfs, ManyRejectsOutOfRangeSourceBeforeDispatch) {
@@ -500,9 +494,10 @@ TEST(Bfs, ScratchReuseAcrossSourcesOnDisconnectedGraph) {
     const auto fresh = fresh_bfs_row(g, s);
     EXPECT_EQ(out, fresh);
   }
-  EXPECT_EQ(bfs_distance(g, 0, 4, scratch), kUnreachable);
-  EXPECT_EQ(bfs_distance(g, 3, 4, scratch), 1u);
   std::vector<std::uint32_t> path;
+  EXPECT_FALSE(bfs_path_into(g, 0, 4, scratch, path));
+  EXPECT_TRUE(bfs_path_into(g, 3, 4, scratch, path));
+  EXPECT_EQ(path, (std::vector<std::uint32_t>{3, 4}));
   EXPECT_TRUE(bfs_path_into(g, 0, 2, scratch, path));
   EXPECT_EQ(path, (std::vector<std::uint32_t>{0, 1, 2}));
   EXPECT_FALSE(bfs_path_into(g, 2, 3, scratch, path));

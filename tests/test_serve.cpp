@@ -37,6 +37,13 @@
 namespace sens {
 namespace {
 
+#if SENS_OBS_ENABLED
+/// Registry total of counter `c` (summed over every thread's block).
+std::uint64_t counter(obs::Counter c) {
+  return obs::CounterRegistry::global().snapshot()[static_cast<std::size_t>(c)];
+}
+#endif
+
 /// Deterministic symmetric weight for edge {u, v} — irregular enough that
 /// shortest paths are not hop counts.
 double edge_weight(std::uint32_t u, std::uint32_t v) {
@@ -329,9 +336,9 @@ TEST(ServeEstimate, DisconnectedPairsCertifiedInfinite) {
   auto& reg = obs::CounterRegistry::global();
   reg.reset();
   (void)engine.estimate_distances(qs, est);
-  EXPECT_EQ(reg.value(obs::Counter::kOracleFallback), 0u);
-  EXPECT_EQ(reg.value(obs::Counter::kDijkstraRuns), 0u);
-  EXPECT_EQ(reg.value(obs::Counter::kOracleDisconnected), qs.size());
+  EXPECT_EQ(counter(obs::Counter::kOracleFallback), 0u);
+  EXPECT_EQ(counter(obs::Counter::kDijkstraRuns), 0u);
+  EXPECT_EQ(counter(obs::Counter::kOracleDisconnected), qs.size());
 #endif
 }
 
@@ -538,27 +545,24 @@ TEST(ServeExact, OutOfRangeIdsThrowBeforeAnyWork) {
   std::vector<double> dist(qs.size(), -1.0);
   EXPECT_THROW(engine.exact_distances(qs, dist), std::out_of_range);
   EXPECT_EQ(dist[0], -1.0);  // rejected upfront: no slot written
-  std::vector<std::uint32_t> offsets;
-  std::vector<std::uint32_t> nodes;
-  EXPECT_THROW(engine.routes(std::vector<Query>{{n + 1, 0}}, offsets, nodes), std::out_of_range);
 }
 
 TEST(ServeRoutes, PathsValidAndCostMatchesDistance) {
+  // An exact node path (dijkstra_path_into) costs exactly what
+  // exact_distances serves for the same query.
   const TestGraph tg = make_graph(150, 80, 31, 6);
   const QueryEngine engine(tg.graph, tg.weights);
   auto qs = make_queries(60, tg.graph.num_vertices(), 31);
   qs.push_back({10, 10});     // self: single-vertex path
   qs.push_back({0, 152});     // disconnected: empty path
-  std::vector<std::uint32_t> offsets;
-  std::vector<std::uint32_t> nodes;
-  engine.routes(qs, offsets, nodes);
-  ASSERT_EQ(offsets.size(), qs.size() + 1);
-  EXPECT_EQ(offsets.back(), nodes.size());
   std::vector<double> exact(qs.size());
   engine.exact_distances(qs, exact);
+  DijkstraScratch scratch;
+  std::vector<std::uint32_t> path{7};  // stale contents must vanish
   for (std::size_t i = 0; i < qs.size(); ++i) {
-    const auto path = std::span<const std::uint32_t>(nodes).subspan(
-        offsets[i], offsets[i + 1] - offsets[i]);
+    EXPECT_EQ(dijkstra_path_into(tg.graph, qs[i].src, qs[i].dst, tg.weights, scratch, path),
+              exact[i] < kInfCost)
+        << "query " << i;
     if (exact[i] >= kInfCost) {
       EXPECT_TRUE(path.empty()) << "query " << i;
       continue;
@@ -623,35 +627,6 @@ TEST(ServeConcurrency, ConcurrentCallersMatchSingleThreadBitExact) {
   EXPECT_EQ(total.certified, ref_stats.certified);
   EXPECT_EQ(total.disconnected, ref_stats.disconnected);
   EXPECT_EQ(total.stale, ref_stats.stale);
-}
-
-TEST(ServeConcurrency, ConcurrentRouteServingBitExact) {
-  const TestGraph tg = make_graph(300, 160, 47, 7);
-  const QueryEngine engine(tg.graph, tg.weights);
-  const auto qs = make_queries(400, tg.graph.num_vertices(), 47);
-
-  set_thread_count(1);
-  std::vector<std::uint32_t> ref_offsets;
-  std::vector<std::uint32_t> ref_nodes;
-  engine.routes(qs, ref_offsets, ref_nodes);
-
-  // Every caller runs the identical whole batch into its own buffers.
-  set_thread_count(4);
-  constexpr std::size_t kCallers = 3;
-  std::vector<std::vector<std::uint32_t>> offsets(kCallers);
-  std::vector<std::vector<std::uint32_t>> nodes(kCallers);
-  {
-    std::vector<std::thread> callers;
-    for (std::size_t c = 0; c < kCallers; ++c) {
-      callers.emplace_back([&, c] { engine.routes(qs, offsets[c], nodes[c]); });
-    }
-    for (auto& t : callers) t.join();
-  }
-  set_thread_count(0);
-  for (std::size_t c = 0; c < kCallers; ++c) {
-    EXPECT_EQ(offsets[c], ref_offsets) << "caller " << c;
-    EXPECT_EQ(nodes[c], ref_nodes) << "caller " << c;
-  }
 }
 
 TEST(ServeConcurrency, SharedSensRouterBatchMatchesSequential) {
@@ -951,8 +926,8 @@ TEST(ServeFallbackWork, GoalDirectedFallbackPopsFiveTimesFewer) {
   std::vector<Verdict> verdicts(qs.size());
   (void)serve_batch(engine.graph(), engine.arc_weights(), engine.oracle(), engine.max_stretch(), qs,
                     served, verdicts);
-  const std::uint64_t fallbacks = reg.value(obs::Counter::kOracleFallback);
-  const std::uint64_t search_pops = reg.value(obs::Counter::kDijkstraHeapPops);
+  const std::uint64_t fallbacks = counter(obs::Counter::kOracleFallback);
+  const std::uint64_t search_pops = counter(obs::Counter::kDijkstraHeapPops);
 
   reg.reset();
   DijkstraScratch scratch;
@@ -964,7 +939,7 @@ TEST(ServeFallbackWork, GoalDirectedFallbackPopsFiveTimesFewer) {
               served[i])
         << "query " << i;
   }
-  const std::uint64_t dijkstra_pops = reg.value(obs::Counter::kDijkstraHeapPops);
+  const std::uint64_t dijkstra_pops = counter(obs::Counter::kDijkstraHeapPops);
   EXPECT_EQ(pairs, fallbacks);
   ASSERT_GE(fallbacks, 50u);
   EXPECT_LE(5 * search_pops, dijkstra_pops)
