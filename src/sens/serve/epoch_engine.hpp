@@ -19,9 +19,11 @@
 // generation, k), so recruitment is replayable). If the retries exhaust,
 // the engine simply serves with fewer pivots — a weaker bracket sends
 // more queries to the exact fallback search, never to a wrong answer.
-// Labels are re-swept every refresh (one batched `dijkstra_many_into`), so a
-// certified answer always certifies against the *current* epoch — stale
-// labels cannot certify by construction.
+// Labels are re-swept every refresh (`LandmarkOracle::build_with`: batched
+// `dijkstra_many_into` on an HNG, whose vertices mostly have degree >= 3,
+// per the oracle's dispatch rule), so a certified answer always certifies
+// against the *current* epoch — stale labels cannot certify by
+// construction.
 //
 // Serving is the shared certify-or-fallback kernel (`serve_batch`,
 // serve/query_engine.hpp) over the epoch snapshot, so every answer carries

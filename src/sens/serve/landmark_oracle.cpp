@@ -5,8 +5,10 @@
 #include <cmath>
 #include <limits>
 #include <numeric>
+#include <optional>
 #include <stdexcept>
 
+#include "sens/graph/chain_sweep.hpp"
 #include "sens/obs/obs.hpp"
 #include "sens/rng/rng.hpp"
 #include "sens/support/parallel.hpp"
@@ -39,10 +41,11 @@ std::vector<std::uint32_t> pick_uniform(std::size_t n, std::size_t want, std::ui
 /// farthest (kInfCost), so components are covered before any is doubled;
 /// the < in the argmax scan pins ties to the lowest id. A chosen vertex
 /// reads -1, below every distance, so picks stay distinct even when all
-/// remaining distances are 0 (zero-weight arcs). One serial Dijkstra per
+/// remaining distances are 0 (zero-weight arcs). One serial sweep per
 /// pivot — thread-count plays no part in the pick.
 std::vector<std::uint32_t> pick_farthest(const CsrGraph& g, std::span<const double> arc_weights,
-                                         std::size_t want, std::uint64_t seed) {
+                                         const ChainIndex* chains, std::size_t want,
+                                         std::uint64_t seed) {
   const std::size_t n = g.num_vertices();
   if (want > n) want = n;
   std::vector<std::uint32_t> picks;
@@ -57,7 +60,11 @@ std::vector<std::uint32_t> pick_farthest(const CsrGraph& g, std::span<const doub
     picks.push_back(cur);
     if (l + 1 == want) break;
     min_dist[cur] = -1.0;
-    dijkstra_costs_into(g, cur, arc_weights, scratch, row);
+    if (chains != nullptr) {
+      chain_costs_into(g, *chains, cur, arc_weights, scratch, row);
+    } else {
+      dijkstra_costs_into(g, cur, arc_weights, scratch, row);
+    }
     std::uint32_t best = 0;
     double best_dist = -1.0;
     for (std::size_t v = 0; v < n; ++v) {
@@ -70,6 +77,44 @@ std::vector<std::uint32_t> pick_farthest(const CsrGraph& g, std::span<const doub
     cur = best;
   }
   return picks;
+}
+
+/// The chain index of `g` when the dispatch rule picks the chain sweep
+/// (DESIGN.md §2.6); one build serves every sweep of one oracle build.
+std::optional<ChainIndex> chain_index_for(const CsrGraph& g) {
+  if (!chains_dominate(g)) return std::nullopt;
+  return ChainIndex(g);
+}
+
+/// Node-major labels of `landmarks` (checked by the caller). Landmarks are
+/// swept in blocks of kLabelBlock: one batched sweep fills the block's
+/// landmark-major rows, which are then transposed into the node-major
+/// labels (queries read all landmarks of one vertex at once) before the
+/// next block reuses the buffer. Peak memory is the labels plus one block,
+/// not a second num x n copy. Each label slot is written exactly once —
+/// bit-identical at any thread count.
+std::vector<double> sweep_labels(const CsrGraph& g, std::span<const double> arc_weights,
+                                 std::span<const std::uint32_t> landmarks,
+                                 const ChainIndex* chains) {
+  constexpr std::size_t kLabelBlock = 8;
+  const std::size_t n = g.num_vertices();
+  const std::size_t num = landmarks.size();
+  std::vector<double> rows(std::min(num, kLabelBlock) * n);
+  std::vector<double> labels(n * num);
+  for (std::size_t first = 0; first < num; first += kLabelBlock) {
+    const std::size_t width = std::min(kLabelBlock, num - first);
+    const std::span<double> block(rows.data(), width * n);
+    if (chains != nullptr) {
+      chain_many_into(g, *chains, landmarks.subspan(first, width), arc_weights, block);
+    } else {
+      dijkstra_many_into(g, landmarks.subspan(first, width), arc_weights, block);
+    }
+    parallel_for(n, [&](std::size_t v) {
+      double* label = labels.data() + v * num + first;
+      for (std::size_t l = 0; l < width; ++l) label[l] = block[l * n + v];
+    });
+  }
+  return labels;
 }
 
 /// Relative rounding margin of `exact_cost` on an n-vertex graph. Every
@@ -93,14 +138,17 @@ constexpr double kSubnormalSlack = 8.0 * std::numeric_limits<double>::denorm_min
 
 LandmarkOracle LandmarkOracle::build(const CsrGraph& g, std::span<const double> arc_weights,
                                      const LandmarkOracleParams& params) {
-  // Checked before the farthest-point sweep, which runs Dijkstra itself.
+  // Checked before the farthest-point pick, which sweeps the graph itself.
   check_arc_weights(g, arc_weights, "LandmarkOracle::build");
-  if (g.num_vertices() == 0) return {};
-  std::vector<std::uint32_t> picks =
-      params.selection == LandmarkSelection::kFarthestPoint
-          ? pick_farthest(g, arc_weights, params.num_landmarks, params.seed)
-          : pick_uniform(g.num_vertices(), params.num_landmarks, params.seed);
-  return build_with(g, arc_weights, std::move(picks));
+  LandmarkOracle oracle;
+  if (g.num_vertices() == 0) return oracle;
+  const std::optional<ChainIndex> chains = chain_index_for(g);
+  const ChainIndex* index = chains ? &*chains : nullptr;
+  oracle.landmarks_ = params.selection == LandmarkSelection::kFarthestPoint
+                          ? pick_farthest(g, arc_weights, index, params.num_landmarks, params.seed)
+                          : pick_uniform(g.num_vertices(), params.num_landmarks, params.seed);
+  oracle.labels_ = sweep_labels(g, arc_weights, oracle.landmarks_, index);
+  return oracle;
 }
 
 LandmarkOracle LandmarkOracle::build_with(const CsrGraph& g, std::span<const double> arc_weights,
@@ -113,30 +161,10 @@ LandmarkOracle LandmarkOracle::build_with(const CsrGraph& g, std::span<const dou
     throw std::invalid_argument("LandmarkOracle::build_with: repeated landmark id");
   }
   LandmarkOracle oracle;
-  const std::size_t n = g.num_vertices();
-  if (n == 0) return oracle;
+  if (g.num_vertices() == 0) return oracle;
+  const std::optional<ChainIndex> chains = chain_index_for(g);
   oracle.landmarks_ = std::move(landmarks);
-  const std::size_t num = oracle.landmarks_.size();
-
-  // Landmarks are swept in blocks of kLabelBlock: one batched sweep fills
-  // the block's landmark-major rows, which are then transposed into the
-  // node-major labels (queries read all landmarks of one vertex at once)
-  // before the next block reuses the buffer. Peak memory is the labels plus
-  // one block, not a second num x n copy. Each label slot is written
-  // exactly once — bit-identical at any thread count.
-  constexpr std::size_t kLabelBlock = 8;
-  std::vector<double> rows(std::min(num, kLabelBlock) * n);
-  oracle.labels_.resize(n * num);
-  const std::span<const std::uint32_t> all = oracle.landmarks_;
-  for (std::size_t first = 0; first < num; first += kLabelBlock) {
-    const std::size_t width = std::min(kLabelBlock, num - first);
-    const std::span<double> block(rows.data(), width * n);
-    dijkstra_many_into(g, all.subspan(first, width), arc_weights, block);
-    parallel_for(n, [&](std::size_t v) {
-      double* label = oracle.labels_.data() + v * num + first;
-      for (std::size_t l = 0; l < width; ++l) label[l] = block[l * n + v];
-    });
-  }
+  oracle.labels_ = sweep_labels(g, arc_weights, oracle.landmarks_, chains ? &*chains : nullptr);
   return oracle;
 }
 

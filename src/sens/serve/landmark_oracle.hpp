@@ -18,10 +18,13 @@
 // (w(u, v) == w(v, u)), as every weight array in this repo is.
 //
 // Determinism: landmarks are drawn from the seeded rng stream, the label
-// sweep is batched `dijkstra_many_into` calls over blocks of 8 landmarks
-// (bit-identical at any thread count, §2.4), and `bounds` is a pure
-// function of the labels — so every oracle answer is a pure function of
-// (graph, weights, params, query).
+// sweep is batched calls over blocks of 8 landmarks (bit-identical at any
+// thread count, §2.4), and `bounds` is a pure function of the labels — so
+// every oracle answer is a pure function of (graph, weights, params,
+// query). The batched sweep is `chain_many_into` when at least half the
+// vertices have degree <= 2 (SENS overlays), else `dijkstra_many_into`
+// (HNGs): both return the same doubles, and the rule reads the graph
+// only (§2.6).
 //
 // Disconnected pairs are detected exactly whenever some landmark reaches one
 // endpoint but not the other (the pair then straddles two components):
@@ -45,7 +48,7 @@ namespace sens {
 ///    repeatedly the vertex maximizing the minimum weighted distance to
 ///    the chosen set (unreached vertices count as infinitely far, so every
 ///    component gets a pivot before any component gets two; ties break to
-///    the lowest id). Serial by design — L Dijkstra sweeps at build time —
+///    the lowest id). Serial by design — L single-source sweeps at build time —
 ///    so the pick is identical at any --threads. Farthest pivots spread
 ///    the bracket's coverage and cut the exact-fallback rate (E17/E19).
 enum class LandmarkSelection : std::uint8_t {
@@ -82,8 +85,10 @@ class LandmarkOracle {
 
   /// Pick landmarks deterministically from the seeded rng stream and label
   /// every vertex with its exact distance to each landmark (batched
-  /// `dijkstra_many_into` sweeps). `arc_weights` must be aligned with the arcs of
-  /// `g` (CsrGraph::arc_weights); a size mismatch throws
+  /// sweeps; one `ChainIndex`, when the rule picks the chain sweep, serves
+  /// the farthest-point pick and the labels, and dies with the call).
+  /// `arc_weights` must be aligned with the arcs of `g`
+  /// (CsrGraph::arc_weights); a size mismatch throws
   /// std::invalid_argument, as it does in `build_with`.
   [[nodiscard]] static LandmarkOracle build(const CsrGraph& g,
                                             std::span<const double> arc_weights,

@@ -12,6 +12,7 @@
 #include "sens/geograph/point_set.hpp"
 #include "sens/geograph/udg.hpp"
 #include "sens/graph/bfs.hpp"
+#include "sens/graph/chain_sweep.hpp"
 #include "sens/graph/components.hpp"
 #include "sens/graph/csr.hpp"
 #include "sens/graph/dijkstra.hpp"
@@ -22,6 +23,8 @@
 
 namespace sens {
 namespace {
+
+using Edges = std::vector<std::pair<std::uint32_t, std::uint32_t>>;
 
 /// Random multigraph edge list (duplicates and self loops included) for
 /// adversarial normalization tests.
@@ -417,6 +420,123 @@ TEST(Dijkstra, ManyRejectsOutOfRangeSourceBeforeDispatch) {
   const std::vector<std::uint32_t> sources = {0, 4, 10};
   std::vector<double> out(sources.size() * g.num_vertices(), -1.0);
   EXPECT_THROW(dijkstra_many_into(g, sources, w, out), std::out_of_range);
+  EXPECT_TRUE(std::all_of(out.begin(), out.end(), [](double d) { return d == -1.0; }));
+}
+
+// --- ChainSweep: chain_costs_into / chain_many_into against Dijkstra.
+
+TEST(ChainSweep, MatchesDijkstraFromEverySource) {
+  // Small graphs holding every shape the chain index tells apart: branches
+  // joined directly and through chains, trees hanging from a branch and
+  // from a chain interior, loop chains at one branch, pure cycles with and
+  // without trees, tree components, and isolated vertices. Every source,
+  // every vertex, bit for bit; the asymmetric weights catch an arc taken
+  // in the wrong direction.
+  struct Shape {
+    const char* name;
+    std::size_t n;
+    Edges edges;
+  };
+  const std::vector<Shape> shapes = {
+      {"theta with trees", 11,
+       {{0, 2}, {2, 1}, {0, 3}, {3, 4}, {4, 1}, {0, 1}, {2, 5}, {5, 6}, {0, 7}, {7, 8}, {7, 9},
+        {9, 10}}},
+      {"figure eight", 8, {{0, 1}, {1, 2}, {2, 0}, {0, 3}, {3, 4}, {4, 5}, {5, 0}, {4, 6}}},
+      {"cycle with trees", 9, {{0, 1}, {1, 2}, {2, 3}, {3, 4}, {4, 0}, {0, 5}, {5, 6}, {2, 7}}},
+      {"pieces", 12,
+       {{0, 1}, {2, 3}, {3, 4}, {3, 5}, {5, 6}, {7, 8}, {8, 9}, {9, 10}, {10, 7}}},
+      {"K4 and a pendant", 5, {{0, 1}, {0, 2}, {0, 3}, {1, 2}, {1, 3}, {2, 3}, {3, 4}}},
+  };
+  for (const Shape& shape : shapes) {
+    const CsrGraph g = CsrGraph::from_edges(shape.n, shape.edges);
+    const ChainIndex chains(g);
+    for (const bool symmetric : {true, false}) {
+      const std::vector<double> w = g.arc_weights([&](std::uint32_t u, std::uint32_t v) {
+        const std::uint32_t lo = std::min(u, v);
+        const std::uint32_t hi = std::max(u, v);
+        if (symmetric) return 1.0 + 0.1 * static_cast<double>((lo * 7 + hi) % 10);
+        return 1.0 + 0.37 * static_cast<double>(u) + 0.011 * static_cast<double>(v);
+      });
+      DijkstraScratch scratch;
+      std::vector<double> got(shape.n);
+      for (std::uint32_t s = 0; s < shape.n; ++s) {
+        chain_costs_into(g, chains, s, w, scratch, got);
+        const std::vector<double> want = fresh_dijkstra_row(g, s, w);
+        EXPECT_EQ(0, std::memcmp(got.data(), want.data(), shape.n * sizeof(double)))
+            << shape.name << (symmetric ? "" : ", asymmetric") << ", source " << s;
+      }
+    }
+  }
+}
+
+TEST(ChainSweep, ManyMatchesSerialAndBitIdenticalAcrossThreadCounts) {
+  // A sparse random graph: a path backbone with few chords leaves most
+  // vertices of degree <= 2.
+  const std::size_t n = 300;
+  Edges edges = random_edges(n, 40, 43);
+  for (std::uint32_t i = 0; i + 1 < n; ++i) edges.emplace_back(i, i + 1);
+  const CsrGraph g = CsrGraph::from_edges(n, std::move(edges));
+  ASSERT_TRUE(chains_dominate(g));
+  const std::vector<double> w = g.arc_weights([](std::uint32_t u, std::uint32_t v) {
+    return 0.5 + static_cast<double>((u ^ v) % 7);
+  });
+  std::vector<std::uint32_t> sources;
+  for (std::uint32_t s = 0; s < n; s += 7) sources.push_back(s);
+  std::vector<double> serial;
+  for (const std::uint32_t s : sources) {
+    const auto row = fresh_dijkstra_row(g, s, w);
+    serial.insert(serial.end(), row.begin(), row.end());
+  }
+  const ChainIndex chains(g);
+  for (const unsigned threads : {1u, 2u, 8u}) {
+    set_thread_count(threads);
+    std::vector<double> batched(sources.size() * n);
+    chain_many_into(g, chains, sources, w, batched);
+    EXPECT_EQ(0, std::memcmp(batched.data(), serial.data(), serial.size() * sizeof(double)))
+        << threads << " threads";
+  }
+  set_thread_count(0);
+}
+
+TEST(ChainSweep, DispatchRuleCountsLowDegreeVertices) {
+  // At least half the vertices of degree <= 2: a path yes, K4 no, and a
+  // star with 3 leaves sits exactly on the line (3 of 4).
+  EXPECT_TRUE(chains_dominate(path_graph(10)));
+  EXPECT_FALSE(chains_dominate(
+      CsrGraph::from_edges(4, {{0, 1}, {0, 2}, {0, 3}, {1, 2}, {1, 3}, {2, 3}})));
+  EXPECT_TRUE(chains_dominate(CsrGraph::from_edges(4, {{0, 1}, {0, 2}, {0, 3}})));
+  EXPECT_FALSE(chains_dominate(CsrGraph::from_edges(
+      6, {{0, 1}, {0, 2}, {0, 3}, {1, 2}, {1, 3}, {2, 3}, {4, 5}, {0, 4}})));
+}
+
+TEST(ChainSweep, RejectsBadInputBeforeAnyWork) {
+  const CsrGraph g = path_graph(10);
+  const CsrGraph other = path_graph(11);
+  const ChainIndex chains(g);
+  const ChainIndex wrong(other);
+  const std::vector<double> w = g.arc_weights([](std::uint32_t, std::uint32_t) { return 1.0; });
+  DijkstraScratch scratch;
+  std::vector<double> row(g.num_vertices(), -1.0);
+  std::vector<double> short_row(g.num_vertices() - 1, -1.0);
+  EXPECT_THROW(chain_costs_into(g, chains, 0, w, scratch, short_row), std::invalid_argument);
+  EXPECT_THROW(chain_costs_into(g, wrong, 0, w, scratch, row), std::invalid_argument);
+  EXPECT_THROW(chain_costs_into(g, chains, 0, std::vector<double>(3, 1.0), scratch, row),
+               std::invalid_argument);
+  for (const std::uint32_t bad : {10u, 0xffffffffu}) {
+    EXPECT_THROW(chain_costs_into(g, chains, bad, w, scratch, row), std::out_of_range);
+  }
+  EXPECT_EQ(row[0], -1.0);
+  EXPECT_TRUE(scratch.stamp.empty());
+
+  const std::vector<std::uint32_t> sources = {0, 4, 10};
+  std::vector<double> out(sources.size() * g.num_vertices(), -1.0);
+  EXPECT_THROW(chain_many_into(g, chains, sources, w, out), std::out_of_range);
+  const std::vector<std::uint32_t> two = {0, 4};
+  const std::span<double> fits = std::span(out).first(2 * g.num_vertices());
+  EXPECT_THROW(chain_many_into(g, wrong, two, w, fits), std::invalid_argument);
+  EXPECT_THROW(chain_many_into(g, chains, two, w, out), std::invalid_argument);
+  EXPECT_THROW(chain_many_into(g, chains, two, std::vector<double>(3, 1.0), fits),
+               std::invalid_argument);
   EXPECT_TRUE(std::all_of(out.begin(), out.end(), [](double d) { return d == -1.0; }));
 }
 

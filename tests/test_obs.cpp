@@ -19,18 +19,24 @@
 #include <vector>
 
 #include "sens/core/nn_sens.hpp"
+#include "sens/core/udg_sens.hpp"
 #include "sens/dynamic/dynamic_hng.hpp"
 #include "sens/geograph/knn.hpp"
 #include "sens/geograph/point_set.hpp"
 #include "sens/geograph/udg.hpp"
 #include "sens/graph/bfs.hpp"
+#include "sens/graph/chain_sweep.hpp"
 #include "sens/graph/dijkstra.hpp"
+#include "sens/hng/hng.hpp"
 #include "sens/obs/obs.hpp"
 #include "sens/rng/rng.hpp"
 #include "sens/serve/epoch_engine.hpp"
+#include "sens/serve/landmark_oracle.hpp"
 #include "sens/serve/query_engine.hpp"
 #include "sens/support/parallel.hpp"
 #include "sens/support/timer.hpp"
+
+#include "chain_reference.hpp"
 
 namespace sens {
 namespace {
@@ -183,6 +189,26 @@ TEST(ObsCounters, DijkstraManyIsThreadInvariant) {
       [&] { dijkstra_many_into(geo.graph, sources, w, out); }, /*expect_nonzero=*/true);
 }
 
+TEST(ObsCounters, OracleBuildIsThreadInvariant) {
+  // Both label sweeps, and the farthest-point pick on each: a UDG-SENS
+  // overlay takes the chain sweep, an HNG the plain one (DESIGN.md §2.6).
+  const UdgSensResult sens = build_udg_sens(UdgTileSpec::strict(), 25.0, 8, 8, kSeed);
+  const PointSet ps = poisson_point_set(Box{{0.0, 0.0}, {12.0, 12.0}}, 2.0, kSeed);
+  const HngResult hng = build_hng(ps.points, {.promote_p = 0.25, .k = 3}, kSeed);
+  for (const GeoGraph* geo : {&sens.overlay.geo, &hng.geo}) {
+    const std::vector<double> w = geo->length_arc_weights();
+    for (const LandmarkSelection sel :
+         {LandmarkSelection::kUniformRandom, LandmarkSelection::kFarthestPoint}) {
+      expect_thread_invariant(
+          [&] {
+            (void)LandmarkOracle::build(geo->graph, w,
+                                        {.num_landmarks = 12, .seed = kSeed, .selection = sel});
+          },
+          /*expect_nonzero=*/true);
+    }
+  }
+}
+
 TEST(ObsCounters, BfsManyIsThreadInvariant) {
   const GeoGraph geo = make_udg();
   std::vector<std::uint32_t> sources;
@@ -279,6 +305,70 @@ TEST(ObsCounters, DijkstraCountsPopsAndRelaxations) {
   EXPECT_EQ(counter(obs::Counter::kDijkstraRuns), 1u);
   EXPECT_EQ(counter(obs::Counter::kDijkstraHeapPops), 5u);
   EXPECT_EQ(counter(obs::Counter::kDijkstraRelaxedArcs), 8u);
+}
+
+TEST(ObsCounters, ChainSweepCountsBranchPopsAndSummedArcs) {
+  // Branches 0 and 1 joined directly, through 2 and through 3-4; the tree
+  // 5-6 hangs from the chain interior 2. One run per source, one pop per
+  // branch (2), and one relaxed arc per arc weight summed: each branch
+  // walks its 3 super arcs (1 + 2 + 3 arcs) and the fill sums the 2 tree
+  // arcs. From 6, the up-path (2 arcs) and the two walks out of 2 (1 arc
+  // each) come first.
+  const CsrGraph g = CsrGraph::from_edges(
+      7, {{0, 2}, {2, 1}, {0, 3}, {3, 4}, {4, 1}, {0, 1}, {2, 5}, {5, 6}});
+  const std::vector<double> w(g.num_arcs(), 1.0);
+  const ChainIndex chains(g);
+  auto& reg = obs::CounterRegistry::global();
+  DijkstraScratch scratch;
+  std::vector<double> out(g.num_vertices());
+  for (const auto& [source, relaxed] : {std::pair{0u, 14u}, std::pair{6u, 18u}}) {
+    reg.reset();
+    chain_costs_into(g, chains, source, w, scratch, out);
+    EXPECT_EQ(counter(obs::Counter::kDijkstraRuns), 1u) << "source " << source;
+    EXPECT_EQ(counter(obs::Counter::kDijkstraHeapPops), 2u) << "source " << source;
+    EXPECT_EQ(counter(obs::Counter::kDijkstraRelaxedArcs), relaxed) << "source " << source;
+  }
+}
+
+TEST(ObsCounters, OracleSweepFollowsTheDegreeRule) {
+  // An HNG has few vertices of degree <= 2: build_with runs the plain
+  // sweep, so its work equals dijkstra_many_into over the same landmarks.
+  const PointSet ps = poisson_point_set(Box{{0.0, 0.0}, {20.0, 20.0}}, 2.0, kSeed);
+  const HngResult hng = build_hng(ps.points, {.promote_p = 0.25, .k = 3}, kSeed);
+  const CsrGraph& h = hng.geo.graph;
+  ASSERT_FALSE(chains_dominate(h));
+  const std::vector<double> hw = hng.geo.length_arc_weights();
+  std::vector<std::uint32_t> picks;
+  for (std::uint32_t v = 0; v < h.num_vertices(); v += 97) picks.push_back(v);
+  auto& reg = obs::CounterRegistry::global();
+  reg.reset();
+  (void)LandmarkOracle::build_with(h, hw, picks);
+  const obs::CounterSnapshot oracle = reg.snapshot();
+  std::vector<double> rows(picks.size() * h.num_vertices());
+  reg.reset();
+  dijkstra_many_into(h, picks, hw, rows);
+  const obs::CounterSnapshot plain = reg.snapshot();
+  for (const obs::Counter c : {obs::Counter::kDijkstraRuns, obs::Counter::kDijkstraHeapPops,
+                               obs::Counter::kDijkstraRelaxedArcs}) {
+    EXPECT_EQ(oracle[static_cast<std::size_t>(c)], plain[static_cast<std::size_t>(c)])
+        << obs::counter_name(c);
+  }
+
+  // A UDG-SENS overlay is mostly relays: the chain sweep pops branch
+  // nodes only, at most once each per landmark.
+  const UdgSensResult sens = build_udg_sens(UdgTileSpec::strict(), 25.0, 10, 10, kSeed);
+  const CsrGraph& g = sens.overlay.geo.graph;
+  ASSERT_TRUE(chains_dominate(g));
+  const std::vector<double> w = sens.overlay.geo.length_arc_weights();
+  const std::size_t branches = testing_ref::chain_reference(g).branches;
+  ASSERT_GT(branches, 0u);
+  ASSERT_LT(5 * branches, g.num_vertices());
+  for (std::uint32_t l = 0; l < g.num_vertices(); l += 61) {
+    reg.reset();
+    (void)LandmarkOracle::build_with(g, w, {l});
+    EXPECT_EQ(counter(obs::Counter::kDijkstraRuns), 1u) << "landmark " << l;
+    EXPECT_LE(counter(obs::Counter::kDijkstraHeapPops), branches) << "landmark " << l;
+  }
 }
 
 /// The serve-kernel counter contract, shared by both engines: verdicts are

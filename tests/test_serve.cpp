@@ -24,6 +24,7 @@
 #include "sens/dynamic/dynamic_hng.hpp"
 #include "sens/geograph/point_set.hpp"
 #include "sens/geograph/udg.hpp"
+#include "sens/graph/chain_sweep.hpp"
 #include "sens/graph/csr.hpp"
 #include "sens/graph/dijkstra.hpp"
 #include "sens/hng/hng.hpp"
@@ -33,6 +34,8 @@
 #include "sens/serve/landmark_oracle.hpp"
 #include "sens/serve/query_engine.hpp"
 #include "sens/support/parallel.hpp"
+
+#include "chain_reference.hpp"
 
 namespace sens {
 namespace {
@@ -699,19 +702,19 @@ std::vector<std::uint32_t> probe_ids(std::size_t n, std::size_t want, std::uint6
   return ids;
 }
 
-/// Run every registered search on `c` — dijkstra_cost, the rows of one
-/// batched dijkstra_many_into call, and LandmarkOracle::exact_cost under
+/// Run every registered search on `c` from `sources` — dijkstra_cost, the
+/// rows of one batched dijkstra_many_into call, the chain sweep
+/// (chain_costs_into and the rows of chain_many_into, whatever the
+/// dispatch rule says of the graph), and LandmarkOracle::exact_cost under
 /// the bracket's upper bound, over uniform and farthest-point oracles with
 /// L in `landmark_counts` — and compare each answer bitwise with the
 /// dijkstra_costs_into row of its source.
-void expect_searches_match_dijkstra(const SsspCase& c, std::size_t num_sources,
+void expect_searches_match_dijkstra(const SsspCase& c, const std::vector<std::uint32_t>& sources,
                                     std::size_t num_targets,
-                                    std::initializer_list<std::size_t> landmark_counts = {1, 4, 16,
-                                                                                          64}) {
+                                    std::initializer_list<std::size_t> landmark_counts) {
   const CsrGraph& g = c.graph;
   const std::span<const double> w = c.weights;
   const std::size_t n = g.num_vertices();
-  const std::vector<std::uint32_t> sources = probe_ids(n, num_sources, 1);
   const std::vector<std::uint32_t> targets = probe_ids(n, num_targets, 2);
 
   std::vector<std::pair<std::string, ExactSearch>> searches;
@@ -728,6 +731,24 @@ void expect_searches_match_dijkstra(const SsspCase& c, std::size_t num_sources,
     const auto row = static_cast<std::size_t>(
         std::find(sources.begin(), sources.end(), s) - sources.begin());
     for (std::size_t i = 0; i < ts.size(); ++i) out[i] = many[row * n + ts[i]];
+  });
+  const ChainIndex chains(g);
+  searches.emplace_back("chain_costs_into", [&](std::uint32_t s,
+                                                std::span<const std::uint32_t> ts,
+                                                std::span<double> out) {
+    DijkstraScratch scratch;
+    std::vector<double> row(n);
+    chain_costs_into(g, chains, s, w, scratch, row);
+    for (std::size_t i = 0; i < ts.size(); ++i) out[i] = row[ts[i]];
+  });
+  std::vector<double> chain_many(sources.size() * n);
+  chain_many_into(g, chains, sources, w, chain_many);
+  searches.emplace_back("chain_many_into", [&](std::uint32_t s,
+                                               std::span<const std::uint32_t> ts,
+                                               std::span<double> out) {
+    const auto row = static_cast<std::size_t>(
+        std::find(sources.begin(), sources.end(), s) - sources.begin());
+    for (std::size_t i = 0; i < ts.size(); ++i) out[i] = chain_many[row * n + ts[i]];
   });
   std::deque<LandmarkOracle> oracles;
   for (const LandmarkSelection sel :
@@ -772,6 +793,16 @@ void expect_searches_match_dijkstra(const SsspCase& c, std::size_t num_sources,
   }
 }
 
+/// The harness from `num_sources` probe sources (both ends, the middle,
+/// seeded picks).
+void expect_searches_match_dijkstra(const SsspCase& c, std::size_t num_sources,
+                                    std::size_t num_targets,
+                                    std::initializer_list<std::size_t> landmark_counts = {1, 4, 16,
+                                                                                          64}) {
+  expect_searches_match_dijkstra(c, probe_ids(c.graph.num_vertices(), num_sources, 1),
+                                 num_targets, landmark_counts);
+}
+
 /// A rows x cols 4-neighbor lattice; vertex id = r * cols + col.
 CsrGraph lattice(std::uint32_t rows, std::uint32_t cols) {
   std::vector<std::pair<std::uint32_t, std::uint32_t>> edges;
@@ -804,6 +835,42 @@ TEST(SsspOracle, SensOverlays) {
                                    96);
     expect_searches_match_dijkstra({"udg-sens power", geo.graph, geo.power_arc_weights(2.0)}, 4,
                                    64, {4, 16});
+  }
+}
+
+TEST(SsspOracle, SensOverlaySourceClasses) {
+  // The chain sweep seeds each kind of source its own way: a branch goes
+  // straight into the heap, a chain interior walks both ways, a tree node
+  // walks up to its root first, and that root may itself sit inside a
+  // chain. Sources from every class, on overlays that have them all.
+  using testing_ref::ChainReference;
+  for (const std::uint64_t seed : {3u, 8u}) {
+    const UdgSensResult r = build_udg_sens(UdgTileSpec::strict(), 25.0, 12, 12, seed);
+    const CsrGraph& g = r.overlay.geo.graph;
+    const ChainReference ref = testing_ref::chain_reference(g);
+    std::vector<std::uint32_t> branch, chain, chain_root, below_branch, below_chain_root;
+    for (std::uint32_t v = 0; v < g.num_vertices(); ++v) {
+      const std::uint32_t root = ref.root[v];
+      if (ref.in_core(v)) {
+        if (ref.core_degree[v] >= 3) {
+          branch.push_back(v);
+        } else {
+          (g.degree(v) == 2 ? chain : chain_root).push_back(v);
+        }
+      } else if (root != ChainReference::kNone) {
+        (ref.core_degree[root] == 2 ? below_chain_root : below_branch).push_back(v);
+      }
+    }
+    std::vector<std::uint32_t> sources;
+    for (const auto* cls : {&branch, &chain, &chain_root, &below_branch, &below_chain_root}) {
+      ASSERT_GE(cls->size(), 3u) << "seed " << seed;
+      for (std::size_t i = 0; i < 3; ++i) sources.push_back((*cls)[i * cls->size() / 3]);
+    }
+    const GeoGraph& geo = r.overlay.geo;
+    expect_searches_match_dijkstra({"udg-sens length, by class", g, geo.length_arc_weights()},
+                                   sources, 96, {4, 16});
+    expect_searches_match_dijkstra({"udg-sens power, by class", g, geo.power_arc_weights(3.0)},
+                                   sources, 96, {4});
   }
 }
 
