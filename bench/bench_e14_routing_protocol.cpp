@@ -1,5 +1,5 @@
 // E14 — Figure 9 as traffic: per-packet message and energy budgets of
-// routing on the SENS overlay through the event-driven runtime.
+// routing on the SENS overlay through the runtime's overlay radio.
 #include "bench_common.hpp"
 #include "sens/core/udg_sens.hpp"
 #include "sens/rng/rng.hpp"

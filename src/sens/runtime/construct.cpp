@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "sens/runtime/radio.hpp"
-#include "sens/runtime/sim.hpp"
 
 namespace sens {
 
@@ -41,9 +40,7 @@ class ConstructEngine {
         nn_mode_(nn_mode),
         required_slots_(required_slots),
         occupancy_cap_(occupancy_cap),
-        radio_(net, sim_) {
-    radio_.set_receiver([this](const Message& m) { on_receive(m); });
-  }
+        radio_(net) {}
 
   void set_roles(const std::vector<TileRole>& roles) {
     state_.assign(net_->size(), NodeState{});
@@ -74,7 +71,7 @@ class ConstructEngine {
         if (st.holds(slot)) radio_.broadcast({v, 0, kElect, st.tile, slot, v, 0});
       }
     }
-    result.events += sim_.run();
+    drain();
     result.election_messages = radio_.messages_sent();
 
     // --- Phase 2: leaders announce; NN E relays forward C announcements ---
@@ -88,7 +85,7 @@ class ConstructEngine {
         }
       }
     }
-    result.events += sim_.run();
+    drain();
 
     // --- Phase 3: reps decide goodness locally (P4) and connect chains ---
     for (std::size_t tile = 0; tile < window_.tile_count(); ++tile) {
@@ -108,10 +105,8 @@ class ConstructEngine {
                      rs.heard[first_slot]);
       }
     }
-    result.events += sim_.run();
-    // XHELLO/XACK handshakes complete inside the same drain; one more drain
-    // catches replies scheduled by the last deliveries.
-    result.events += sim_.run();
+    // XHELLO/XACK handshakes complete inside the same drain.
+    drain();
 
     result.control_messages = radio_.messages_sent() - result.election_messages;
     result.energy = radio_.total_energy();
@@ -123,6 +118,11 @@ class ConstructEngine {
   }
 
  private:
+  /// Deliver until quiescent: the end of a phase.
+  void drain() {
+    radio_.run([this](const Message& m) { on_receive(m); });
+  }
+
   void record_edge(std::uint32_t a, std::uint32_t b) {
     if (a == b) return;
     if (a > b) std::swap(a, b);
@@ -240,7 +240,6 @@ class ConstructEngine {
   bool nn_mode_;
   std::size_t required_slots_;
   std::size_t occupancy_cap_;
-  Simulator sim_;
   Radio radio_;
   std::vector<NodeState> state_;
   ConstructOutcome* outcome_ = nullptr;
@@ -258,7 +257,7 @@ ConstructOutcome run_udg_construction(const GeoGraph& udg, const UdgTileSpec& sp
   ConstructEngine engine(udg, window, /*nn_mode=*/false, /*required_slots=*/5,
                          /*occupancy_cap=*/0);
   // Role assignment is the shared role pass of tile classification; the
-  // protocol itself stays sequential (it is an event simulation).
+  // protocol itself stays sequential (one FIFO of radio sends).
   engine.set_roles(tile_roles(spec, udg.points, window));
   return engine.run();
 }

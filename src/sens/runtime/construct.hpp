@@ -4,8 +4,10 @@
 // and can exchange messages with its base-graph neighbors. Each node's tile
 // and region memberships come from the role pass shared with centralized
 // classification (`tile_roles`, sens/tiles/classify.hpp). The protocol
-// runs in four phases, each driven to quiescence on the event simulator
-// (a synchronous-rounds idealization of the timeout a deployment would use):
+// runs in four phases, each driven to quiescence: the radio delivers in
+// send order until no message is left (sens/runtime/radio.hpp), an
+// idealization of the timeout a deployment would use. Phases 3 and 4 share
+// one drain, since the handshakes start as the chains connect:
 //
 //   1. ELECT    — flood-min leader election per (tile, region): members
 //                 broadcast the smallest id heard so far, restricted to
@@ -55,7 +57,6 @@ struct ConstructOutcome {
   std::size_t election_messages = 0;
   std::size_t control_messages = 0;  ///< LEADER/FORWARD/CONNECT/XHELLO/XACK
   std::size_t failed_connects = 0;   ///< required link absent from base graph
-  std::size_t events = 0;            ///< simulator events processed
   double energy = 0.0;               ///< total transmit energy (beta = 2)
 
   [[nodiscard]] std::size_t total_messages() const {

@@ -6,8 +6,8 @@
 
 namespace sens {
 
-Radio::Radio(const GeoGraph& net, Simulator& sim, double beta)
-    : net_(&net), sim_(&sim), beta_(beta), energy_(net.size(), 0.0) {}
+Radio::Radio(const GeoGraph& net, double beta)
+    : net_(&net), beta_(beta), energy_(net.size(), 0.0) {}
 
 void Radio::unicast(Message msg) {
   if (!net_->graph.has_edge(msg.from, msg.to)) {
@@ -15,9 +15,7 @@ void Radio::unicast(Message msg) {
   }
   ++messages_;
   energy_[msg.from] += std::pow(net_->edge_length(msg.from, msg.to), beta_);
-  sim_->schedule(kLatency, [this, msg] {
-    if (receiver_) receiver_(msg);
-  });
+  queue_.push_back({msg, false});
 }
 
 void Radio::broadcast(Message msg) {
@@ -28,12 +26,25 @@ void Radio::broadcast(Message msg) {
   for (const std::uint32_t v : neighbors)
     range = std::max(range, net_->edge_length(msg.from, v));
   energy_[msg.from] += std::pow(range, beta_);
-  for (const std::uint32_t v : neighbors) {
-    Message copy = msg;
-    copy.to = v;
-    sim_->schedule(kLatency, [this, copy] {
-      if (receiver_) receiver_(copy);
-    });
+  queue_.push_back({msg, true});
+}
+
+void Radio::run(const Receiver& receive, std::size_t max_sends) {
+  for (std::size_t sends = 0; !queue_.empty(); ++sends) {
+    if (sends == max_sends) {
+      throw std::runtime_error("Radio::run: protocol still sending after max_sends sends");
+    }
+    // Copied out and popped first: the receiver may push to the queue.
+    Send send = queue_.front();
+    queue_.pop_front();
+    if (!send.is_broadcast) {
+      receive(send.msg);
+      continue;
+    }
+    for (const std::uint32_t v : net_->graph.neighbors(send.msg.from)) {
+      send.msg.to = v;
+      receive(send.msg);
+    }
   }
 }
 

@@ -3,15 +3,21 @@
 // paper's algorithms are defined under. Accounts messages and transmit
 // energy per node with the power-law model E = d^beta (Li-Wan-Wang).
 //
-// Payloads are opaque to the radio; protocols register one receive callback.
+// Delivery order: every send takes the same one-hop latency, so ordering
+// deliveries by arrival time (ties by send order) is ordering them by send
+// order. The radio therefore keeps a plain FIFO of sends, and a run is a
+// pure function of its inputs. A broadcast is one queued record that
+// delivers to the sender's neighbors in CSR order when it reaches the
+// front; whatever a receiver sends meanwhile queues behind every earlier
+// send. Payloads are opaque to the radio.
 #pragma once
 
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <vector>
 
 #include "sens/geograph/geo_graph.hpp"
-#include "sens/runtime/sim.hpp"
 
 namespace sens {
 
@@ -28,10 +34,7 @@ struct Message {
 class Radio {
  public:
   /// `net` must outlive the radio; beta is the path-loss exponent.
-  Radio(const GeoGraph& net, Simulator& sim, double beta = 2.0);
-
-  using Receiver = std::function<void(const Message&)>;
-  void set_receiver(Receiver r) { receiver_ = std::move(r); }
+  explicit Radio(const GeoGraph& net, double beta = 2.0);
 
   /// Unicast along a graph edge; throws if (from, to) is not an edge.
   void unicast(Message msg);
@@ -41,20 +44,29 @@ class Radio {
   /// range.
   void broadcast(Message msg);
 
+  using Receiver = std::function<void(const Message&)>;
+
+  /// Deliver queued sends in send order until the queue is empty,
+  /// including the sends `receive` makes along the way. Throws
+  /// std::runtime_error instead of delivering send number max_sends + 1,
+  /// a guard against a protocol that never quiesces.
+  void run(const Receiver& receive, std::size_t max_sends = 100'000'000);
+
   [[nodiscard]] std::size_t messages_sent() const { return messages_; }
   [[nodiscard]] double total_energy() const;
   [[nodiscard]] double node_energy(std::uint32_t v) const { return energy_[v]; }
-  [[nodiscard]] const GeoGraph& network() const { return *net_; }
 
  private:
+  struct Send {
+    Message msg;
+    bool is_broadcast;
+  };
+
   const GeoGraph* net_;
-  Simulator* sim_;
   double beta_;
-  Receiver receiver_;
+  std::deque<Send> queue_;
   std::vector<double> energy_;
   std::size_t messages_ = 0;
-
-  static constexpr double kLatency = 1.0;
 };
 
 }  // namespace sens

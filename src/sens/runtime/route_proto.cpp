@@ -11,9 +11,7 @@ enum MsgKind : std::uint32_t {
 }  // namespace
 
 RoutingProtocol::RoutingProtocol(const Overlay& overlay, double beta)
-    : overlay_(&overlay), router_(overlay), sim_(), radio_(overlay.geo, sim_, beta) {
-  radio_.set_receiver([](const Message&) { /* deliveries are fire-and-forget */ });
-}
+    : overlay_(&overlay), router_(overlay), radio_(overlay.geo, beta) {}
 
 RouteTrafficReport RoutingProtocol::send_packet(Site src, Site dst) {
   RouteTrafficReport report;
@@ -56,7 +54,7 @@ RouteTrafficReport RoutingProtocol::send_packet(Site src, Site dst) {
                     static_cast<std::int64_t>(i), 0, 0, 0});
     ++report.data_messages;
   }
-  sim_.run();
+  radio_.run([](const Message&) { /* deliveries are fire-and-forget */ });
 
   report.success = true;
   report.total_messages = radio_.messages_sent() - messages_before;

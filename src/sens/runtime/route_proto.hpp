@@ -1,4 +1,4 @@
-// Packet routing on the SENS overlay through the event-driven runtime
+// Packet routing on the SENS overlay through the overlay radio
 // (Figure 9 made concrete).
 //
 // Route *decisions* come from sens/core/sens_router.hpp — the faithful
@@ -16,7 +16,6 @@
 #include "sens/core/overlay.hpp"
 #include "sens/core/sens_router.hpp"
 #include "sens/runtime/radio.hpp"
-#include "sens/runtime/sim.hpp"
 
 namespace sens {
 
@@ -26,7 +25,7 @@ struct RouteTrafficReport {
   std::size_t probe_messages = 0;
   std::size_t total_messages = 0;
   double energy = 0.0;        ///< transmit energy, beta from the radio
-  double delivery_time = 0.0; ///< simulated time until the packet arrives
+  double delivery_time = 0.0; ///< one-hop latencies until the packet arrives
   std::size_t node_hops = 0;
   std::size_t tile_hops = 0;
   std::size_t probes = 0;     ///< mesh-router openness queries
@@ -41,17 +40,12 @@ class RoutingProtocol {
   /// account every message it generates.
   [[nodiscard]] RouteTrafficReport send_packet(Site src, Site dst);
 
-  /// Cumulative per-node energy across all packets sent so far.
-  [[nodiscard]] double node_energy(std::uint32_t overlay_node) const {
-    return radio_.node_energy(overlay_node);
-  }
   [[nodiscard]] double total_energy() const { return radio_.total_energy(); }
   [[nodiscard]] std::size_t messages_sent() const { return radio_.messages_sent(); }
 
  private:
   const Overlay* overlay_;
   SensRouter router_;
-  Simulator sim_;
   Radio radio_;
 };
 

@@ -1,11 +1,13 @@
-// Tests for the discrete-event runtime: simulator, radio, the Figure-7
-// construction protocol (including bit-exact equivalence with the
-// centralized builder under the strict spec) and the Figure-9 routing
-// traffic accounting.
+// Tests for the runtime layer: the radio's send-order delivery and its
+// accounting, the Figure-7 construction protocol (including bit-exact
+// equivalence with the centralized builder under the strict spec, up to a
+// ~10^5-node window) and the Figure-9 routing traffic accounting.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "sens/core/udg_sens.hpp"
@@ -15,43 +17,9 @@
 #include "sens/runtime/construct.hpp"
 #include "sens/runtime/radio.hpp"
 #include "sens/runtime/route_proto.hpp"
-#include "sens/runtime/sim.hpp"
 
 namespace sens {
 namespace {
-
-TEST(SimulatorTest, OrdersByTimeThenSequence) {
-  Simulator sim;
-  std::vector<int> order;
-  sim.schedule(2.0, [&] { order.push_back(2); });
-  sim.schedule(1.0, [&] { order.push_back(1); });
-  sim.schedule(1.0, [&] { order.push_back(11); });  // same time: insertion order
-  sim.schedule(0.5, [&] { order.push_back(0); });
-  EXPECT_EQ(sim.run(), 4u);
-  EXPECT_EQ(order, (std::vector<int>{0, 1, 11, 2}));
-  EXPECT_DOUBLE_EQ(sim.now(), 2.0);
-  EXPECT_TRUE(sim.idle());
-}
-
-TEST(SimulatorTest, NestedScheduling) {
-  Simulator sim;
-  int fired = 0;
-  sim.schedule(1.0, [&] {
-    ++fired;
-    sim.schedule(1.0, [&] { ++fired; });
-  });
-  sim.run();
-  EXPECT_EQ(fired, 2);
-  EXPECT_DOUBLE_EQ(sim.now(), 2.0);
-  EXPECT_THROW(sim.schedule(-1.0, [] {}), std::invalid_argument);
-}
-
-TEST(SimulatorTest, MaxEventsGuard) {
-  Simulator sim;
-  std::function<void()> loop = [&] { sim.schedule(1.0, loop); };
-  sim.schedule(0.0, loop);
-  EXPECT_EQ(sim.run(100), 100u);
-}
 
 GeoGraph line_graph() {
   GeoGraph g;
@@ -60,14 +28,23 @@ GeoGraph line_graph() {
   return g;
 }
 
+/// Node 0 with three neighbors, plus the link 1-2.
+GeoGraph star_graph() {
+  GeoGraph g;
+  g.points = {{0.0, 0.0}, {1.0, 0.0}, {0.0, 1.0}, {-1.0, 0.0}};
+  g.graph = CsrGraph::from_edges(4, {{0, 3}, {1, 2}, {0, 1}, {0, 2}});
+  return g;
+}
+
+/// (from, to) of each delivery, in delivery order.
+using Trace = std::vector<std::pair<std::uint32_t, std::uint32_t>>;
+
 TEST(RadioTest, UnicastDeliversAndCharges) {
   const GeoGraph net = line_graph();
-  Simulator sim;
-  Radio radio(net, sim, 2.0);
+  Radio radio(net, 2.0);
   std::vector<Message> inbox;
-  radio.set_receiver([&](const Message& m) { inbox.push_back(m); });
   radio.unicast({0, 1, 42, 7, 0, 0, 0});
-  sim.run();
+  radio.run([&](const Message& m) { inbox.push_back(m); });
   ASSERT_EQ(inbox.size(), 1u);
   EXPECT_EQ(inbox[0].kind, 42u);
   EXPECT_EQ(inbox[0].a, 7);
@@ -79,22 +56,19 @@ TEST(RadioTest, UnicastDeliversAndCharges) {
 
 TEST(RadioTest, UnicastRequiresLink) {
   const GeoGraph net = line_graph();
-  Simulator sim;
-  Radio radio(net, sim);
+  Radio radio(net);
   EXPECT_THROW(radio.unicast({0, 2, 1, 0, 0, 0, 0}), std::logic_error);
 }
 
 TEST(RadioTest, BroadcastReachesAllNeighborsAtMaxRange) {
   const GeoGraph net = line_graph();
-  Simulator sim;
-  Radio radio(net, sim, 2.0);
+  Radio radio(net, 2.0);
   int received = 0;
-  radio.set_receiver([&](const Message& m) {
+  radio.broadcast({1, 0, 5, 0, 0, 0, 0});
+  radio.run([&](const Message& m) {
     ++received;
     EXPECT_EQ(m.from, 1u);
   });
-  radio.broadcast({1, 0, 5, 0, 0, 0, 0});
-  sim.run();
   EXPECT_EQ(received, 2);
   EXPECT_EQ(radio.messages_sent(), 1u);        // one transmission
   EXPECT_DOUBLE_EQ(radio.node_energy(1), 4.0); // farthest neighbor at d = 2
@@ -102,10 +76,85 @@ TEST(RadioTest, BroadcastReachesAllNeighborsAtMaxRange) {
 
 TEST(RadioTest, BetaExponentRespected) {
   const GeoGraph net = line_graph();
-  Simulator sim;
-  Radio radio(net, sim, 4.0);
+  Radio radio(net, 4.0);
   radio.unicast({1, 2, 1, 0, 0, 0, 0});
   EXPECT_DOUBLE_EQ(radio.node_energy(1), 16.0);  // 2^4
+}
+
+// The order below is the one a (time, sequence) event queue gives when
+// every send has the same latency; the Figure-7 protocol's outcome
+// depends on it.
+
+TEST(RadioTest, BroadcastDeliversInCsrOrder) {
+  const GeoGraph net = star_graph();
+  Radio radio(net);
+  Trace trace;
+  radio.broadcast({0, 0, 1, 0, 0, 0, 0});
+  radio.run([&](const Message& m) { trace.emplace_back(m.from, m.to); });
+  Trace want;
+  for (const std::uint32_t v : net.graph.neighbors(0)) want.emplace_back(0, v);
+  ASSERT_EQ(want.size(), 3u);
+  EXPECT_EQ(trace, want);
+}
+
+TEST(RadioTest, ReplyQueuesBehindEarlierSends) {
+  const GeoGraph net = star_graph();
+  Radio radio(net);
+  constexpr std::uint32_t kPing = 1;
+  constexpr std::uint32_t kQuiet = 2;
+  Trace trace;
+  radio.broadcast({0, 0, kPing, 0, 0, 0, 0});
+  radio.unicast({1, 2, kQuiet, 0, 0, 0, 0});
+  radio.run([&](const Message& m) {
+    trace.emplace_back(m.from, m.to);
+    if (m.kind == kPing) radio.unicast({m.to, m.from, kQuiet, 0, 0, 0, 0});
+  });
+  // Replies queue behind the rest of the broadcast and behind the unicast
+  // sent before the run.
+  EXPECT_EQ(trace, (Trace{{0, 1}, {0, 2}, {0, 3}, {1, 2}, {1, 0}, {2, 0}, {3, 0}}));
+  EXPECT_EQ(radio.messages_sent(), 5u);
+}
+
+TEST(RadioTest, UnicastsAndBroadcastsInterleaveInSendOrder) {
+  const GeoGraph net = star_graph();
+  Radio radio(net);
+  Trace trace;
+  radio.unicast({1, 2, 1, 0, 0, 0, 0});
+  radio.broadcast({3, 0, 1, 0, 0, 0, 0});
+  radio.unicast({0, 1, 1, 0, 0, 0, 0});
+  radio.broadcast({2, 0, 1, 0, 0, 0, 0});
+  radio.run([&](const Message& m) { trace.emplace_back(m.from, m.to); });
+  EXPECT_EQ(trace, (Trace{{1, 2}, {3, 0}, {0, 1}, {2, 0}, {2, 1}}));
+}
+
+TEST(RadioTest, RunThrowsPastMaxSends) {
+  const GeoGraph net = line_graph();
+  Radio radio(net);
+  std::size_t delivered = 0;
+  radio.unicast({0, 1, 1, 0, 0, 0, 0});
+  // Ping-pong never quiesces: the guard must throw, not return.
+  EXPECT_THROW(radio.run(
+                   [&](const Message& m) {
+                     ++delivered;
+                     radio.unicast({m.to, m.from, m.kind, 0, 0, 0, 0});
+                   },
+                   10),
+               std::runtime_error);
+  EXPECT_EQ(delivered, 10u);
+}
+
+/// The centralized overlay's edges as sorted base-point id pairs (u < v),
+/// the form ConstructOutcome::edges uses.
+std::vector<std::pair<std::uint32_t, std::uint32_t>> base_edges(const Overlay& overlay) {
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> edges;
+  for (const auto& [u, v] : overlay.geo.graph.edge_list()) {
+    auto a = overlay.base_index[u];
+    auto b = overlay.base_index[v];
+    if (a > b) std::swap(a, b);
+    edges.emplace_back(a, b);
+  }
+  std::sort(edges.begin(), edges.end());
+  return edges;
 }
 
 // --- Figure 7 protocol ---
@@ -133,21 +182,35 @@ TEST_P(ConstructEquivalenceTest, UdgStrictProtocolMatchesCentralized) {
   }
 
   // Overlay edges agree exactly (compared in base-point ids).
-  std::vector<std::pair<std::uint32_t, std::uint32_t>> central_edges;
-  for (const auto& [u, v] : central.overlay.geo.graph.edge_list()) {
-    auto a = central.overlay.base_index[u];
-    auto b = central.overlay.base_index[v];
-    if (a > b) std::swap(a, b);
-    central_edges.emplace_back(a, b);
-  }
-  std::sort(central_edges.begin(), central_edges.end());
-  EXPECT_EQ(proto.edges, central_edges);
+  EXPECT_EQ(proto.edges, base_edges(central.overlay));
   EXPECT_EQ(proto.failed_connects, 0u);
   EXPECT_GT(proto.total_messages(), 0u);
   EXPECT_GT(proto.energy, 0.0);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ConstructEquivalenceTest, ::testing::Range<std::uint64_t>(1, 6));
+
+TEST(ConstructProtocol, StrictUdgMatchesCentralizedAt100kNodes) {
+  // P4 at scale: a 76 x 76 tile window holds ~1.0e5 nodes at lambda = 25.
+  const UdgTileSpec spec = UdgTileSpec::strict();
+  const UdgSensResult central = build_udg_sens(spec, 25.0, 76, 76, 1);
+  ASSERT_GE(central.points.points.size(), 100'000u);
+  const GeoGraph udg =
+      build_udg(central.points.points, central.points.window, spec.link_radius);
+  const ConstructOutcome proto =
+      run_udg_construction(udg, spec, central.classification.window);
+
+  EXPECT_EQ(proto.tile_good, central.classification.good);
+  std::size_t leader_mismatches = 0;
+  for (std::size_t i = 0; i < proto.tile_good.size(); ++i) {
+    if (!proto.tile_good[i]) continue;
+    leader_mismatches += proto.leaders[i] != central.classification.leaders[i];
+  }
+  EXPECT_EQ(leader_mismatches, 0u);
+  EXPECT_GT(proto.good_count(), 0u);
+  EXPECT_EQ(proto.edges, base_edges(central.overlay));
+  EXPECT_EQ(proto.failed_connects, 0u);
+}
 
 TEST(ConstructProtocol, MessageCostScalesWithNodes) {
   const UdgTileSpec spec = UdgTileSpec::strict();
