@@ -64,7 +64,6 @@ struct Overlay {
     return static_cast<std::size_t>(s.y) * static_cast<std::size_t>(window.width) +
            static_cast<std::size_t>(s.x);
   }
-  [[nodiscard]] bool tile_good(Site s) const { return sites.open(s); }
   [[nodiscard]] std::uint32_t rep_of(Site s) const { return tile_nodes[tile_index(s)][0]; }
 
   /// True if the tile's rep exists and belongs to the largest overlay

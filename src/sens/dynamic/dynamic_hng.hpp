@@ -121,8 +121,6 @@ class DynamicHng {
   [[nodiscard]] std::span<const Vec2> points() const { return points_; }
   [[nodiscard]] std::uint32_t level(std::uint32_t i) const { return level_[i]; }
   [[nodiscard]] std::uint32_t top_level() const { return top_; }
-  [[nodiscard]] const HngParams& params() const { return params_; }
-  [[nodiscard]] std::uint64_t seed() const { return seed_; }
 
   /// The symmetrized overlay — equal to the batch build's graph. Deltas
   /// accumulated since the last read are applied here in one
@@ -131,12 +129,6 @@ class DynamicHng {
   [[nodiscard]] const CsrGraph& overlay() const {
     materialize();
     return overlay_;
-  }
-
-  /// The directed selection list of node i (ascending ids): its k nearest
-  /// upper-level neighbors, or the rest of the clique for top nodes.
-  [[nodiscard]] std::span<const std::uint32_t> selection(std::uint32_t i) const {
-    return sel_[i];
   }
 
   /// Repair counters of the most recent insert()/remove().

@@ -87,8 +87,6 @@ class FaultInjector {
   /// a pure function of (plan, i, points[i]).
   [[nodiscard]] std::vector<std::uint8_t> alive_mask(std::span<const Vec2> points) const;
 
-  [[nodiscard]] const FaultPlan& plan() const { return plan_; }
-
  private:
   // Rng stream tags of the fault draws (one tag per consumer, rng.hpp).
   static constexpr std::uint64_t kCrashStream = 0xfa17c0ffULL;

@@ -30,14 +30,6 @@ struct Box {
   [[nodiscard]] constexpr bool contains(Vec2 p) const {
     return p.x >= lo.x && p.x < hi.x && p.y >= lo.y && p.y < hi.y;
   }
-  /// Closed containment with tolerance; used by geometric region tests.
-  [[nodiscard]] constexpr bool contains_closed(Vec2 p, double eps = 0.0) const {
-    return p.x >= lo.x - eps && p.x <= hi.x + eps && p.y >= lo.y - eps && p.y <= hi.y + eps;
-  }
-
-  [[nodiscard]] constexpr bool intersects(const Box& o) const {
-    return lo.x < o.hi.x && o.lo.x < hi.x && lo.y < o.hi.y && o.lo.y < hi.y;
-  }
 
   /// Largest radius r such that disk(p, r) stays inside this box; negative
   /// if p is outside.

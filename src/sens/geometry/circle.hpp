@@ -1,10 +1,6 @@
-// Circle/disk helpers, including the closed-form lens (two-disk intersection)
-// area used to validate the relay-region machinery.
+// A disk: center and radius, the generator shape of the relay-region
+// machinery (circle_clip, disk_family).
 #pragma once
-
-#include <algorithm>
-#include <cmath>
-#include <numbers>
 
 #include "sens/geometry/vec2.hpp"
 
@@ -16,29 +12,6 @@ struct Circle {
 
   constexpr Circle() = default;
   constexpr Circle(Vec2 c, double r) : center(c), radius(r) {}
-
-  [[nodiscard]] constexpr bool contains(Vec2 p, double eps = 0.0) const {
-    const double rr = radius + eps;
-    return dist2(p, center) <= rr * rr;
-  }
-
-  [[nodiscard]] double area() const { return std::numbers::pi * radius * radius; }
 };
-
-/// Exact area of the intersection of two disks.
-[[nodiscard]] inline double lens_area(const Circle& a, const Circle& b) {
-  const double d = dist(a.center, b.center);
-  const double r = a.radius;
-  const double s = b.radius;
-  if (d >= r + s) return 0.0;                                  // disjoint
-  if (d + std::min(r, s) <= std::max(r, s)) {                  // one inside the other
-    const double rm = std::min(r, s);
-    return std::numbers::pi * rm * rm;
-  }
-  const double r2 = r * r, s2 = s * s, d2 = d * d;
-  const double alpha = std::acos(std::clamp((d2 + r2 - s2) / (2.0 * d * r), -1.0, 1.0));
-  const double beta = std::acos(std::clamp((d2 + s2 - r2) / (2.0 * d * s), -1.0, 1.0));
-  return r2 * (alpha - std::sin(2.0 * alpha) / 2.0) + s2 * (beta - std::sin(2.0 * beta) / 2.0);
-}
 
 }  // namespace sens

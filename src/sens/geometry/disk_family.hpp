@@ -53,8 +53,6 @@ class DiskFamilyRegion {
   [[nodiscard]] ConvexPolygon polygonize(Vec2 interior, double max_radius,
                                          std::size_t directions = 256) const;
 
-  [[nodiscard]] const std::vector<DiskFamilyGenerator>& generators() const { return generators_; }
-
  private:
   [[nodiscard]] double generator_margin(const DiskFamilyGenerator& gen, Vec2 p) const;
 

@@ -21,7 +21,6 @@ class ConvexPolygon {
   explicit ConvexPolygon(std::vector<Vec2> vertices);
 
   [[nodiscard]] bool empty() const { return vertices_.size() < 3; }
-  [[nodiscard]] std::size_t size() const { return vertices_.size(); }
   [[nodiscard]] const std::vector<Vec2>& vertices() const { return vertices_; }
 
   /// Signed (shoelace) area; >= 0 for CCW polygons.

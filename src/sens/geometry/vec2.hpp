@@ -16,30 +16,12 @@ struct Vec2 {
   constexpr Vec2 operator+(Vec2 o) const { return {x + o.x, y + o.y}; }
   constexpr Vec2 operator-(Vec2 o) const { return {x - o.x, y - o.y}; }
   constexpr Vec2 operator*(double s) const { return {x * s, y * s}; }
-  constexpr Vec2 operator/(double s) const { return {x / s, y / s}; }
-  constexpr Vec2& operator+=(Vec2 o) {
-    x += o.x;
-    y += o.y;
-    return *this;
-  }
-  constexpr Vec2& operator-=(Vec2 o) {
-    x -= o.x;
-    y -= o.y;
-    return *this;
-  }
-  constexpr bool operator==(const Vec2&) const = default;
 
   [[nodiscard]] constexpr double dot(Vec2 o) const { return x * o.x + y * o.y; }
   /// z-component of the 3-D cross product; >0 when `o` is CCW from *this.
   [[nodiscard]] constexpr double cross(Vec2 o) const { return x * o.y - y * o.x; }
   [[nodiscard]] constexpr double norm2() const { return x * x + y * y; }
   [[nodiscard]] double norm() const { return std::hypot(x, y); }
-  [[nodiscard]] Vec2 normalized() const {
-    const double n = norm();
-    return n > 0.0 ? Vec2{x / n, y / n} : Vec2{0.0, 0.0};
-  }
-  /// Perpendicular (rotated +90 degrees).
-  [[nodiscard]] constexpr Vec2 perp() const { return {-y, x}; }
 };
 
 constexpr Vec2 operator*(double s, Vec2 v) { return v * s; }

@@ -34,7 +34,6 @@ class CsrGraph {
       endpoints_.push_back(u);
       endpoints_.push_back(v);
     }
-    [[nodiscard]] std::size_t edges_added() const { return endpoints_.size() / 2; }
     /// Consume the accumulated edges into a graph over vertices [0, n).
     /// Throws std::out_of_range on a vertex id >= n, and std::overflow_error
     /// when n or the arc count outgrows the 32-bit id space (every

@@ -124,8 +124,6 @@ class LatencyHistogram {
   void record(std::uint64_t ns) noexcept;
 
   [[nodiscard]] std::uint64_t count() const noexcept { return count_; }
-  [[nodiscard]] std::uint64_t min_ns() const noexcept { return count_ ? min_ns_ : 0; }
-  [[nodiscard]] std::uint64_t max_ns() const noexcept { return max_ns_; }
 
   /// Upper edge of the bucket containing quantile p ∈ [0, 1], clamped to
   /// the observed [min, max] — a conservative (over-)estimate with ≤2x

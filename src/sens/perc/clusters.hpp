@@ -18,7 +18,6 @@ class ClusterLabels {
 
   /// Cluster id of an open site; kClosed for closed sites.
   [[nodiscard]] std::int32_t label(Site s) const { return labels_[grid_->index(s)]; }
-  [[nodiscard]] std::size_t cluster_count() const { return sizes_.size(); }
 
   [[nodiscard]] std::int32_t largest_cluster() const { return largest_; }
   [[nodiscard]] std::size_t largest_cluster_size() const {
@@ -28,11 +27,6 @@ class ClusterLabels {
   [[nodiscard]] bool in_largest(Site s) const {
     return largest_ >= 0 && label(s) == largest_;
   }
-  [[nodiscard]] bool same_cluster(Site a, Site b) const {
-    return label(a) >= 0 && label(a) == label(b);
-  }
-
-  [[nodiscard]] const SiteGrid& grid() const { return *grid_; }
 
  private:
   const SiteGrid* grid_;

@@ -30,8 +30,6 @@ namespace sens {
 /// xoshiro256** engine with distribution helpers.
 class Rng {
  public:
-  using result_type = std::uint64_t;
-
   explicit Rng(std::uint64_t seed = 0x5eed5eed5eedULL);
 
   /// Independent stream `index` derived from `seed`; streams with different
@@ -41,9 +39,6 @@ class Rng {
   static Rng stream(std::uint64_t seed, std::uint64_t a, std::uint64_t b, std::uint64_t c);
 
   std::uint64_t next_u64();
-  std::uint64_t operator()() { return next_u64(); }
-  static constexpr std::uint64_t min() { return 0; }
-  static constexpr std::uint64_t max() { return ~0ULL; }
 
   /// Uniform double in [0, 1).
   double uniform();

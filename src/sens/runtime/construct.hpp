@@ -59,9 +59,6 @@ struct ConstructOutcome {
   std::size_t failed_connects = 0;   ///< required link absent from base graph
   double energy = 0.0;               ///< total transmit energy (beta = 2)
 
-  [[nodiscard]] std::size_t total_messages() const {
-    return election_messages + control_messages;
-  }
   [[nodiscard]] std::size_t good_count() const;
 };
 

@@ -59,7 +59,6 @@ RouteTrafficReport RoutingProtocol::send_packet(Site src, Site dst) {
   report.success = true;
   report.total_messages = radio_.messages_sent() - messages_before;
   report.energy = radio_.total_energy() - energy_before;
-  report.delivery_time = static_cast<double>(report.node_hops);
   return report;
 }
 

@@ -25,7 +25,6 @@ struct RouteTrafficReport {
   std::size_t probe_messages = 0;
   std::size_t total_messages = 0;
   double energy = 0.0;        ///< transmit energy, beta from the radio
-  double delivery_time = 0.0; ///< one-hop latencies until the packet arrives
   std::size_t node_hops = 0;
   std::size_t tile_hops = 0;
   std::size_t probes = 0;     ///< mesh-router openness queries

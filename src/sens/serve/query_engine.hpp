@@ -127,8 +127,6 @@ class QueryEngine {
   /// engine (out-of-range ids are answered kInfCost and counted stale).
   ServeStats estimate_distances(std::span<const Query> queries, std::span<double> out) const;
 
-  [[nodiscard]] const CsrGraph& graph() const { return *g_; }
-  [[nodiscard]] std::span<const double> arc_weights() const { return weights_; }
   [[nodiscard]] const LandmarkOracle& oracle() const { return oracle_; }
   [[nodiscard]] double max_stretch() const { return max_stretch_; }
 

@@ -141,9 +141,6 @@ class GridKnn {
     return false;
   }
 
-  /// Number of *live* indexed points (the member count for a subset view;
-  /// tombstoned members do not count).
-  [[nodiscard]] std::size_t size() const { return live_; }
   [[nodiscard]] std::span<const Vec2> points() const { return points_; }
 
   // --- mutable membership (sens/dynamic) ---
@@ -165,9 +162,6 @@ class GridKnn {
 
   /// Live member ids, ascending — the rebuild order `compact` uses.
   [[nodiscard]] std::vector<std::uint32_t> live_members() const;
-
-  /// The expected query size this grid's geometry is tuned for.
-  [[nodiscard]] std::size_t expected_k() const { return expected_k_; }
 
   /// Tombstone + spill count (observability for compaction tests).
   [[nodiscard]] std::size_t pending() const { return dead_ + spill_.size(); }

@@ -46,12 +46,9 @@ class KdTree {
   /// Indices of the k points nearest to `q`, excluding index `exclude`
   /// (pass npos to exclude nothing), sorted by (distance, index), written
   /// into `out` (cleared first; capacity is reused). Returns the number of
-  /// indices written: min(k, size() minus the excluded point).
+  /// indices written: min(k, point count minus the excluded point).
   std::size_t nearest_into(Vec2 q, std::size_t k, std::uint32_t exclude, QueryScratch& scratch,
                            std::vector<std::uint32_t>& out) const;
-
-  [[nodiscard]] std::size_t size() const { return points_.size(); }
-  [[nodiscard]] std::span<const Vec2> points() const { return points_; }
 
  private:
   struct Node {
@@ -70,7 +67,7 @@ class KdTree {
               std::vector<QueryScratch::Candidate>& best, double mindist,
               double* axis_dist) const;
 
-  std::vector<Vec2> points_;            // original order (points() accessor)
+  std::vector<Vec2> points_;            // original order
   std::vector<std::uint32_t> order_;    // leaf-order permutation
   std::vector<Vec2> leaf_points_;       // points_[order_[i]], contiguous per leaf
   std::vector<Node> nodes_;

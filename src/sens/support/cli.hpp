@@ -1,8 +1,6 @@
 // Minimal command-line option parser used by the bench/example binaries.
 //
-// Accepts `--name=value`, `--name value` and bare `--flag` forms. Unknown
-// options are collected so binaries can report typos instead of silently
-// ignoring them.
+// Accepts `--name=value`, `--name value` and bare `--flag` forms.
 #pragma once
 
 #include <map>
@@ -25,15 +23,6 @@ class Cli {
   [[nodiscard]] long get(const std::string& name, long fallback) const;
   [[nodiscard]] int get(const std::string& name, int fallback) const;
   [[nodiscard]] unsigned long long get(const std::string& name, unsigned long long fallback) const;
-
-  /// Positional (non `--`) arguments in order of appearance.
-  [[nodiscard]] const std::vector<std::string>& positional() const { return positional_; }
-
-  /// Program name (argv[0]).
-  [[nodiscard]] const std::string& program() const { return program_; }
-
-  /// Options that were parsed, for echoing a run's configuration.
-  [[nodiscard]] const std::map<std::string, std::string>& options() const { return options_; }
 
  private:
   std::string program_;

@@ -36,7 +36,7 @@ double find_udg_lambda_threshold(const UdgTileSpec& spec, double target, std::si
   return (lo + hi) / 2.0;
 }
 
-NnGoodCurve::NnGoodCurve(double a, std::size_t trials, std::uint64_t seed) : a_(a) {
+NnGoodCurve::NnGoodCurve(double a, std::size_t trials, std::uint64_t seed) {
   // Regions do not depend on k; build the spec once with a placeholder k.
   const NnTileSpec spec(a, 2);
   const Box tile = Box::square({0.0, 0.0}, spec.side());

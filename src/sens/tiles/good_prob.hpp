@@ -53,11 +53,7 @@ class NnGoodCurve {
   /// probability stays below target.
   [[nodiscard]] std::size_t threshold_k(double target) const;
 
-  [[nodiscard]] double a() const { return a_; }
-  [[nodiscard]] std::size_t trials() const { return trials_.size(); }
-
  private:
-  double a_;
   std::vector<NnTileTrial> trials_;
 };
 

@@ -66,8 +66,6 @@ class NnTileSpec {
   [[nodiscard]] const ConvexPolygon& e_polygon(int dir) const {
     return e_polygons_[static_cast<std::size_t>(dir)];
   }
-  [[nodiscard]] double e_region_area() const { return e_polygons_[0].area(); }
-  [[nodiscard]] double c_region_area() const { return Circle{{0, 0}, a_}.area(); }
 
   /// Occupancy bitmask: bit 0 = C0, bits 1..4 = C dir, bits 5..8 = E dir.
   [[nodiscard]] unsigned region_mask(Vec2 local) const;

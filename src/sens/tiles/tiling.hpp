@@ -15,7 +15,6 @@ namespace sens {
 struct TileCoord {
   std::int64_t i = 0;
   std::int64_t j = 0;
-  constexpr bool operator==(const TileCoord&) const = default;
 };
 
 class Tiling {
@@ -57,7 +56,6 @@ struct TileWindow {
   [[nodiscard]] Site phi(TileCoord t) const {
     return {static_cast<std::int32_t>(t.i - i0), static_cast<std::int32_t>(t.j - j0)};
   }
-  [[nodiscard]] TileCoord phi_inverse(Site s) const { return {i0 + s.x, j0 + s.y}; }
   [[nodiscard]] std::size_t tile_count() const {
     return static_cast<std::size_t>(width) * static_cast<std::size_t>(height);
   }

@@ -11,7 +11,8 @@
 #include <vector>
 
 #include "sens/graph/csr.hpp"
-#include "sens/graph/union_find.hpp"
+
+#include "union_find.hpp"
 
 namespace sens::testing_ref {
 

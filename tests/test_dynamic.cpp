@@ -23,10 +23,12 @@
 namespace sens {
 namespace {
 
-/// The full-rebuild oracle: batch-build over the survivors and demand
-/// bit-for-bit agreement on levels, top level, vertex count, and edges.
-::testing::AssertionResult matches_oracle(const DynamicHng& dyn) {
-  const HngResult batch = build_hng(dyn.points(), dyn.params(), dyn.seed());
+/// The full-rebuild oracle: batch-build over the survivors with the
+/// params and seed `dyn` was made with, and demand bit-for-bit agreement
+/// on levels, top level, vertex count, and edges.
+::testing::AssertionResult matches_oracle(const DynamicHng& dyn, const HngParams& params,
+                                          std::uint64_t seed) {
+  const HngResult batch = build_hng(dyn.points(), params, seed);
   if (dyn.overlay().num_vertices() != batch.geo.size()) {
     return ::testing::AssertionFailure()
            << "overlay has " << dyn.overlay().num_vertices() << " vertices, batch "
@@ -96,7 +98,8 @@ void apply(DynamicHng& dyn, const Event& e) {
 /// Replay `trace` (leave slots taken modulo the live size; a leave on an
 /// empty structure is skipped) with the full-rebuild oracle after EVERY
 /// event.
-::testing::AssertionResult replay_with_oracle(DynamicHng& dyn, const std::vector<Event>& trace) {
+::testing::AssertionResult replay_with_oracle(DynamicHng& dyn, const HngParams& params,
+                                              std::uint64_t seed, const std::vector<Event>& trace) {
   for (std::size_t e = 0; e < trace.size(); ++e) {
     Event ev = trace[e];
     if (!ev.join) {
@@ -104,7 +107,7 @@ void apply(DynamicHng& dyn, const Event& e) {
       ev.slot %= static_cast<std::uint32_t>(dyn.size());
     }
     apply(dyn, ev);
-    if (::testing::AssertionResult ok = matches_oracle(dyn); !ok) {
+    if (::testing::AssertionResult ok = matches_oracle(dyn, params, seed); !ok) {
       return ok << " (after event " << e << ", n=" << dyn.size() << ")";
     }
   }
@@ -119,9 +122,11 @@ TEST(DynamicHng, RejectsInvalidParams) {
 }
 
 TEST(DynamicHng, EmptySingletonAndBackToEmpty) {
-  DynamicHng dyn({}, 7);
+  const HngParams params{};
+  const std::uint64_t seed = 7;
+  DynamicHng dyn(params, seed);
   EXPECT_EQ(dyn.size(), 0u);
-  EXPECT_TRUE(matches_oracle(dyn));
+  EXPECT_TRUE(matches_oracle(dyn, params, seed));
 
   const std::uint32_t id = dyn.insert({2.0, 3.0});
   EXPECT_EQ(id, 0u);
@@ -129,12 +134,12 @@ TEST(DynamicHng, EmptySingletonAndBackToEmpty) {
   EXPECT_EQ(dyn.overlay().num_vertices(), 1u);
   EXPECT_EQ(dyn.overlay().num_edges(), 0u);
   EXPECT_EQ(dyn.level(0), dyn.top_level());
-  EXPECT_TRUE(matches_oracle(dyn));
+  EXPECT_TRUE(matches_oracle(dyn, params, seed));
 
   dyn.remove(0);
   EXPECT_EQ(dyn.size(), 0u);
   EXPECT_EQ(dyn.overlay().num_vertices(), 0u);
-  EXPECT_TRUE(matches_oracle(dyn));
+  EXPECT_TRUE(matches_oracle(dyn, params, seed));
 }
 
 TEST(DynamicHng, RemoveInvalidSlotThrows) {
@@ -149,26 +154,31 @@ TEST(DynamicHng, RemoveInvalidSlotThrows) {
 // joiner itself.
 TEST(DynamicHng, BulkAdoptionMatchesBatchBuild) {
   const PointSet ps = poisson_point_set(Box{{0.0, 0.0}, {18.0, 18.0}}, 2.0, 0xD15);
-  const DynamicHng dyn(ps.points, {.promote_p = 0.25, .k = 3}, 0xD15);
+  const HngParams params{.promote_p = 0.25, .k = 3};
+  const std::uint64_t seed = 0xD15;
+  const DynamicHng dyn(ps.points, params, seed);
   EXPECT_EQ(dyn.size(), ps.size());
-  EXPECT_TRUE(matches_oracle(dyn));
+  EXPECT_TRUE(matches_oracle(dyn, params, seed));
   EXPECT_GE(dyn.last_event().relinked, 1u);
 }
 
 // Byte-identical coordinates are distinct nodes (distinct slots, distinct
 // rng streams); ties resolve by the (distance, index) order everywhere.
 TEST(DynamicHng, DuplicatePointsAreDistinctNodes) {
-  DynamicHng dyn({.promote_p = 0.4, .k = 2}, 0xD0B);
+  const HngParams params{.promote_p = 0.4, .k = 2};
+  const std::uint64_t seed = 0xD0B;
+  DynamicHng dyn(params, seed);
   for (int rep = 0; rep < 24; ++rep) {
     dyn.insert({1.0, 1.0});
-    ASSERT_TRUE(matches_oracle(dyn)) << "after duplicate insert " << rep;
+    ASSERT_TRUE(matches_oracle(dyn, params, seed)) << "after duplicate insert " << rep;
   }
   dyn.insert({4.0, 1.0});
   dyn.insert({1.0, 5.0});
-  ASSERT_TRUE(matches_oracle(dyn));
+  ASSERT_TRUE(matches_oracle(dyn, params, seed));
   while (dyn.size() > 20) {
     dyn.remove(0);
-    ASSERT_TRUE(matches_oracle(dyn)) << "after removing a duplicate, n=" << dyn.size();
+    ASSERT_TRUE(matches_oracle(dyn, params, seed))
+        << "after removing a duplicate, n=" << dyn.size();
   }
 }
 
@@ -178,15 +188,17 @@ TEST(DynamicHng, DuplicatePointsAreDistinctNodes) {
 TEST(DynamicHng, RemoveUntilEmptyThenReinsert) {
   const PointSet ps = poisson_point_set(Box{{0.0, 0.0}, {6.0, 6.0}}, 2.0, 0xE4A5E);
   ASSERT_GT(ps.size(), 30u);
-  DynamicHng dyn(ps.points, {.promote_p = 0.3, .k = 2}, 0xE4A5E);
+  const HngParams params{.promote_p = 0.3, .k = 2};
+  const std::uint64_t seed = 0xE4A5E;
+  DynamicHng dyn(ps.points, params, seed);
   Rng rng = Rng::stream(0xE4A5E, 0xDE1, 0);
   while (dyn.size() > 0) {
     dyn.remove(static_cast<std::uint32_t>(rng.uniform_index(dyn.size())));
-    ASSERT_TRUE(matches_oracle(dyn)) << "draining, n=" << dyn.size();
+    ASSERT_TRUE(matches_oracle(dyn, params, seed)) << "draining, n=" << dyn.size();
   }
   for (const Vec2 p : ps.points) {
     const std::uint32_t id = dyn.insert(p);
-    ASSERT_TRUE(matches_oracle(dyn)) << "re-inserting slot " << id;
+    ASSERT_TRUE(matches_oracle(dyn, params, seed)) << "re-inserting slot " << id;
   }
   EXPECT_EQ(dyn.size(), ps.size());
 }
@@ -196,7 +208,9 @@ TEST(DynamicHng, RemoveUntilEmptyThenReinsert) {
 // either coordinate, and the structure keeps working afterwards.
 TEST(DynamicHng, NonFiniteInsertThrowsAndLeavesStateIntact) {
   const PointSet ps = poisson_point_set(Box{{0.0, 0.0}, {6.0, 6.0}}, 2.0, 0xBAD);
-  DynamicHng dyn(ps.points, {.promote_p = 0.3, .k = 3}, 0xBAD);
+  const HngParams params{.promote_p = 0.3, .k = 3};
+  const std::uint64_t seed = 0xBAD;
+  DynamicHng dyn(ps.points, params, seed);
   const double nan = std::numeric_limits<double>::quiet_NaN();
   const double inf = std::numeric_limits<double>::infinity();
   double x = 0.25;
@@ -210,15 +224,16 @@ TEST(DynamicHng, NonFiniteInsertThrowsAndLeavesStateIntact) {
       EXPECT_EQ(dyn.overlay_generation(), generation);
       EXPECT_EQ(dyn.last_event().relinked, last.relinked);
       EXPECT_EQ(dyn.last_event().edges_added, last.edges_added);
-      ASSERT_TRUE(matches_oracle(dyn)) << "after rejecting (" << p.x << ", " << p.y << ")";
+      ASSERT_TRUE(matches_oracle(dyn, params, seed))
+          << "after rejecting (" << p.x << ", " << p.y << ")";
       dyn.insert({x, 5.0 - x});
       x += 0.5;
-      ASSERT_TRUE(matches_oracle(dyn)) << "insert after a rejected point";
+      ASSERT_TRUE(matches_oracle(dyn, params, seed)) << "insert after a rejected point";
     }
   }
   std::vector<Vec2> poisoned = ps.points;
   poisoned[poisoned.size() / 2].y = nan;
-  EXPECT_THROW(DynamicHng(poisoned, {.promote_p = 0.3, .k = 3}, 0xBAD), std::invalid_argument);
+  EXPECT_THROW(DynamicHng(poisoned, params, seed), std::invalid_argument);
 }
 
 // --- adversarial traces for the reverse k-NN join repair ---------------
@@ -247,8 +262,10 @@ TEST(DynamicHng, AdversarialLatticeTiesMatchOracle) {
       trace.push_back({.join = false, .p = {}, .slot = static_cast<std::uint32_t>(rng.next_u64())});
     }
   }
-  DynamicHng dyn({.promote_p = 0.3, .k = 3}, 0x1A7);
-  EXPECT_TRUE(replay_with_oracle(dyn, trace));
+  const HngParams params{.promote_p = 0.3, .k = 3};
+  const std::uint64_t seed = 0x1A7;
+  DynamicHng dyn(params, seed);
+  EXPECT_TRUE(replay_with_oracle(dyn, params, seed, trace));
 }
 
 // Joiners far outside the current bounding box (up to 1e9 away) and
@@ -256,8 +273,10 @@ TEST(DynamicHng, AdversarialLatticeTiesMatchOracle) {
 // bulk, buckets far from every other bucket.
 TEST(DynamicHng, AdversarialFarJoinersAndTightClustersMatchOracle) {
   const PointSet warm = poisson_point_set(Box{{0.0, 0.0}, {4.0, 4.0}}, 3.0, 0xFA4);
-  DynamicHng dyn(warm.points, {.promote_p = 0.3, .k = 3}, 0xFA4);
-  ASSERT_TRUE(matches_oracle(dyn));
+  const HngParams params{.promote_p = 0.3, .k = 3};
+  const std::uint64_t seed = 0xFA4;
+  DynamicHng dyn(warm.points, params, seed);
+  ASSERT_TRUE(matches_oracle(dyn, params, seed));
   Rng rng = Rng::stream(0xFA4, 0, 0);
   std::vector<Event> trace;
   for (int e = 0; e < 700; ++e) {
@@ -276,7 +295,7 @@ TEST(DynamicHng, AdversarialFarJoinersAndTightClustersMatchOracle) {
     }
     trace.push_back({.join = true, .p = p, .slot = 0});
   }
-  EXPECT_TRUE(replay_with_oracle(dyn, trace));
+  EXPECT_TRUE(replay_with_oracle(dyn, params, seed, trace));
 }
 
 // Two clusters at diagonally opposite corners near +-1e155: distances
@@ -296,8 +315,10 @@ TEST(DynamicHng, AdversarialOverflowingDistancesMatchOracle) {
       trace.push_back({.join = false, .p = {}, .slot = static_cast<std::uint32_t>(rng.next_u64())});
     }
   }
-  DynamicHng dyn({.promote_p = 0.3, .k = 3}, 0x1E155);
-  EXPECT_TRUE(replay_with_oracle(dyn, trace));
+  const HngParams params{.promote_p = 0.3, .k = 3};
+  const std::uint64_t seed = 0x1E155;
+  DynamicHng dyn(params, seed);
+  EXPECT_TRUE(replay_with_oracle(dyn, params, seed, trace));
 }
 
 // promote_p = 0.75 on a few hundred nodes, grown and drained four
@@ -328,7 +349,8 @@ TEST(DynamicHng, AdversarialTopTransitionsMatchOracle) {
         if (dyn.top_level() > top) ++rises;
         if (dyn.top_level() < top && dyn.size() > 0) ++drops;
         if (dyn.top_level() == 1 && dyn.size() >= 2) ++everyone_cliques;
-        ASSERT_TRUE(matches_oracle(dyn)) << "cycle " << cycle << ", n=" << dyn.size();
+        ASSERT_TRUE(matches_oracle(dyn, params, seed))
+            << "cycle " << cycle << ", n=" << dyn.size();
       }
     }
   }
@@ -343,18 +365,25 @@ TEST(DynamicHng, AdversarialTopTransitionsMatchOracle) {
 TEST(DynamicHng, AdversarialUnderFullLevelsMatchOracle) {
   for (const std::size_t k : {std::size_t{6}, std::size_t{40}}) {
     const PointSet warm = poisson_point_set(Box{{0.0, 0.0}, {6.0, 6.0}}, 2.0, 0xD0 + k);
-    DynamicHng dyn(warm.points, {.promote_p = 0.25, .k = k}, 0xD0 + k);
-    ASSERT_TRUE(matches_oracle(dyn));
+    const HngParams params{.promote_p = 0.25, .k = k};
+    const std::uint64_t seed = 0xD0 + k;
+    DynamicHng dyn(warm.points, params, seed);
+    ASSERT_TRUE(matches_oracle(dyn, params, seed));
     std::size_t under_full = 0;
-    const std::vector<Event> trace = make_trace(0xD0 + k, 400, 0.5);
+    const std::vector<Event> trace = make_trace(seed, 400, 0.5);
     for (std::size_t e = 0; e < trace.size(); ++e) {
       Event ev = trace[e];
       if (!ev.join) ev.slot %= static_cast<std::uint32_t>(dyn.size());
       apply(dyn, ev);
-      ASSERT_TRUE(matches_oracle(dyn)) << "k=" << k << ", event " << e;
+      ASSERT_TRUE(matches_oracle(dyn, params, seed)) << "k=" << k << ", event " << e;
+      // A node of level l selects min(k, |S_{l+1}|) nodes, S_{l+1} being
+      // the nodes of a level above l.
+      std::vector<std::size_t> above(dyn.top_level() + 1, 0);  // |S_{l+1}| per l
+      for (std::uint32_t v = 0; v < dyn.size(); ++v) {
+        for (std::uint32_t l = 0; l < dyn.level(v); ++l) ++above[l];
+      }
       for (std::uint32_t w = 0; w < dyn.size(); ++w) {
-        if (dyn.level(w) >= 2 && dyn.level(w) < dyn.top_level() &&
-            dyn.selection(w).size() < k) {
+        if (dyn.level(w) >= 2 && dyn.level(w) < dyn.top_level() && above[dyn.level(w)] < k) {
           ++under_full;
           break;
         }
@@ -373,8 +402,9 @@ TEST_P(ChurnTraceTest, OracleHoldsAtEveryPrefix) {
   // Warm start so leaves bite immediately; slight join bias so the
   // structure grows through multi-level territory over the trace.
   const PointSet warm = poisson_point_set(Box{{0.0, 0.0}, {8.0, 8.0}}, 1.5, seed);
-  DynamicHng dyn(warm.points, {.promote_p = 0.25, .k = 3}, seed);
-  ASSERT_TRUE(matches_oracle(dyn));
+  const HngParams params{.promote_p = 0.25, .k = 3};
+  DynamicHng dyn(warm.points, params, seed);
+  ASSERT_TRUE(matches_oracle(dyn, params, seed));
   const std::vector<Event> trace = make_trace(seed, 500, 0.55);
   for (std::size_t e = 0; e < trace.size(); ++e) {
     // Leave slots were generated against the warm-start-free model; shift
@@ -382,7 +412,7 @@ TEST_P(ChurnTraceTest, OracleHoldsAtEveryPrefix) {
     Event ev = trace[e];
     if (!ev.join) ev.slot = ev.slot % static_cast<std::uint32_t>(dyn.size());
     apply(dyn, ev);
-    ASSERT_TRUE(matches_oracle(dyn)) << "trace seed " << seed << ", event " << e;
+    ASSERT_TRUE(matches_oracle(dyn, params, seed)) << "trace seed " << seed << ", event " << e;
   }
 }
 
@@ -394,9 +424,11 @@ INSTANTIATE_TEST_SUITE_P(Seeds, ChurnTraceTest,
 // produce bit-identical levels and overlays (and still match the oracle,
 // which itself runs chunk-parallel at the ambient thread count).
 TEST(DynamicThreads, TraceReplayBitIdenticalAcrossThreadCounts) {
-  const std::vector<Event> trace = make_trace(0x7A4EAD, 240, 0.6);
-  const auto replay = [&trace] {
-    DynamicHng dyn({.promote_p = 0.25, .k = 3}, 0x7A4EAD);
+  const HngParams params{.promote_p = 0.25, .k = 3};
+  const std::uint64_t seed = 0x7A4EAD;
+  const std::vector<Event> trace = make_trace(seed, 240, 0.6);
+  const auto replay = [&] {
+    DynamicHng dyn(params, seed);
     for (const Event& e : trace) {
       Event ev = e;
       if (!ev.join) ev.slot = ev.slot % static_cast<std::uint32_t>(dyn.size());
@@ -406,7 +438,7 @@ TEST(DynamicThreads, TraceReplayBitIdenticalAcrossThreadCounts) {
   };
   set_thread_count(1);
   const DynamicHng serial = replay();
-  EXPECT_TRUE(matches_oracle(serial));
+  EXPECT_TRUE(matches_oracle(serial, params, seed));
   for (const unsigned threads : {2u, 8u}) {
     set_thread_count(threads);
     const DynamicHng parallel = replay();
@@ -415,7 +447,7 @@ TEST(DynamicThreads, TraceReplayBitIdenticalAcrossThreadCounts) {
     for (std::uint32_t i = 0; i < serial.size(); ++i) {
       ASSERT_EQ(parallel.level(i), serial.level(i)) << "slot " << i << " at " << threads;
     }
-    EXPECT_TRUE(matches_oracle(parallel));
+    EXPECT_TRUE(matches_oracle(parallel, params, seed));
   }
   set_thread_count(0);
 }

@@ -1,10 +1,12 @@
-// Tests for sens/geometry: vectors, boxes, circles, polygons, the exact
+// Tests for sens/geometry: vectors, boxes, polygons, the exact
 // circle-polygon clip and the disk-family regions that define the paper's
 // relay geometry.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <numbers>
+#include <utility>
 #include <vector>
 
 #include "sens/geometry/box.hpp"
@@ -19,6 +21,26 @@ namespace sens {
 namespace {
 
 constexpr double kPi = std::numbers::pi;
+
+/// A vector's coordinates as a pair, for exact comparisons.
+std::pair<double, double> xy(Vec2 v) { return {v.x, v.y}; }
+
+/// Exact area of the intersection of two disks: the closed form that
+/// disk_polygon_area is checked against.
+double lens_area(const Circle& a, const Circle& b) {
+  const double d = dist(a.center, b.center);
+  const double r = a.radius;
+  const double s = b.radius;
+  if (d >= r + s) return 0.0;                                  // disjoint
+  if (d + std::min(r, s) <= std::max(r, s)) {                  // one inside the other
+    const double rm = std::min(r, s);
+    return kPi * rm * rm;
+  }
+  const double r2 = r * r, s2 = s * s, d2 = d * d;
+  const double alpha = std::acos(std::clamp((d2 + r2 - s2) / (2.0 * d * r), -1.0, 1.0));
+  const double beta = std::acos(std::clamp((d2 + s2 - r2) / (2.0 * d * s), -1.0, 1.0));
+  return r2 * (alpha - std::sin(2.0 * alpha) / 2.0) + s2 * (beta - std::sin(2.0 * beta) / 2.0);
+}
 
 /// CCW rectangle polygon for a box.
 ConvexPolygon box_polygon(const Box& box) {
@@ -55,21 +77,15 @@ DiskFamilyGenerator constant_generator(Circle c, double r) {
 
 TEST(Vec2Test, Arithmetic) {
   const Vec2 a{1.0, 2.0}, b{3.0, -1.0};
-  EXPECT_EQ(a + b, Vec2(4.0, 1.0));
-  EXPECT_EQ(a - b, Vec2(-2.0, 3.0));
-  EXPECT_EQ(a * 2.0, Vec2(2.0, 4.0));
-  EXPECT_EQ(2.0 * a, Vec2(2.0, 4.0));
+  EXPECT_EQ(xy(a + b), xy({4.0, 1.0}));
+  EXPECT_EQ(xy(a - b), xy({-2.0, 3.0}));
+  EXPECT_EQ(xy(a * 2.0), xy({2.0, 4.0}));
+  EXPECT_EQ(xy(2.0 * a), xy({2.0, 4.0}));
   EXPECT_DOUBLE_EQ(a.dot(b), 1.0);
   EXPECT_DOUBLE_EQ(a.cross(b), -7.0);
   EXPECT_DOUBLE_EQ(dist2(a, b), 13.0);
   EXPECT_DOUBLE_EQ(Vec2(3.0, 4.0).norm(), 5.0);
-  EXPECT_EQ(a.perp(), Vec2(-2.0, 1.0));
   EXPECT_NEAR(unit_vec(kPi / 2).y, 1.0, 1e-15);
-}
-
-TEST(Vec2Test, Normalized) {
-  EXPECT_NEAR(Vec2(3.0, 4.0).normalized().norm(), 1.0, 1e-15);
-  EXPECT_EQ(Vec2(0.0, 0.0).normalized(), Vec2(0.0, 0.0));
 }
 
 TEST(BoxTest, ContainmentConventions) {
@@ -77,9 +93,8 @@ TEST(BoxTest, ContainmentConventions) {
   EXPECT_TRUE(b.contains({0.0, 0.0}));
   EXPECT_TRUE(b.contains({-1.0, -1.0}));   // low edge closed
   EXPECT_FALSE(b.contains({1.0, 0.0}));    // high edge open
-  EXPECT_TRUE(b.contains_closed({1.0, 1.0}));
   EXPECT_DOUBLE_EQ(b.area(), 4.0);
-  EXPECT_EQ(b.center(), Vec2(0.0, 0.0));
+  EXPECT_EQ(xy(b.center()), xy({0.0, 0.0}));
 }
 
 TEST(BoxTest, InscribedRadiusAndOps) {
@@ -89,17 +104,7 @@ TEST(BoxTest, InscribedRadiusAndOps) {
   EXPECT_LT(b.inscribed_radius({-1.0, 1.0}), 0.0);
   const Box u = b.united({{3.0, 0.0}, {6.0, 2.0}});
   EXPECT_DOUBLE_EQ(u.width(), 6.0);
-  EXPECT_TRUE(b.intersects({{3.9, 1.9}, {5.0, 5.0}}));
-  EXPECT_FALSE(b.intersects({{4.0, 0.0}, {5.0, 1.0}}));
   EXPECT_DOUBLE_EQ(b.expanded(1.0).area(), 6.0 * 4.0);
-}
-
-TEST(CircleTest, ContainsAndArea) {
-  const Circle c{{1.0, 1.0}, 2.0};
-  EXPECT_TRUE(c.contains({2.0, 2.0}));
-  EXPECT_FALSE(c.contains({4.0, 1.0}));
-  EXPECT_TRUE(c.contains({3.0, 1.0}));  // boundary closed
-  EXPECT_NEAR(c.area(), 4.0 * kPi, 1e-12);
 }
 
 TEST(LensArea, ClosedFormCases) {
@@ -199,7 +204,7 @@ TEST(DiskPolygonArea, MonteCarloCrossCheck) {
   const Box bb{{-1.0, -1.0}, {1.5, 1.4}};  // the triangle's bounding box
   for (int i = 0; i < n; ++i) {
     const Vec2 p{rng.uniform(bb.lo.x, bb.hi.x), rng.uniform(bb.lo.y, bb.hi.y)};
-    if (tri.contains(p) && c.contains(p)) ++hits;
+    if (tri.contains(p) && dist2(p, c.center) <= c.radius * c.radius) ++hits;
   }
   const double mc = bb.area() * hits / n;
   EXPECT_NEAR(exact, mc, 0.02);

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <set>
 
 #include "sens/perc/chemical.hpp"
 #include "sens/perc/clusters.hpp"
@@ -12,6 +13,16 @@
 
 namespace sens {
 namespace {
+
+/// Number of distinct cluster ids over the grid's open sites.
+std::size_t cluster_count(const SiteGrid& g, const ClusterLabels& cl) {
+  std::set<std::int32_t> ids;
+  for (std::size_t i = 0; i < g.num_sites(); ++i) {
+    const Site s = g.site_at(i);
+    if (g.open(s)) ids.insert(cl.label(s));
+  }
+  return ids.size();
+}
 
 TEST(SiteGridTest, BasicsAndBounds) {
   SiteGrid g(4, 3);
@@ -54,12 +65,12 @@ TEST(LatticeDistance, IsL1) {
 TEST(Clusters, FullAndEmptyGrids) {
   const SiteGrid full(10, 10, true);
   const ClusterLabels cl(full);
-  EXPECT_EQ(cl.cluster_count(), 1u);
+  EXPECT_EQ(cluster_count(full, cl), 1u);
   EXPECT_EQ(cl.largest_cluster_size(), 100u);
 
   const SiteGrid empty(10, 10, false);
   const ClusterLabels ce(empty);
-  EXPECT_EQ(ce.cluster_count(), 0u);
+  EXPECT_EQ(cluster_count(empty, ce), 0u);
   EXPECT_EQ(ce.largest_cluster_size(), 0u);
 }
 
@@ -69,9 +80,10 @@ TEST(Clusters, KnownConfiguration) {
   g.set_open({1, 0}, true);
   g.set_open({3, 0}, true);
   const ClusterLabels cl(g);
-  EXPECT_EQ(cl.cluster_count(), 2u);
-  EXPECT_TRUE(cl.same_cluster({0, 0}, {1, 0}));
-  EXPECT_FALSE(cl.same_cluster({1, 0}, {3, 0}));
+  EXPECT_EQ(cluster_count(g, cl), 2u);
+  EXPECT_GE(cl.label({0, 0}), 0);
+  EXPECT_EQ(cl.label({0, 0}), cl.label({1, 0}));
+  EXPECT_NE(cl.label({1, 0}), cl.label({3, 0}));
   EXPECT_EQ(cl.label({2, 0}), ClusterLabels::kClosed);
   EXPECT_EQ(cl.largest_cluster_size(), 2u);
 }

@@ -165,7 +165,9 @@ TEST(Reorder, ApplyPointsRoundTrip) {
   const std::vector<std::uint32_t> perm = random_permutation(ps.size(), kSeed);
   const std::vector<std::uint32_t> inv = invert_permutation(perm);
   const std::vector<Vec2> shuffled = apply_permutation(std::span<const Vec2>(ps.points), perm);
-  for (std::size_t i = 0; i < perm.size(); ++i) EXPECT_EQ(shuffled[i], ps.points[perm[i]]);
+  std::vector<Vec2> picked(perm.size());
+  for (std::size_t i = 0; i < perm.size(); ++i) picked[i] = ps.points[perm[i]];
+  expect_same_points(shuffled, picked);
   const std::vector<Vec2> back = apply_permutation(std::span<const Vec2>(shuffled), inv);
   expect_same_points(back, ps.points);
   EXPECT_THROW((void)apply_permutation(std::span<const Vec2>(ps.points),

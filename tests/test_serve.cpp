@@ -359,7 +359,7 @@ TEST(ServeEstimate, OutOfRangeIdsAreStale) {
   for (std::size_t i = 1; i < qs.size(); ++i) EXPECT_EQ(est[i], kInfCost) << "query " << i;
   EXPECT_LT(est[0], kInfCost);
   std::vector<Verdict> verdicts(qs.size());
-  (void)serve_batch(engine.graph(), engine.arc_weights(), engine.oracle(), engine.max_stretch(),
+  (void)serve_batch(tg.graph, tg.weights, engine.oracle(), engine.max_stretch(),
                     qs, est, verdicts);
   EXPECT_NE(verdicts[0], Verdict::kStale);
   for (std::size_t i = 1; i < qs.size(); ++i) EXPECT_EQ(verdicts[i], Verdict::kStale);
@@ -389,7 +389,7 @@ TEST(ServeEstimate, MixedVerdictBatchBitIdenticalAcrossThreadCounts) {
   const auto serve = [&](unsigned threads) {
     set_thread_count(threads);
     Run r{std::vector<double>(qs.size()), std::vector<Verdict>(qs.size()), {}};
-    r.stats = serve_batch(engine.graph(), engine.arc_weights(), engine.oracle(),
+    r.stats = serve_batch(tg.graph, tg.weights, engine.oracle(),
                           engine.max_stretch(), qs, r.out, r.verdicts);
     set_thread_count(0);
     return r;
@@ -441,15 +441,15 @@ TEST(ServeContract, BatchRejectsMisSizedVerdicts) {
   const auto qs = make_queries(64, 40, 73);
   std::vector<double> out(qs.size(), -1.0);
   std::vector<Verdict> verdicts(3);
-  EXPECT_THROW((void)serve_batch(engine.graph(), engine.arc_weights(), engine.oracle(),
+  EXPECT_THROW((void)serve_batch(tg.graph, tg.weights, engine.oracle(),
                                  engine.max_stretch(), qs, out, verdicts),
                std::invalid_argument);
   EXPECT_EQ(out[0], -1.0);
   // Empty verdicts means "not wanted", never a size mismatch.
-  EXPECT_NO_THROW((void)serve_batch(engine.graph(), engine.arc_weights(), engine.oracle(),
+  EXPECT_NO_THROW((void)serve_batch(tg.graph, tg.weights, engine.oracle(),
                                     engine.max_stretch(), qs, out, {}));
   const std::vector<double> short_weights(2, 1.0);
-  EXPECT_THROW((void)serve_batch(engine.graph(), short_weights, engine.oracle(),
+  EXPECT_THROW((void)serve_batch(tg.graph, short_weights, engine.oracle(),
                                  engine.max_stretch(), qs, out, {}),
                std::invalid_argument);
 }
@@ -981,7 +981,8 @@ TEST(ServeFallbackWork, GoalDirectedFallbackPopsFiveTimesFewer) {
   // must be at least 5x below plain dijkstra_cost on the same pairs.
   const PointSet ps = poisson_point_set(Box{{0.0, 0.0}, {50.0, 50.0}}, 4.0, 0x23);
   const HngResult h = build_hng(ps.points, {.promote_p = 0.25, .k = 3}, 0x23);
-  const QueryEngine engine(h.geo.graph, h.geo.length_arc_weights(),
+  const std::vector<double> weights = h.geo.length_arc_weights();
+  const QueryEngine engine(h.geo.graph, weights,
                            {.num_landmarks = 16,
                             .max_stretch = 1.25,
                             .seed = 0x23,
@@ -991,7 +992,7 @@ TEST(ServeFallbackWork, GoalDirectedFallbackPopsFiveTimesFewer) {
   reg.reset();
   std::vector<double> served(qs.size());
   std::vector<Verdict> verdicts(qs.size());
-  (void)serve_batch(engine.graph(), engine.arc_weights(), engine.oracle(), engine.max_stretch(), qs,
+  (void)serve_batch(h.geo.graph, weights, engine.oracle(), engine.max_stretch(), qs,
                     served, verdicts);
   const std::uint64_t fallbacks = counter(obs::Counter::kOracleFallback);
   const std::uint64_t search_pops = counter(obs::Counter::kDijkstraHeapPops);
@@ -1002,7 +1003,7 @@ TEST(ServeFallbackWork, GoalDirectedFallbackPopsFiveTimesFewer) {
   for (std::size_t i = 0; i < qs.size(); ++i) {
     if (engine.oracle().bounds(qs[i].src, qs[i].dst).certifies(engine.max_stretch())) continue;
     ++pairs;
-    EXPECT_EQ(dijkstra_cost(engine.graph(), qs[i].src, qs[i].dst, engine.arc_weights(), scratch),
+    EXPECT_EQ(dijkstra_cost(h.geo.graph, qs[i].src, qs[i].dst, weights, scratch),
               served[i])
         << "query " << i;
   }

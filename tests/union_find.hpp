@@ -1,11 +1,14 @@
-// Disjoint-set union with path halving and union by size.
+// Test-local disjoint-set union with path halving and union by size: the
+// reference that components and the chain sweep's cycle detection are
+// checked against (test_graph, chain_reference.hpp). The library itself
+// labels components by BFS (sens/graph/components.hpp).
 #pragma once
 
 #include <cstdint>
 #include <numeric>
 #include <vector>
 
-namespace sens {
+namespace sens::testing_ref {
 
 class UnionFind {
  public:
@@ -37,11 +40,9 @@ class UnionFind {
   /// Size of the set containing x.
   [[nodiscard]] std::uint32_t set_size(std::uint32_t x) { return size_[find(x)]; }
 
-  [[nodiscard]] std::size_t size() const { return parent_.size(); }
-
  private:
   std::vector<std::uint32_t> parent_;
   std::vector<std::uint32_t> size_;
 };
 
-}  // namespace sens
+}  // namespace sens::testing_ref
