@@ -34,9 +34,10 @@
 #   - calls through binaries outside this build (installed consumers).
 #
 # Usage: scripts/check_dead_api.sh [BUILD_DIR]   (default build/dead-api)
-# Needs cmake, a C++20 compiler, nm and c++filt; google-benchmark, when
-# installed, adds bench_micro to the binaries. CMake's CMAKE_GENERATOR
-# environment variable picks the generator.
+# Needs cmake, GCC with C++20 (-fkeep-inline-functions is a GCC flag), nm
+# and c++filt; google-benchmark, when installed, adds bench_micro to the
+# binaries. CMake's CMAKE_GENERATOR environment variable picks the
+# generator.
 set -euo pipefail
 root=$(cd "$(dirname "$0")/.." && pwd)
 build=$(mkdir -p "${1:-$root/build/dead-api}" && cd "${1:-$root/build/dead-api}" && pwd)
@@ -57,10 +58,12 @@ for src in "$root"/perfbench/src/*.cpp; do
 done
 "$cxx" -Wl,--gc-sections "$build"/perfbench/*.o "$lib" -pthread -o "$build/perfbench/perfbench"
 
-# Every public header in one unit, inline functions kept.
+# Every public header in one unit, inline functions kept. -Werror stops
+# the gate on a compiler that ignores -fkeep-inline-functions with a
+# warning (clang) instead of passing it with the headers unread.
 find "$root/src/sens" -name '*.hpp' -printf '%P\n' | LC_ALL=C sort |
   sed 's|.*|#include "sens/&"|' > "$build/all_headers.cpp"
-"$cxx" -std=c++20 -g -O0 -fkeep-inline-functions -I"$root/src" \
+"$cxx" -std=c++20 -g -O0 -fkeep-inline-functions -Werror -I"$root/src" \
   -c "$build/all_headers.cpp" -o "$build/all_headers.o"
 
 # Every executable this build linked: bench_*, examples, tools, perfbench.

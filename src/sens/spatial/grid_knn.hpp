@@ -141,6 +141,9 @@ class GridKnn {
     return false;
   }
 
+  /// Number of *live* indexed points (the member count for a subset view;
+  /// tombstoned members do not count).
+  [[nodiscard]] std::size_t size() const { return live_; }
   [[nodiscard]] std::span<const Vec2> points() const { return points_; }
 
   // --- mutable membership (sens/dynamic) ---

@@ -426,7 +426,7 @@ TEST_P(GridKnnSubsetParamTest, LevelsMatchFreshGridKnnOracle) {
     subset.reserve(members.size());
     for (const std::uint32_t m : members) subset.push_back(pts[m]);
     const GridKnn fresh(subset, ks[l]);
-    EXPECT_EQ(levels[l].live_members().size(), members.size());
+    EXPECT_EQ(levels[l].size(), members.size());
 
     Rng rng(GetParam() + 31 * l);
     for (int t = 0; t < 20; ++t) {
@@ -483,7 +483,7 @@ TEST(GridKnnSubset, KAtLeastLevelSizeAndEmptyLevels) {
   EXPECT_EQ(sorted, members);
   EXPECT_EQ(level.nearest_into({5.0, 5.0}, 9, 29, scratch, out), 3u);
   EXPECT_EQ(empty.nearest_into({5.0, 5.0}, 3, GridKnn::npos, scratch, out), 0u);
-  EXPECT_EQ(empty.live_members().size(), 0u);
+  EXPECT_EQ(empty.size(), 0u);
 }
 
 // --- mutable membership: the churn substrate of sens/dynamic -------------
@@ -495,11 +495,9 @@ void expect_matches_fresh(const GridKnn& grid, std::span<const Vec2> store,
                           std::size_t expected_k, std::uint64_t seed) {
   const std::vector<std::uint32_t> members = grid.live_members();
   const GridKnn fresh(store, members, expected_k);
+  ASSERT_EQ(grid.size(), members.size());
   GridKnn::QueryScratch scratch, fresh_scratch;
   std::vector<std::uint32_t> got, want;
-  // The live count caps a query: k beyond it returns every member.
-  ASSERT_EQ(grid.nearest_into({0.0, 0.0}, members.size() + 1, GridKnn::npos, scratch, got),
-            members.size());
   Rng rng(seed);
   for (int t = 0; t < 10; ++t) {
     const Vec2 q{rng.uniform(-1.0, 11.0), rng.uniform(-1.0, 11.0)};
@@ -545,7 +543,7 @@ TEST(GridKnnMutation, EmptiedThenRepopulated) {
   std::vector<std::uint32_t> members{3, 11, 24, 40};
   GridKnn grid(pts, members, 3);
   for (const std::uint32_t m : members) grid.erase_member(m);
-  EXPECT_EQ(grid.live_members().size(), 0u);
+  EXPECT_EQ(grid.size(), 0u);
   GridKnn::QueryScratch scratch;
   std::vector<std::uint32_t> out;
   EXPECT_EQ(grid.nearest_into({5.0, 5.0}, 3, GridKnn::npos, scratch, out), 0u);
