@@ -12,6 +12,9 @@
 //   --trace FILE   export ScopedSpan phase timings as a Chrome-trace /
 //                  Perfetto JSON timeline (load in chrome://tracing or
 //                  ui.perfetto.dev)
+// A bench may name flags of its own (BenchEnv::parse's `own`, read through
+// `env.cli`); any other `--name` exits 2 before the bench does any work, so
+// a typo never silently measures the default configuration.
 //
 // Every bench footer ends with one uniform `[obs]` block (DESIGN.md §2.10):
 // elapsed wall clock, peak RSS, per-phase span totals, pool utilization, and
@@ -21,11 +24,15 @@
 // table, so they land in `--json` and are cmp'd across --threads by CI.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
+#include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <initializer_list>
 #include <iostream>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -64,7 +71,15 @@ inline std::string json_escape(const std::string& s) {
   return out;
 }
 
+/// Fixed-width lowercase hex of a 64-bit digest, for table cells.
+inline std::string hex64(std::uint64_t v) {
+  char buf[17];
+  std::snprintf(buf, sizeof buf, "%016llx", static_cast<unsigned long long>(v));
+  return buf;
+}
+
 struct BenchEnv {
+  Cli cli;                   ///< every flag, for the bench's own ones
   std::size_t scale = 1;     ///< replicate multiplier (10 with --full)
   std::uint64_t seed = 0x5EB5;
   bool csv = false;
@@ -73,9 +88,22 @@ struct BenchEnv {
   std::string trace_path;    ///< empty = no Chrome-trace export
   Timer timer;
 
-  static BenchEnv parse(int argc, char** argv) {
-    const Cli cli(argc, argv);
-    BenchEnv env;
+  static BenchEnv parse(int argc, char** argv,
+                        std::initializer_list<std::string_view> own = {}) {
+    constexpr std::string_view shared[] = {"full", "scale", "seed",  "threads",
+                                           "csv",  "json",  "trace"};
+    for (int i = 1; i < argc; ++i) {
+      std::string_view name = argv[i];
+      if (!name.starts_with("--")) continue;
+      name = name.substr(2, name.find('=') - 2);
+      const auto known = [name](std::string_view flag) { return flag == name; };
+      if (std::ranges::none_of(shared, known) && std::ranges::none_of(own, known)) {
+        std::cerr << argv[0] << ": unknown flag --" << name << "\n";
+        std::exit(2);
+      }
+    }
+    BenchEnv env{Cli(argc, argv)};
+    const Cli& cli = env.cli;
     env.scale = cli.has("full") ? 10 : 1;
     env.scale = static_cast<std::size_t>(cli.get("scale", static_cast<long>(env.scale)));
     env.seed = cli.get("seed", static_cast<unsigned long long>(env.seed));
@@ -90,6 +118,8 @@ struct BenchEnv {
     obs::TraceLog::global().enable(/*keep_events=*/!env.trace_path.empty());
     return env;
   }
+
+  explicit BenchEnv(Cli c) : cli(std::move(c)) {}
 
   void header(const std::string& id, const std::string& claim) {
     id_ = id;

@@ -4,144 +4,37 @@
 // most delta^beta, beta in [2, 5]. This bench builds UDG, Gabriel, RNG,
 // Yao and UDG-SENS over the *same* Poisson points and compares mean degree,
 // Euclidean length stretch and power stretch (vs the optimal UDG path)
-// between SENS representatives.
-#include <cmath>
-
+// between SENS representatives (bench/same_points.hpp, shared with E15).
 #include "bench_common.hpp"
-#include "sens/baselines/spanners.hpp"
-#include "sens/core/sens_router.hpp"
-#include "sens/core/udg_sens.hpp"
-#include "sens/geograph/udg.hpp"
-#include "sens/graph/dijkstra.hpp"
-#include "sens/rng/rng.hpp"
-#include "sens/support/stats.hpp"
+#include "same_points.hpp"
 
 using namespace sens;
 using namespace sens::bench;
-
-namespace {
-
-/// Per-arc weight arrays for the three metrics every pair queries, built
-/// once per graph (CsrGraph::arc_weights, DESIGN.md §2.4): the Dijkstra
-/// inner loop reads flat arrays instead of invoking a callable per edge.
-struct MetricWeights {
-  std::vector<double> length;
-  std::vector<double> power2;
-  std::vector<double> power4;
-
-  explicit MetricWeights(const GeoGraph& g)
-      : length(g.length_arc_weights()),
-        power2(g.power_arc_weights(2.0)),
-        power4(g.power_arc_weights(4.0)) {}
-};
-
-}  // namespace
 
 int main(int argc, char** argv) {
   BenchEnv env = BenchEnv::parse(argc, argv);
   env.header("E12 / power efficiency vs baselines",
              "SENS is power-efficient up to a constant factor (power stretch <= delta^beta)");
 
-  const int tiles = env.scale > 1 ? 40 : 28;
-  const double lambda = 25.0;
-  const UdgSensResult r = build_udg_sens(UdgTileSpec::strict(), lambda, tiles, tiles, env.seed);
-  const Box window = r.points.window;
-  const GeoGraph udg = build_udg(r.points.points, window, 1.0);
-  const GeoGraph gg = gabriel_graph(udg);
-  const GeoGraph rng_g = relative_neighborhood_graph(udg);
-  const GeoGraph yao = yao_graph(udg, 7);
+  const SamePoints sp(env.scale > 1 ? 40 : 28, env.seed, /*with_hng=*/false);
 
   Table deg({"graph", "nodes in use", "mean degree", "edges"});
-  deg.add_row({"UDG(2,25)", Table::fmt_int(static_cast<long long>(udg.size())),
-               Table::fmt(udg.graph.mean_degree(), 4),
-               Table::fmt_int(static_cast<long long>(udg.graph.num_edges()))});
-  deg.add_row({"Gabriel", Table::fmt_int(static_cast<long long>(gg.size())),
-               Table::fmt(gg.graph.mean_degree(), 4),
-               Table::fmt_int(static_cast<long long>(gg.graph.num_edges()))});
-  deg.add_row({"RNG", Table::fmt_int(static_cast<long long>(rng_g.size())),
-               Table::fmt(rng_g.graph.mean_degree(), 4),
-               Table::fmt_int(static_cast<long long>(rng_g.graph.num_edges()))});
-  deg.add_row({"Yao(7)", Table::fmt_int(static_cast<long long>(yao.size())),
-               Table::fmt(yao.graph.mean_degree(), 4),
-               Table::fmt_int(static_cast<long long>(yao.graph.num_edges()))});
-  deg.add_row({"UDG-SENS", Table::fmt_int(static_cast<long long>(r.overlay.geo.size())),
-               Table::fmt(r.overlay.geo.graph.mean_degree(), 4),
-               Table::fmt_int(static_cast<long long>(r.overlay.geo.graph.num_edges()))});
+  for (const Construction& c : sp.constructions()) {
+    deg.add_row({c.name, Table::fmt_int(static_cast<long long>(c.geo->size())),
+                 Table::fmt(c.geo->graph.mean_degree(), 4),
+                 Table::fmt_int(static_cast<long long>(c.geo->graph.num_edges()))});
+  }
   env.emit("sparsity (all graphs over the same Poisson points; SENS keeps only elected nodes)",
            deg);
 
   // Stretch between SENS representatives (present in every graph).
-  const auto reps = r.overlay.giant_rep_sites();
-  Rng pick = Rng::stream(env.seed, 0xba5e);
-  const std::size_t pairs = 25 * env.scale;
-
-  struct Agg {
-    RunningStats len_stretch;
-    RunningStats pow2_stretch;
-    RunningStats pow4_stretch;
-  };
-  Agg agg_udg, agg_gg, agg_rng, agg_yao, agg_sens;
-  const SensRouter sens_router(r.overlay);
-
-  // Weight arrays built once per graph; one Dijkstra scratch serves every
-  // query below (allocation-free early-exit runs, DESIGN.md §2.4).
-  const MetricWeights w_udg(udg), w_gg(gg), w_rng(rng_g), w_yao(yao);
-  DijkstraScratch scratch;
-  SensRouteScratch route_scratch;
-
-  std::size_t used = 0;
-  for (std::size_t t = 0; t < pairs * 4 && used < pairs; ++t) {
-    const Site sa = reps[pick.uniform_index(reps.size())];
-    const Site sb = reps[pick.uniform_index(reps.size())];
-    if (sa == sb) continue;
-    const std::uint32_t a = r.overlay.base_index[r.overlay.rep_of(sa)];
-    const std::uint32_t b = r.overlay.base_index[r.overlay.rep_of(sb)];
-    const double straight = dist(r.points.points[a], r.points.points[b]);
-    if (straight < 5.0) continue;
-
-    const double udg_len = dijkstra_cost(udg.graph, a, b, w_udg.length, scratch);
-    const double udg_p2 = dijkstra_cost(udg.graph, a, b, w_udg.power2, scratch);
-    const double udg_p4 = dijkstra_cost(udg.graph, a, b, w_udg.power4, scratch);
-    if (udg_len >= kInfCost) continue;
-
-    auto eval = [&](const GeoGraph& g, const MetricWeights& w, Agg& agg) {
-      const double len = dijkstra_cost(g.graph, a, b, w.length, scratch);
-      if (len >= kInfCost) return;
-      agg.len_stretch.add(len / straight);
-      agg.pow2_stretch.add(dijkstra_cost(g.graph, a, b, w.power2, scratch) / udg_p2);
-      agg.pow4_stretch.add(dijkstra_cost(g.graph, a, b, w.power4, scratch) / udg_p4);
-    };
-    eval(udg, w_udg, agg_udg);
-    eval(gg, w_gg, agg_gg);
-    eval(rng_g, w_rng, agg_rng);
-    eval(yao, w_yao, agg_yao);
-
-    // SENS: the actual routed path (not an omniscient shortest path).
-    const SensRoute route = sens_router.route(sa, sb, route_scratch);
-    if (route.success) {
-      agg_sens.len_stretch.add(route.euclid_length / straight);
-      agg_sens.pow2_stretch.add(route.power2 / udg_p2);
-      double p4 = 0.0;
-      for (std::size_t i = 1; i < route.node_path.size(); ++i)
-        p4 += std::pow(r.overlay.geo.edge_length(route.node_path[i - 1], route.node_path[i]), 4.0);
-      agg_sens.pow4_stretch.add(p4 / udg_p4);
-    }
-    ++used;
-  }
-
-  Table st({"graph", "length stretch mean", "length stretch max", "power stretch b=2 (mean)",
-            "power stretch b=4 (mean)"});
-  auto row = [&](const std::string& name, const Agg& a) {
-    st.add_row({name, Table::fmt(a.len_stretch.mean(), 4), Table::fmt(a.len_stretch.max(), 4),
-                Table::fmt(a.pow2_stretch.mean(), 4), Table::fmt(a.pow4_stretch.mean(), 4)});
-  };
-  row("UDG (optimal)", agg_udg);
-  row("Gabriel", agg_gg);
-  row("RNG", agg_rng);
-  row("Yao(7)", agg_yao);
-  row("UDG-SENS (routed)", agg_sens);
+  const std::vector<Construction> rows{{"Gabriel", &sp.gabriel},
+                                       {"RNG", &sp.rng},
+                                       {"Yao(7)", &sp.yao},
+                                       {"UDG-SENS (routed)", nullptr}};
   env.emit("stretch between SENS representatives (power stretch normalized to the optimal UDG path)",
-           st);
+           stretch_table(sp.sens.overlay, 1.0, sp.udg, ArcMetrics(sp.udg, {2.0, 4.0}), rows,
+                         Rng::stream(env.seed, 0xba5e), 25 * env.scale));
 
   std::cout << "note: SENS trades a constant-factor stretch for max degree 4 and a\n"
                "node budget of ~5 elected nodes/tile; baselines keep every node awake.\n\n";

@@ -46,16 +46,6 @@ std::uint64_t digest_doubles(std::span<const double> xs) {
   return h;
 }
 
-std::string hex64(std::uint64_t v) {
-  constexpr char digits[] = "0123456789abcdef";
-  std::string out(16, '0');
-  for (int i = 15; i >= 0; --i) {
-    out[static_cast<std::size_t>(i)] = digits[v & 0xf];
-    v >>= 4;
-  }
-  return out;
-}
-
 /// Each caller thread serves its slice in sub-batches this long and
 /// histograms the per-query latency of every sub-batch (one clock pair per
 /// 1024 queries — unmeasurable against the serve itself). Answers, digests

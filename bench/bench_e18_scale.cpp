@@ -27,7 +27,6 @@
 // Extra flag: --nmax N caps the size sweep (default 10^6).
 #include <bit>
 #include <cmath>
-#include <cstdio>
 #include <string>
 #include <utility>
 #include <vector>
@@ -51,12 +50,6 @@ namespace {
 std::uint64_t mix64(std::uint64_t h, std::uint64_t x) {
   h ^= x + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2);
   return h;
-}
-
-std::string hex64(std::uint64_t v) {
-  char buf[17];
-  std::snprintf(buf, sizeof buf, "%016llx", static_cast<unsigned long long>(v));
-  return buf;
 }
 
 /// Batched sources per size — fewer rows at larger n so the default run
@@ -122,9 +115,8 @@ double mibs(std::uint64_t bytes) { return static_cast<double>(bytes) / (1024.0 *
 }  // namespace
 
 int main(int argc, char** argv) {
-  BenchEnv env = BenchEnv::parse(argc, argv);
-  const Cli cli(argc, argv);
-  const auto nmax = static_cast<std::size_t>(cli.get("nmax", 1'000'000L));
+  BenchEnv env = BenchEnv::parse(argc, argv, {"nmax"});
+  const auto nmax = static_cast<std::size_t>(env.cli.get("nmax", 1'000'000L));
 
   env.header("E18 / million-node scale tier",
              "the constructions stay practical at massive deployment sizes: streaming "

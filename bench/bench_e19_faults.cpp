@@ -29,27 +29,18 @@
 #include <vector>
 
 #include "bench_common.hpp"
-#include "sens/baselines/spanners.hpp"
-#include "sens/core/udg_sens.hpp"
+#include "same_points.hpp"
 #include "sens/dynamic/dynamic_hng.hpp"
 #include "sens/fault/degradation.hpp"
 #include "sens/fault/fault_plan.hpp"
-#include "sens/geograph/udg.hpp"
 #include "sens/graph/dijkstra.hpp"
-#include "sens/hng/hng.hpp"
 #include "sens/rng/rng.hpp"
 #include "sens/serve/epoch_engine.hpp"
-#include "sens/support/cli.hpp"
 
 using namespace sens;
 using namespace sens::bench;
 
 namespace {
-
-struct Construction {
-  std::string name;
-  const GeoGraph* geo;
-};
 
 /// Recheck a served batch against exact Dijkstra on the engine's own epoch
 /// snapshot: kExact must match (modulo summation order), kCertified must
@@ -104,34 +95,19 @@ void verdict_row(Table& t, const std::string& phase, std::uint64_t generation,
 }  // namespace
 
 int main(int argc, char** argv) {
-  BenchEnv env = BenchEnv::parse(argc, argv);
-  const Cli cli(argc, argv);
-  const double fmax = cli.get("fmax", 0.5);
+  BenchEnv env = BenchEnv::parse(argc, argv, {"fmax"});
+  const double fmax = env.cli.get("fmax", 0.5);
   env.header("E19 / fault injection: degradation and epoch survival",
              "sparse power-efficient topologies degrade gracefully under node, region and "
              "link failures, and a journal-following serving epoch survives churn with zero "
              "uncertified wrong answers (DESIGN.md 2.9)");
 
-  const int tiles = env.scale > 1 ? 24 : 14;
-  const double lambda = 25.0;
-  const HngParams hng_params{.promote_p = 0.25, .k = 3, .max_level = 48};
-
   Table clock({"step", "ms"});
   Timer step_timer;
-  const UdgSensResult r = build_udg_sens(UdgTileSpec::strict(), lambda, tiles, tiles, env.seed);
-  const Box window = r.points.window;
-  const GeoGraph udg = build_udg(r.points.points, window, 1.0);
-  const GeoGraph gg = gabriel_graph(udg);
-  const GeoGraph rng_g = relative_neighborhood_graph(udg);
-  const GeoGraph yao = yao_graph(udg, 7);
-  const HngResult hng = build_hng(r.points.points, hng_params, env.seed);
+  const SamePoints sp(env.scale > 1 ? 24 : 14, env.seed, /*with_hng=*/true);
+  const Box window = sp.sens.points.window;
   clock.add_row({"build all constructions", Table::fmt(step_timer.millis(), 2)});
-
-  const std::vector<Construction> graphs{
-      {"UDG(2,25)", &udg},         {"Gabriel", &gg},
-      {"RNG", &rng_g},             {"Yao(7)", &yao},
-      {"UDG-SENS", &r.overlay.geo}, {"HNG(p=0.25, k=3)", &hng.geo},
-  };
+  const std::vector<Construction> graphs = sp.constructions();
 
   DegradationParams audit;
   audit.sample_pairs = 192 * env.scale;
@@ -217,7 +193,7 @@ int main(int argc, char** argv) {
   // --- 3. epoch survival under churn ----------------------------------------
   // The maintainer churns; the engine follows by journal replay and must
   // never serve an uncertified wrong answer (contract asserted per batch).
-  DynamicHng dyn(r.points.points, hng_params, env.seed);
+  DynamicHng dyn(sp.sens.points.points, kHngParams, env.seed);
   const std::size_t n_pre = dyn.size();
   const EpochEngineParams eparams{.num_landmarks = 16,
                                   .max_stretch = 1.25,

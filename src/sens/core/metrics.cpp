@@ -42,7 +42,6 @@ std::vector<StretchSample> sample_overlay_stretch(const Overlay& overlay, std::s
     s.euclid = dist(overlay.geo.points[u], overlay.geo.points[v]);
     s.hops = static_cast<std::uint32_t>(path.size() - 1);
     s.path_length = overlay.geo.path_length(path);
-    s.path_power2 = overlay.geo.path_power(path, 2.0);
     s.lattice = lattice_distance(sa, sb);
     samples.push_back(s);
   }

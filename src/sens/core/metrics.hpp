@@ -26,7 +26,6 @@ struct StretchSample {
   double euclid = 0.0;       ///< straight-line distance between the reps
   std::uint32_t hops = 0;    ///< overlay graph distance
   double path_length = 0.0;  ///< Euclidean length along the overlay path
-  double path_power2 = 0.0;  ///< sum of d^2 along the overlay path
   std::int32_t lattice = 0;  ///< tile-lattice L1 distance D(x, y)
 
   [[nodiscard]] double length_stretch() const {

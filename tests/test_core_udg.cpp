@@ -135,7 +135,6 @@ TEST(UdgSens, StretchSamplesBounded) {
     EXPECT_GE(s.length_stretch(), 1.0 - 1e-9);  // Euclid is a lower bound
     EXPECT_LT(s.length_stretch(), 12.0);        // constant-stretch sanity ceiling
     EXPECT_GT(s.hops, 0u);
-    EXPECT_GE(s.path_power2, 0.0);
   }
 }
 
